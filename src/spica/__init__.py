@@ -39,7 +39,6 @@ from .metrics import (
 from .ps_cancel import (
     PsCancelPlan,
     alternating_signs,
-    ps_align_phase,
     ps_cancel_stream,
     ps_residual_gain,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "welch_psd",
     "PsCancelPlan",
     "alternating_signs",
-    "ps_align_phase",
     "ps_cancel_stream",
     "ps_residual_gain",
     "DEFAULT_SAMPLE_RATE",

@@ -8,6 +8,7 @@ import enum
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from .metrics import cancellation_depth, conversion_gain_measured, evm_percent, 
 from .ps_cancel import PsCancelPlan, ps_residual_gain
 from .ttd import (
     INTERLEAVE_STEP,
-    SampleFrame,
     config_total_delay,
     desired_conversion_gain,
     equalize,
@@ -54,6 +54,9 @@ class Experiment(enum.Enum):
     PLAN_CLOCK = "PLAN_CLOCK"
 
 
+_TUPLE_FIELDS = ("ps_n_elements", "delta_ud_s", "plan_targets_s")
+
+
 @dataclass
 class ExperimentConfig:
     """Flat parameter bag for all experiment kinds; validated per kind."""
@@ -70,7 +73,7 @@ class ExperimentConfig:
     frame_len: int = 2048
     band_halfwidth_hz: float = 0.5e6
     # phase-shift leakage sweep
-    ps_n_elements: tuple = (4, 16, 64)
+    ps_n_elements: tuple[int, ...] = (4, 16, 64)
     theta_ud_deg: float = 45.0
     fnorm_start: float = 0.9
     fnorm_stop: float = 1.1
@@ -79,7 +82,7 @@ class ExperimentConfig:
     tone_start_hz: float = 1e6
     tone_stop_hz: float = 99e6
     tone_count: int = 99
-    delta_ud_s: tuple = ()
+    delta_ud_s: tuple[float, ...] = ()
     # modulated interferer
     interferer: bool = True
     symbol_rate_hz: float = 64e6
@@ -93,24 +96,19 @@ class ExperimentConfig:
     interferer_excess_db: float = 12.0
     eq_eps: float | None = None
     # clock planning
-    plan_targets_s: tuple = ()
+    plan_targets_s: tuple[float, ...] = ()
     max_offset: int = 2
 
     def __post_init__(self):
-        if isinstance(self.experiment, str):
-            try:
-                self.experiment = Experiment(self.experiment)
-            except ValueError:
-                names = ", ".join(e.value for e in Experiment)
-                raise ConfigError(
-                    f"experiment: unknown value {self.experiment!r} (expected one of {names})"
-                ) from None
-        if isinstance(self.mode, str):
-            try:
-                self.mode = SceneMode(self.mode)
-            except ValueError:
-                raise ConfigError(f"mode: unknown value {self.mode!r}") from None
-        for name in ("ps_n_elements", "delta_ud_s", "plan_targets_s"):
+        for name, kind in (("experiment", Experiment), ("mode", SceneMode)):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                try:
+                    setattr(self, name, kind(value))
+                except ValueError:
+                    names = ", ".join(e.value for e in kind)
+                    _fail(name, f"unknown value {value!r} (expected one of {names})")
+        for name in _TUPLE_FIELDS:
             setattr(self, name, tuple(getattr(self, name)))
         if not self.output:
             self.output = self.experiment.value.lower()
@@ -119,12 +117,15 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        hints = typing.get_type_hints(cls)
+        unknown = sorted(set(data) - set(hints))
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
         if "experiment" not in data:
             raise ConfigError("experiment: field is required")
+        for name, value in data.items():
+            if not _has_type(value, hints[name]):
+                _fail(name, f"expected {cls.__annotations__[name]}, got {value!r}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -133,116 +134,41 @@ class ExperimentConfig:
         out = dataclasses.asdict(self)
         out["experiment"] = self.experiment.value
         out["mode"] = self.mode.value
-        for name in ("ps_n_elements", "delta_ud_s", "plan_targets_s"):
+        for name in _TUPLE_FIELDS:
             out[name] = list(out[name])
         return out
 
     def validate(self) -> None:
-        def fail(field_name, msg):
-            raise ConfigError(f"{field_name}: {msg}")
-
-        exp = self.experiment
         if os.sep in self.output or (os.altsep and os.altsep in self.output):
-            fail("output", "must be a bare file stem, not a path")
+            _fail("output", "must be a bare file stem, not a path")
         if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
-            fail("seed", f"must be a non-negative integer, got {self.seed!r}")
-        if self.noise_rms < 0:
-            fail("noise_rms", f"must be >= 0, got {self.noise_rms}")
+            _fail("seed", f"must be a non-negative integer, got {self.seed!r}")
+        _check_min(self, "noise_rms", 0)
         if self.noise_rms > 0 and self.seed is None:
-            fail("seed", "required whenever noise_rms > 0")
-        if self.sample_rate_hz <= 0:
-            fail("sample_rate_hz", f"must be positive, got {self.sample_rate_hz}")
-        if self.frame_len < 16 or (self.frame_len & (self.frame_len - 1)) != 0:
-            fail("frame_len", f"must be a power of 2 >= 16, got {self.frame_len}")
-        if self.n_elements < 2 or (self.n_elements & (self.n_elements - 1)) != 0:
-            fail("n_elements", f"must be a power of 2 >= 2, got {self.n_elements}")
-        if self.d_over_lambda <= 0:
-            fail("d_over_lambda", f"must be positive, got {self.d_over_lambda}")
-        if self.carrier_freq_hz <= 0:
-            fail("carrier_freq_hz", f"must be positive, got {self.carrier_freq_hz}")
-        if self.band_halfwidth_hz <= 0:
-            fail("band_halfwidth_hz", f"must be positive, got {self.band_halfwidth_hz}")
+            _fail("seed", "required whenever noise_rms > 0")
+        for name in ("sample_rate_hz", "d_over_lambda", "carrier_freq_hz", "band_halfwidth_hz"):
+            _check_positive(self, name)
+        _check_power_of_two("frame_len", self.frame_len, 16)
+        _check_power_of_two("n_elements", self.n_elements, 2)
+        checks, _ = _KINDS[self.experiment]
+        for check in checks:
+            check(self)
 
-        nyquist = self.sample_rate_hz / 2.0
-        plan_range = (self.max_offset + 1) * INTERLEAVE_STEP
 
-        if exp is Experiment.PS_LEAKAGE:
-            if not self.ps_n_elements:
-                fail("ps_n_elements", "must list at least one element count")
-            for n in self.ps_n_elements:
-                if n < 2 or (n & (n - 1)) != 0:
-                    fail("ps_n_elements", f"entries must be powers of 2 >= 2, got {n}")
-            if not -90.0 <= self.theta_ud_deg <= 90.0:
-                fail("theta_ud_deg", f"must be in [-90, 90], got {self.theta_ud_deg}")
-            if self.fnorm_count < 1:
-                fail("fnorm_count", f"must be >= 1, got {self.fnorm_count}")
-            if self.fnorm_stop < self.fnorm_start:
-                fail("fnorm_stop", "must be >= fnorm_start")
-
-        if exp in (Experiment.TTD_TONE_SWEEP, Experiment.DESIRED_GAIN):
-            if self.tone_count < 1:
-                fail("tone_count", f"must be >= 1, got {self.tone_count}")
-            if self.tone_stop_hz < self.tone_start_hz:
-                fail("tone_stop_hz", "must be >= tone_start_hz")
-            if abs(self.tone_start_hz) >= nyquist or abs(self.tone_stop_hz) >= nyquist:
-                fail("tone_stop_hz", f"tone grid must sit inside +/-{nyquist:.4g} Hz")
-            if not self.delta_ud_s:
-                fail("delta_ud_s", "must list at least one inter-element delay")
-            worst = max(abs(d) for d in self.delta_ud_s) * (self.n_elements - 1)
-            if worst > plan_range:
-                fail(
-                    "delta_ud_s",
-                    f"largest per-element delay {worst:.4g} s exceeds the "
-                    f"{plan_range:.4g} s planner range",
-                )
-
-        if exp in (Experiment.TTD_MODULATED, Experiment.QPSK_EVM):
-            if len(self.delta_ud_s) != 1:
-                fail("delta_ud_s", "must list exactly one inter-element delay")
-            if abs(self.delta_ud_s[0]) * (self.n_elements - 1) > plan_range:
-                fail("delta_ud_s", "per-element delay exceeds the planner range")
-            if self.symbol_rate_hz <= 0:
-                fail("symbol_rate_hz", f"must be positive, got {self.symbol_rate_hz}")
-            if not 0.0 <= self.rolloff <= 1.0:
-                fail("rolloff", f"must be in [0, 1], got {self.rolloff}")
-            if self.span_symbols < 1:
-                fail("span_symbols", f"must be >= 1, got {self.span_symbols}")
-            occupied = self.symbol_rate_hz * (1.0 + self.rolloff) / 2.0
-            if abs(self.center_freq_hz) + occupied > nyquist:
-                fail("center_freq_hz", "occupied band extends past Nyquist")
-            if self.interferer and self.seed is None:
-                fail("seed", "required to draw interferer symbols")
-
-        if exp is Experiment.QPSK_EVM:
-            if self.desired_symbol_rate_hz <= 0:
-                fail("desired_symbol_rate_hz", "must be positive")
-            if self.desired_n_symbols < 8:
-                fail("desired_n_symbols", f"must be >= 8, got {self.desired_n_symbols}")
-            occupied = self.desired_symbol_rate_hz * (1.0 + self.rolloff) / 2.0
-            if abs(self.desired_center_hz) + occupied > nyquist:
-                fail("desired_center_hz", "occupied band extends past Nyquist")
-            samples_per_symbol = self.sample_rate_hz / self.desired_symbol_rate_hz
-            if abs(samples_per_symbol - round(samples_per_symbol)) > 1e-9:
-                fail(
-                    "desired_symbol_rate_hz",
-                    "sample_rate_hz must be an integer multiple of the symbol rate",
-                )
-            if self.eq_eps is not None and self.eq_eps <= 0:
-                fail("eq_eps", f"must be positive, got {self.eq_eps}")
-            if self.seed is None:
-                fail("seed", "required to draw symbol bits")
-
-        if exp is Experiment.PLAN_CLOCK:
-            if not self.plan_targets_s:
-                fail("plan_targets_s", "must list at least one target delay")
-            if self.max_offset < 0:
-                fail("max_offset", f"must be >= 0, got {self.max_offset}")
-            for t in self.plan_targets_s:
-                if not 0.0 <= t <= plan_range:
-                    fail(
-                        "plan_targets_s",
-                        f"target {t:.4g} s outside [0, {plan_range:.4g}] s",
-                    )
+def _has_type(value, hint) -> bool:
+    """JSON type check: bools are not numbers, ints pass as floats, enums take strings."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_has_type(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    if issubclass(hint, enum.Enum):
+        return isinstance(value, (str, hint))
+    return isinstance(value, hint)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -260,106 +186,126 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
+# config checks
+
+
+def _fail(field_name: str, msg: str):
+    raise ConfigError(f"{field_name}: {msg}")
+
+
+def _check_positive(cfg: ExperimentConfig, name: str) -> None:
+    if getattr(cfg, name) <= 0:
+        _fail(name, f"must be positive, got {getattr(cfg, name)}")
+
+
+def _check_min(cfg: ExperimentConfig, name: str, least: int) -> None:
+    if getattr(cfg, name) < least:
+        _fail(name, f"must be >= {least}, got {getattr(cfg, name)}")
+
+
+def _check_power_of_two(name: str, n: int, least: int, what: str = "must be") -> None:
+    if n < least or (n & (n - 1)) != 0:
+        _fail(name, f"{what} a power of 2 >= {least}, got {n}")
+
+
+def _plan_range(cfg: ExperimentConfig) -> float:
+    return (cfg.max_offset + 1) * INTERLEAVE_STEP
+
+
+def _check_ps_leakage(cfg: ExperimentConfig) -> None:
+    if not cfg.ps_n_elements:
+        _fail("ps_n_elements", "must list at least one element count")
+    for n in cfg.ps_n_elements:
+        _check_power_of_two("ps_n_elements", n, 2, what="entries must be")
+    if not -90.0 <= cfg.theta_ud_deg <= 90.0:
+        _fail("theta_ud_deg", f"must be in [-90, 90], got {cfg.theta_ud_deg}")
+    _check_min(cfg, "fnorm_count", 1)
+    if cfg.fnorm_stop < cfg.fnorm_start:
+        _fail("fnorm_stop", "must be >= fnorm_start")
+
+
+def _check_tone_grid(cfg: ExperimentConfig) -> None:
+    nyquist = cfg.sample_rate_hz / 2.0
+    _check_min(cfg, "tone_count", 1)
+    if cfg.tone_stop_hz < cfg.tone_start_hz:
+        _fail("tone_stop_hz", "must be >= tone_start_hz")
+    if abs(cfg.tone_start_hz) >= nyquist or abs(cfg.tone_stop_hz) >= nyquist:
+        _fail("tone_stop_hz", f"tone grid must sit inside +/-{nyquist:.4g} Hz")
+    if not cfg.delta_ud_s:
+        _fail("delta_ud_s", "must list at least one inter-element delay")
+
+
+def _check_delay_range(cfg: ExperimentConfig) -> None:
+    worst = max(abs(d) for d in cfg.delta_ud_s) * (cfg.n_elements - 1)
+    if worst > _plan_range(cfg):
+        _fail(
+            "delta_ud_s",
+            f"largest per-element delay {worst:.4g} s exceeds the "
+            f"{_plan_range(cfg):.4g} s planner range",
+        )
+
+
+def _check_band(cfg: ExperimentConfig, name: str, center: float, symbol_rate: float) -> None:
+    occupied = symbol_rate * (1.0 + cfg.rolloff) / 2.0
+    if abs(center) + occupied > cfg.sample_rate_hz / 2.0:
+        _fail(name, "occupied band extends past Nyquist")
+
+
+def _check_stream(cfg: ExperimentConfig) -> None:
+    if len(cfg.delta_ud_s) != 1:
+        _fail("delta_ud_s", "must list exactly one inter-element delay")
+    _check_positive(cfg, "symbol_rate_hz")
+    if not 0.0 <= cfg.rolloff <= 1.0:
+        _fail("rolloff", f"must be in [0, 1], got {cfg.rolloff}")
+    _check_min(cfg, "span_symbols", 1)
+    _check_band(cfg, "center_freq_hz", cfg.center_freq_hz, cfg.symbol_rate_hz)
+    if cfg.interferer and cfg.seed is None:
+        _fail("seed", "required to draw interferer symbols")
+
+
+def _check_qpsk(cfg: ExperimentConfig) -> None:
+    _check_positive(cfg, "desired_symbol_rate_hz")
+    _check_min(cfg, "desired_n_symbols", 8)
+    _check_band(cfg, "desired_center_hz", cfg.desired_center_hz, cfg.desired_symbol_rate_hz)
+    samples_per_symbol = cfg.sample_rate_hz / cfg.desired_symbol_rate_hz
+    if abs(samples_per_symbol - round(samples_per_symbol)) > 1e-9:
+        _fail(
+            "desired_symbol_rate_hz",
+            "sample_rate_hz must be an integer multiple of the symbol rate",
+        )
+    if cfg.eq_eps is not None and cfg.eq_eps <= 0:
+        _fail("eq_eps", f"must be positive, got {cfg.eq_eps}")
+    if cfg.seed is None:
+        _fail("seed", "required to draw symbol bits")
+
+
+def _check_plan_clock(cfg: ExperimentConfig) -> None:
+    if not cfg.plan_targets_s:
+        _fail("plan_targets_s", "must list at least one target delay")
+    _check_min(cfg, "max_offset", 0)
+    plan_range = _plan_range(cfg)
+    for t in cfg.plan_targets_s:
+        if not 0.0 <= t <= plan_range:
+            _fail("plan_targets_s", f"target {t:.4g} s outside [0, {plan_range:.4g}] s")
+
+
+# ---------------------------------------------------------------------------
 # presets
 
-
-def _preset_fig4() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=Experiment.PS_LEAKAGE,
-        output="fig4",
-        ps_n_elements=(4, 16, 64),
-        theta_ud_deg=45.0,
-        d_over_lambda=0.5,
-        fnorm_start=0.9,
-        fnorm_stop=1.1,
-        fnorm_count=401,
-    )
-
-
-def _preset_fig6() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=Experiment.DESIRED_GAIN,
-        output="fig6",
-        delta_ud_s=(0.5e-9, 1e-9, 2.5e-9, 4e-9),
-        tone_start_hz=1e6,
-        tone_stop_hz=99.5e6,
-        tone_count=198,
-    )
-
-
-def _preset_fig10() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=Experiment.PLAN_CLOCK,
-        output="fig10",
-        plan_targets_s=(0.0, 4e-9, 8e-9, 12e-9),
-    )
-
-
-def _preset_fig16() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=Experiment.TTD_TONE_SWEEP,
-        output="fig16",
-        delta_ud_s=(1e-9, 2e-9, 4e-9),
-        tone_start_hz=1e6,
-        tone_stop_hz=99e6,
-        tone_count=99,
-    )
-
-
-def _preset_fig17() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=Experiment.DESIRED_GAIN,
-        output="fig17",
-        delta_ud_s=(0.5e-9, 1e-9, 2.5e-9, 4e-9),
-        tone_start_hz=1e6,
-        tone_stop_hz=99e6,
-        tone_count=99,
-    )
-
-
-def _preset_fig18() -> ExperimentConfig:
-    # Non-grid-aligned inter-element delay so the 5 ps planner is actually
-    # exercised; 64 MHz symbols with 0.25 rolloff occupy 80 MHz around a
-    # 50 MHz center, keeping the band clear of the DC combining null.
-    return ExperimentConfig(
-        experiment=Experiment.TTD_MODULATED,
-        output="fig18",
-        delta_ud_s=(2.347e-9,),
-        symbol_rate_hz=64e6,
-        rolloff=0.25,
-        span_symbols=16,
-        center_freq_hz=50e6,
-        frame_len=65536,
-        seed=181,
-    )
-
-
-def _preset_fig19() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=Experiment.QPSK_EVM,
-        output="fig19",
-        delta_ud_s=(2.347e-9,),
-        symbol_rate_hz=64e6,
-        rolloff=0.25,
-        span_symbols=16,
-        center_freq_hz=50e6,
-        desired_symbol_rate_hz=2e6,
-        desired_center_hz=50e6,
-        desired_n_symbols=400,
-        interferer_excess_db=12.0,
-        frame_len=65536,
-        seed=191,
-    )
-
-
+# Fields a preset leaves out take the ExperimentConfig defaults.  fig18 and
+# fig19 use a non-grid-aligned inter-element delay so the 5 ps planner is
+# actually exercised; the default 64 MHz symbols with 0.25 rolloff occupy
+# 80 MHz around a 50 MHz center, keeping the band clear of the DC null.
+_GAIN = dict(experiment=Experiment.DESIRED_GAIN, delta_ud_s=(0.5e-9, 1e-9, 2.5e-9, 4e-9))
+_STREAM = dict(delta_ud_s=(2.347e-9,), frame_len=65536)
 _PRESETS = {
-    "fig4": _preset_fig4,
-    "fig6": _preset_fig6,
-    "fig10": _preset_fig10,
-    "fig16": _preset_fig16,
-    "fig17": _preset_fig17,
-    "fig18": _preset_fig18,
-    "fig19": _preset_fig19,
+    "fig4": dict(experiment=Experiment.PS_LEAKAGE),
+    "fig6": dict(_GAIN, tone_stop_hz=99.5e6, tone_count=198),
+    "fig10": dict(experiment=Experiment.PLAN_CLOCK, plan_targets_s=(0.0, 4e-9, 8e-9, 12e-9)),
+    "fig16": dict(experiment=Experiment.TTD_TONE_SWEEP, delta_ud_s=(1e-9, 2e-9, 4e-9)),
+    "fig17": _GAIN,
+    "fig18": dict(experiment=Experiment.TTD_MODULATED, seed=181, **_STREAM),
+    "fig19": dict(experiment=Experiment.QPSK_EVM, seed=191, **_STREAM),
 }
 
 
@@ -369,65 +315,56 @@ def preset_names() -> list:
 
 def preset(name: str) -> ExperimentConfig:
     """Canonical config for a named measurement scenario."""
-    try:
-        builder = _PRESETS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
-    cfg = builder()
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    cfg = ExperimentConfig(output=name, **_PRESETS[name])
     cfg.validate()
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each returns ({csv suffix: (header, rows)}, derived); suffix "" is the main CSV
 
 
-def _geometry(cfg: ExperimentConfig, n: int | None = None) -> ArrayGeometry:
-    return ArrayGeometry(
-        n_elements=n if n is not None else cfg.n_elements,
-        spacing_over_lambda=cfg.d_over_lambda,
-        carrier_freq=cfg.carrier_freq_hz,
+def _scene(cfg: ExperimentConfig, desired: Waveform, undesired=None, delta=0.0) -> Scene:
+    """Desired source at broadside plus an optional interferer at inter-element delay delta."""
+    interferers = ()
+    if undesired is not None:
+        interferers = (SourceSpec(waveform=undesired, explicit_delay_override=delta),)
+    return Scene(
+        geometry=ArrayGeometry(cfg.n_elements, cfg.d_over_lambda, cfg.carrier_freq_hz),
+        desired=SourceSpec(waveform=desired, aoa_deg=0.0),
+        undesired=interferers,
+        mode=cfg.mode,
     )
 
 
-def _empty_waveform() -> Waveform:
-    return Waveform(terms=())
+def _sample_scene(cfg: ExperimentConfig, scene, delays, seed_key):
+    """Row outputs and the single-input reference for one sweep point.
 
-
-def _sample_scene(scene, delays, fs, n, noise_rms, seed_key):
-    """Sample every element; seeds are keyed by sweep point, not run order."""
+    Column 0 of the truncated Hadamard matrix is all +1, so with only
+    element 1 driven every row outputs element 1's frame: that frame is
+    each row's no-cancellation reference.  Noise seeds are keyed by sweep
+    point, not run order.
+    """
     phasors = None
     if scene.mode is SceneMode.RF_DERIVED:
-        target = "undesired" if scene.undesired else "desired"
-        phasors = lo_align(scene, target)
+        phasors = lo_align(scene, "undesired" if scene.undesired else "desired")
     frames = []
     for i in range(1, scene.geometry.n_elements + 1):
         wave = element_signal(scene, i)
         if phasors is not None:
             wave = wave * phasors[i - 1]
-        seed = None
-        if noise_rms > 0.0:
-            seed = np.random.SeedSequence([*seed_key, i])
-        frames.append(
-            sample_element(wave, delays[i - 1], fs, n, noise_rms, seed, element_tag=i - 1)
-        )
-    return frames
+        seed = np.random.SeedSequence([*seed_key, i]) if cfg.noise_rms > 0.0 else None
+        fs, n, noise = cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms
+        frames.append(sample_element(wave, delays[i - 1], fs, n, noise, seed, element_tag=i - 1))
+    return mac_apply(frames, truncated_hadamard(cfg.n_elements)), frames[0]
 
 
-def _zero_frame(template: SampleFrame) -> SampleFrame:
-    return SampleFrame(
-        np.zeros(len(template), dtype=complex),
-        template.sample_rate,
-        template.start_time,
-    )
-
-
-def _one_input_rows(frames, matrix):
-    """Row outputs with only element 1 driven (the no-cancellation reference)."""
-    only_first = [frames[0]] + [_zero_frame(frames[0]) for _ in frames[1:]]
-    return mac_apply(only_first, matrix)
+def _plan_clocks(cfg: ExperimentConfig, delta: float):
+    """Planned clock per element for inter-element delay ``delta``, and its manifest form."""
+    quant = [plan_delay(i * delta, cfg.max_offset) for i in range(cfg.n_elements)]
+    return quant, [[c.pi_code, c.quadrant.name, c.interleave_offset] for c in quant]
 
 
 def _run_ps_leakage(cfg: ExperimentConfig):
@@ -441,156 +378,91 @@ def _run_ps_leakage(cfg: ExperimentConfig):
         with np.errstate(divide="ignore"):
             leak_db = 20.0 * np.log10(res)
             rej_db = -20.0 * np.log10(res / n)
-        for fn, leak, rej in zip(grid, leak_db, rej_db):
-            rows.append([n, float(fn), float(leak), float(rej)])
+        rows += [[n, float(fn), float(lk), float(rj)] for fn, lk, rj in zip(grid, leak_db, rej_db)]
     header = ["n_elements", "f_norm", "leak_db_single", "rej_db_array"]
-    return header, rows, derived
-
-
-def _tone_scene(cfg: ExperimentConfig, freq: float, delta_ud: float, desired: bool) -> Scene:
-    tone = Waveform(terms=(ToneTerm(amplitude=1.0, frequency=freq),))
-    if desired:
-        return Scene(
-            geometry=_geometry(cfg),
-            desired=SourceSpec(waveform=tone, aoa_deg=0.0),
-            undesired=(),
-            mode=cfg.mode,
-        )
-    return Scene(
-        geometry=_geometry(cfg),
-        desired=SourceSpec(waveform=_empty_waveform(), aoa_deg=0.0),
-        undesired=(
-            SourceSpec(waveform=tone, explicit_delay_override=delta_ud),
-        ),
-        mode=cfg.mode,
-    )
+    return {"": (header, rows)}, derived
 
 
 def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     n = cfg.n_elements
-    fs = cfg.sample_rate_hz
-    matrix = truncated_hadamard(n)
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
     rows = []
     derived = {"planned_configs": {}}
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         ideal = [i * delta for i in range(n)]
-        quant = [plan_delay(i * delta, cfg.max_offset) for i in range(n)]
-        derived["planned_configs"][f"{delta!r}"] = [
-            [c.pi_code, c.quadrant.name, c.interleave_offset] for c in quant
-        ]
+        quant, derived["planned_configs"][f"{delta!r}"] = _plan_clocks(cfg, delta)
         for f_idx, freq in enumerate(freqs):
             freq = float(freq)
-            scene = _tone_scene(cfg, freq, delta, desired=False)
+            scene = _scene(cfg, Waveform(), Waveform(terms=(ToneTerm(1.0, freq),)), delta)
             band = (freq - cfg.band_halfwidth_hz, freq + cfg.band_halfwidth_hz)
-            depths = {}
-            for branch, delays in (("ideal", ideal), ("quantized", quant)):
-                seed_key = (cfg.seed or 0, d_idx, f_idx, 0 if branch == "ideal" else 1)
-                frames = _sample_scene(scene, delays, fs, cfg.frame_len, cfg.noise_rms, seed_key)
-                outs = mac_apply(frames, matrix)
-                refs = _one_input_rows(frames, matrix)
-                depths[branch] = [
-                    cancellation_depth(refs[r], outs[r], band) for r in range(n - 1)
-                ]
-            for r in range(n - 1):
-                rows.append(
-                    [freq, delta, r, depths["ideal"][r], depths["quantized"][r]]
-                )
+            depths = []
+            for branch, delays in enumerate((ideal, quant)):
+                seed_key = (cfg.seed or 0, d_idx, f_idx, branch)
+                outs, ref = _sample_scene(cfg, scene, delays, seed_key)
+                depths.append([cancellation_depth(ref, out, band) for out in outs])
+            rows += [[freq, delta, r, *pair] for r, pair in enumerate(zip(*depths))]
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
-    return header, rows, derived
+    return {"": (header, rows)}, derived
 
 
 def _run_desired_gain(cfg: ExperimentConfig):
     n = cfg.n_elements
-    fs = cfg.sample_rate_hz
-    matrix = truncated_hadamard(n)
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
     rows = []
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         delays = [i * delta for i in range(n)]
         for f_idx, freq in enumerate(freqs):
             freq = float(freq)
-            scene = _tone_scene(cfg, freq, delta, desired=True)
-            seed_key = (cfg.seed or 0, d_idx, f_idx)
-            frames = _sample_scene(scene, delays, fs, cfg.frame_len, cfg.noise_rms, seed_key)
-            outs = mac_apply(frames, matrix)
-            refs = _one_input_rows(frames, matrix)
-            for r in range(n - 1):
+            scene = _scene(cfg, Waveform(terms=(ToneTerm(1.0, freq),)))
+            outs, ref = _sample_scene(cfg, scene, delays, (cfg.seed or 0, d_idx, f_idx))
+            for r, out in enumerate(outs):
                 theory = desired_conversion_gain(freq, delta, r, n)
-                with np.errstate(divide="ignore"):
-                    theory_db = 20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf
-                measured_db = conversion_gain_measured(outs[r], refs[r], freq)
-                rows.append([freq, delta, r, theory_db, measured_db])
+                theory_db = 20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf
+                rows.append([freq, delta, r, theory_db, conversion_gain_measured(out, ref, freq)])
     header = ["freq_hz", "delta_s", "row", "gain_db_theory", "gain_db_measured"]
-    return header, rows, {}
+    return {"": (header, rows)}, {}
 
 
-def _interferer_stream(cfg: ExperimentConfig, rng) -> StreamTerm:
+def _qpsk_stream(cfg: ExperimentConfig, stream_id: int, n_symbols: int, rate, center):
+    """Random QPSK symbols drawn from the run seed, shaped by the config's RRC pulse."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream_id]))
+    bits = rng.integers(0, 2, size=2 * n_symbols)
+    return StreamTerm(map_qpsk(bits), rate, cfg.rolloff, cfg.span_symbols, center)
+
+
+def _interferer_stream(cfg: ExperimentConfig) -> StreamTerm:
+    """Interferer symbols covering the frame plus one pulse span at each end."""
     duration = cfg.frame_len / cfg.sample_rate_hz
     n_sym = int(np.ceil(duration * cfg.symbol_rate_hz)) + 2 * cfg.span_symbols
-    bits = rng.integers(0, 2, size=2 * n_sym)
-    return StreamTerm(
-        symbols=map_qpsk(bits),
-        symbol_rate=cfg.symbol_rate_hz,
-        rolloff=cfg.rolloff,
-        span_symbols=cfg.span_symbols,
-        center_freq=cfg.center_freq_hz,
-    )
+    return _qpsk_stream(cfg, 1, n_sym, cfg.symbol_rate_hz, cfg.center_freq_hz)
 
 
 def _run_ttd_modulated(cfg: ExperimentConfig):
     header = ["row", "band_lo_hz", "band_hi_hz", "depth_db"]
     if not cfg.interferer:
-        return header, [], {"result": "no_interferer"}
-    n = cfg.n_elements
-    fs = cfg.sample_rate_hz
-    matrix = truncated_hadamard(n)
+        return {"": (header, [])}, {"result": "no_interferer"}
     delta = cfg.delta_ud_s[0]
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    stream = _interferer_stream(cfg, rng)
+    stream = _interferer_stream(cfg)
     scale = 1.0 / math.sqrt(cfg.symbol_rate_hz)  # unit mean power
-    scene = Scene(
-        geometry=_geometry(cfg),
-        desired=SourceSpec(waveform=_empty_waveform(), aoa_deg=0.0),
-        undesired=(
-            SourceSpec(
-                waveform=Waveform(terms=(stream,), scale=scale),
-                explicit_delay_override=delta,
-            ),
-        ),
-        mode=cfg.mode,
-    )
-    quant = [plan_delay(i * delta, cfg.max_offset) for i in range(n)]
-    frames = _sample_scene(scene, quant, fs, cfg.frame_len, cfg.noise_rms, (cfg.seed, 2))
-    outs = mac_apply(frames, matrix)
-    refs = _one_input_rows(frames, matrix)
+    scene = _scene(cfg, Waveform(), Waveform(terms=(stream,), scale=scale), delta)
+    quant, planned = _plan_clocks(cfg, delta)
+    outs, ref = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
     half_occupied = cfg.symbol_rate_hz * (1.0 + cfg.rolloff) / 2.0
     band = (cfg.center_freq_hz - half_occupied, cfg.center_freq_hz + half_occupied)
-    rows = []
-    for r in range(n - 1):
-        depth = cancellation_depth(refs[r], outs[r], band, nfft=4096)
-        rows.append([r, band[0], band[1], depth])
-    derived = {
-        "planned_configs": [[c.pi_code, c.quadrant.name, c.interleave_offset] for c in quant],
-        "occupied_band_hz": [band[0], band[1]],
-    }
-    return header, rows, derived
+    rows = [
+        [r, band[0], band[1], cancellation_depth(ref, out, band, nfft=4096)]
+        for r, out in enumerate(outs)
+    ]
+    derived = {"planned_configs": planned, "occupied_band_hz": [band[0], band[1]]}
+    return {"": (header, rows)}, derived
 
 
 def _run_qpsk_evm(cfg: ExperimentConfig):
-    n = cfg.n_elements
     fs = cfg.sample_rate_hz
-    matrix = truncated_hadamard(n)
     delta = cfg.delta_ud_s[0]
 
-    rng_desired = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    bits = rng_desired.integers(0, 2, size=2 * cfg.desired_n_symbols)
-    desired_stream = StreamTerm(
-        symbols=map_qpsk(bits),
-        symbol_rate=cfg.desired_symbol_rate_hz,
-        rolloff=cfg.rolloff,
-        span_symbols=cfg.span_symbols,
-        center_freq=cfg.desired_center_hz,
+    desired_stream = _qpsk_stream(
+        cfg, 0, cfg.desired_n_symbols, cfg.desired_symbol_rate_hz, cfg.desired_center_hz
     )
     # Shift the stream so symbol 0 and the matched-filter span sit inside
     # the frame; genie timing equals this shift.
@@ -603,52 +475,38 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     )
     last_needed = genie + (cfg.desired_n_symbols + cfg.span_symbols) / cfg.desired_symbol_rate_hz
     if last_needed > cfg.frame_len / fs:
-        raise ConfigError(
-            "frame_len: too short for desired_n_symbols plus matched-filter span"
-        )
+        _fail("frame_len", "too short for desired_n_symbols plus matched-filter span")
 
-    rng_interferer = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    undesired = ()
+    interferer = None
     if cfg.interferer:
-        stream = _interferer_stream(cfg, rng_interferer)
+        stream = _interferer_stream(cfg)
         power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
-        undesired = (
-            SourceSpec(
-                waveform=Waveform(terms=(stream,), scale=math.sqrt(power)),
-                explicit_delay_override=delta,
-            ),
-        )
-    scene = Scene(
-        geometry=_geometry(cfg),
-        desired=SourceSpec(waveform=desired_wave, aoa_deg=0.0),
-        undesired=undesired,
-        mode=cfg.mode,
-    )
-    quant = [plan_delay(i * delta, cfg.max_offset) for i in range(n)]
-    frames = _sample_scene(scene, quant, fs, cfg.frame_len, cfg.noise_rms, (cfg.seed, 2))
-    outs = mac_apply(frames, matrix)
+        interferer = Waveform(terms=(stream,), scale=math.sqrt(power))
+    scene = _scene(cfg, desired_wave, interferer, delta)
+    quant, planned = _plan_clocks(cfg, delta)
+    outs, _ = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
 
     rows = []
     constellation = []
-    for r in range(n - 1):
-        eq = equalize(outs[r], row=r, delta=delta, n=n, eps=cfg.eq_eps)
+    for r, out in enumerate(outs):
+        eq = equalize(out, row=r, delta=delta, n=cfg.n_elements, eps=cfg.eq_eps)
         recovered = recover_symbols(eq, desired_stream, genie_timing=genie)
         evm = evm_percent(recovered, desired_stream.symbols)
         rows.append([r, cfg.desired_n_symbols, evm])
         # Export the fitted constellation alongside the reference points.
         a = np.vdot(recovered, desired_stream.symbols) / np.vdot(recovered, recovered)
-        fitted = a * recovered
-        for k, (ref, rx) in enumerate(zip(desired_stream.symbols, fitted)):
-            constellation.append(
-                [r, k, ref.real, ref.imag, float(rx.real), float(rx.imag)]
-            )
-    header = ["row", "n_symbols", "evm_percent"]
-    derived = {
-        "planned_configs": [[c.pi_code, c.quadrant.name, c.interleave_offset] for c in quant],
-        "genie_timing_s": genie,
-        "constellation_header": ["row", "symbol_index", "ref_re", "ref_im", "rx_re", "rx_im"],
+        constellation += [
+            [r, k, ref.real, ref.imag, float(rx.real), float(rx.imag)]
+            for k, (ref, rx) in enumerate(zip(desired_stream.symbols, a * recovered))
+        ]
+    tables = {
+        "": (["row", "n_symbols", "evm_percent"], rows),
+        "_constellation": (
+            ["row", "symbol_index", "ref_re", "ref_im", "rx_re", "rx_im"],
+            constellation,
+        ),
     }
-    return header, rows, derived, constellation
+    return tables, {"planned_configs": planned, "genie_timing_s": genie}
 
 
 def _run_plan_clock(cfg: ExperimentConfig):
@@ -660,7 +518,18 @@ def _run_plan_clock(cfg: ExperimentConfig):
             [target, c.pi_code, c.quadrant.name, c.interleave_offset, total, total - target]
         )
     header = ["target_s", "pi_code", "quadrant", "interleave_offset", "total_s", "error_s"]
-    return header, rows, {}
+    return {"": (header, rows)}, {}
+
+
+# Experiment -> (config checks run after the shared ones in validate, runner).
+_KINDS = {
+    Experiment.PS_LEAKAGE: ((_check_ps_leakage,), _run_ps_leakage),
+    Experiment.TTD_TONE_SWEEP: ((_check_tone_grid, _check_delay_range), _run_ttd_tone_sweep),
+    Experiment.DESIRED_GAIN: ((_check_tone_grid, _check_delay_range), _run_desired_gain),
+    Experiment.TTD_MODULATED: ((_check_stream, _check_delay_range), _run_ttd_modulated),
+    Experiment.QPSK_EVM: ((_check_stream, _check_delay_range, _check_qpsk), _run_qpsk_evm),
+    Experiment.PLAN_CLOCK: ((_check_plan_clock,), _run_plan_clock),
+}
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
@@ -675,30 +544,13 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    constellation = None
-    if cfg.experiment is Experiment.PS_LEAKAGE:
-        header, rows, derived = _run_ps_leakage(cfg)
-    elif cfg.experiment is Experiment.TTD_TONE_SWEEP:
-        header, rows, derived = _run_ttd_tone_sweep(cfg)
-    elif cfg.experiment is Experiment.DESIRED_GAIN:
-        header, rows, derived = _run_desired_gain(cfg)
-    elif cfg.experiment is Experiment.TTD_MODULATED:
-        header, rows, derived = _run_ttd_modulated(cfg)
-    elif cfg.experiment is Experiment.QPSK_EVM:
-        header, rows, derived, constellation = _run_qpsk_evm(cfg)
-    elif cfg.experiment is Experiment.PLAN_CLOCK:
-        header, rows, derived = _run_plan_clock(cfg)
-    else:  # pragma: no cover - enum is closed
-        raise ConfigError(f"experiment: unhandled kind {cfg.experiment}")
-
-    csv_path = out_dir / f"{cfg.output}.csv"
-    _write_csv(csv_path, header, rows)
-    outputs = {"csv": csv_path.name}
-
-    if constellation is not None:
-        const_path = out_dir / f"{cfg.output}_constellation.csv"
-        _write_csv(const_path, derived.pop("constellation_header"), constellation)
-        outputs["constellation"] = const_path.name
+    _, runner = _KINDS[cfg.experiment]
+    tables, derived = runner(cfg)
+    outputs = {}
+    for suffix, (header, rows) in tables.items():
+        path = out_dir / f"{cfg.output}{suffix}.csv"
+        _write_csv(path, header, rows)
+        outputs[suffix.lstrip("_") or "csv"] = path.name
 
     manifest = {
         "tool": "spica",
@@ -713,9 +565,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         fh.write("\n")
 
     return {
-        "csv": str(csv_path),
+        "csv": str(out_dir / outputs["csv"]),
         "manifest": str(manifest_path),
-        "rows": len(rows),
+        "rows": len(tables[""][1]),
         "derived": derived,
     }
 

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, aoa_to_delay
-from .ttd import SampleFrame
+from .ttd import SampleFrame, _stack_frames
 
 __all__ = [
     "PsCancelPlan",
     "alternating_signs",
-    "ps_align_phase",
     "ps_residual_gain",
     "ps_cancel_stream",
 ]
@@ -64,16 +62,6 @@ class PsCancelPlan:
         return cls(n_elements=n, align_phase=phase, signs=alternating_signs(n))
 
 
-def ps_align_phase(g: ArrayGeometry, theta_ud_deg: float) -> float:
-    """Per-element phase step that aligns an interferer at the carrier.
-
-    Equals 2*pi*f_c*delta_t_ud, which reduces to
-    2*pi*(d/lambda)*sin(theta) and so does not depend on the carrier
-    frequency itself.
-    """
-    return 2.0 * np.pi * g.carrier_freq * aoa_to_delay(g, theta_ud_deg)
-
-
 def ps_residual_gain(
     plan: PsCancelPlan, f_norm, theta_ud_deg: float, d_over_lambda: float
 ):
@@ -102,19 +90,8 @@ def ps_cancel_stream(frames, plan: PsCancelPlan) -> SampleFrame:
 
     output[k] = sum_i signs[i] * exp(j*i*align_phase) * frames[i][k]
     """
-    frames = list(frames)
-    if len(frames) != plan.n_elements:
-        raise ValueError(f"expected {plan.n_elements} frames, got {len(frames)}")
-    first = frames[0]
-    for fr in frames[1:]:
-        if fr.sample_rate != first.sample_rate:
-            raise ValueError("frames have mismatched sample rates")
-        if len(fr) != len(first):
-            raise ValueError("frames have mismatched lengths")
-        if fr.start_time != first.start_time:
-            raise ValueError("frames have mismatched start times")
+    stack, first = _stack_frames(frames, plan.n_elements)
     idx = np.arange(plan.n_elements)
     weights = np.asarray(plan.signs, dtype=complex) * np.exp(1j * idx * plan.align_phase)
-    stack = np.vstack([fr.samples for fr in frames])
     out = weights @ stack
     return SampleFrame(out, first.sample_rate, first.start_time)

@@ -260,16 +260,11 @@ def truncated_hadamard(n: int) -> ThmMatrix:
     return ThmMatrix(n=n, rows=_sylvester(n)[1:])
 
 
-def mac_apply(frames, m: ThmMatrix):
-    """Apply each matrix row as a sample-wise multiply-accumulate.
-
-    Returns n-1 frames, one per row: output_r[k] = sum_i rows[r][i] *
-    frames[i][k].  The hardware's charge-share-then-transfer gain
-    bookkeeping is modeled as net unity weight.
-    """
+def _stack_frames(frames, count: int):
+    """Check ``count`` frames share rate, length and start time; return (stack, frames[0])."""
     frames = list(frames)
-    if len(frames) != m.n:
-        raise ValueError(f"expected {m.n} frames, got {len(frames)}")
+    if len(frames) != count:
+        raise ValueError(f"expected {count} frames, got {len(frames)}")
     first = frames[0]
     for fr in frames[1:]:
         if fr.sample_rate != first.sample_rate:
@@ -278,7 +273,17 @@ def mac_apply(frames, m: ThmMatrix):
             raise ValueError("frames have mismatched lengths")
         if fr.start_time != first.start_time:
             raise ValueError("frames have mismatched start times")
-    stack = np.vstack([fr.samples for fr in frames])
+    return np.vstack([fr.samples for fr in frames]), first
+
+
+def mac_apply(frames, m: ThmMatrix):
+    """Apply each matrix row as a sample-wise multiply-accumulate.
+
+    Returns n-1 frames, one per row: output_r[k] = sum_i rows[r][i] *
+    frames[i][k].  The hardware's charge-share-then-transfer gain
+    bookkeeping is modeled as net unity weight.
+    """
+    stack, first = _stack_frames(frames, m.n)
     outputs = m.rows @ stack
     return [
         SampleFrame(outputs[r], first.sample_rate, first.start_time, element_tag=r)

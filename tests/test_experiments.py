@@ -121,6 +121,39 @@ class TestConfigValidation:
         assert again == cfg
 
 
+BAD_TYPES = [
+    ("tone_count", "3"),
+    ("seed", True),
+    ("max_offset", 2.5),
+    ("ps_n_elements", 4),
+    ("output", 3),
+    ("interferer", 1),
+    ("delta_ud_s", ["1e-9"]),
+]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("field,value", BAD_TYPES, ids=[f for f, _ in BAD_TYPES])
+    def test_wrong_json_type_exits_1_naming_field(self, tmp_path, capsys, field, value):
+        cfg = {"experiment": "PLAN_CLOCK", "plan_targets_s": [4e-9], field: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
+        assert f"{field}:" in capsys.readouterr().err
+
+    def test_integer_accepted_for_float_field(self):
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "TTD_TONE_SWEEP", "delta_ud_s": [1e-9], "tone_start_hz": 1000000}
+        )
+        assert cfg.tone_start_hz == 1e6
+
+    def test_every_preset_manifest_loads(self, tmp_path):
+        for name in preset_names():
+            path = tmp_path / f"{name}_manifest.json"
+            path.write_text(json.dumps({"config": preset(name).to_dict()}))
+            assert load_config(path) == preset(name)
+
+
 class TestLoadConfig:
     def test_plain_config_file(self, tmp_path):
         p = tmp_path / "cfg.json"

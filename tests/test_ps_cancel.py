@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spica import (
     ArrayGeometry,
     PsCancelPlan,
+    SampleFrame,
     Scene,
     SceneMode,
     SourceSpec,
@@ -16,7 +17,6 @@ from spica import (
     alternating_signs,
     aoa_to_delay,
     element_signal,
-    ps_align_phase,
     ps_cancel_stream,
     ps_residual_gain,
     sample_element,
@@ -61,12 +61,14 @@ class TestPlanValidation:
 
 
 def test_align_phase_matches_plan_and_ignores_carrier():
-    g1 = ArrayGeometry(4, DOL, 1e9)
-    g2 = ArrayGeometry(4, DOL, 28e9)
-    p1 = ps_align_phase(g1, THETA)
-    p2 = ps_align_phase(g2, THETA)
-    assert p1 == pytest.approx(ALIGN_45, rel=1e-12)
-    assert p1 == pytest.approx(p2, rel=1e-12)
+    # oracle: the carrier phase 2*pi*f_c*delta_t of the interferer's
+    # inter-element delay, which reduces to 2*pi*(d/lambda)*sin(theta)
+    align = PsCancelPlan.for_angle(4, THETA, DOL).align_phase
+    assert align == pytest.approx(ALIGN_45, rel=1e-12)
+    for carrier in (1e9, 28e9):
+        g = ArrayGeometry(4, DOL, carrier)
+        oracle = 2.0 * np.pi * carrier * aoa_to_delay(g, THETA)
+        assert align == pytest.approx(oracle, rel=1e-12)
 
 
 class TestResidualGain:
@@ -197,3 +199,6 @@ class TestCancelStream:
             ps_cancel_stream([base, other_rate], plan)
         with pytest.raises(ValueError, match="lengths"):
             ps_cancel_stream([base, other_len], plan)
+        shifted = SampleFrame(base.samples, 1e8, start_time=1e-6)
+        with pytest.raises(ValueError, match="start times"):
+            ps_cancel_stream([base, shifted], plan)

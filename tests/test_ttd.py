@@ -226,6 +226,12 @@ class TestTruncatedHadamard:
         with pytest.raises(ValueError):
             m.rows[0, 0] = -1
 
+    def test_first_column_is_all_plus_one(self):
+        # every row passes element 1 with weight +1, so element 1's frame is
+        # each row's single-input reference
+        for n in (2**k for k in range(1, 9)):
+            assert np.all(truncated_hadamard(n).rows[:, 0] == 1), n
+
 
 class TestMacApply:
     def test_identical_inputs_cancel(self):
@@ -244,6 +250,13 @@ class TestMacApply:
         outs = mac_apply(frames, m)
         for r, out in enumerate(outs):
             np.testing.assert_allclose(out.samples, m.rows[r, 2] * fr.samples, atol=0)
+
+    def test_only_first_element_driven_passes_it_exactly(self):
+        fr = sample_element(tone(11e6, phase=0.3), 0.0, 1e8, 64)
+        for n in (2, 4, 8):
+            outs = mac_apply([fr] + [fr.scaled(0.0)] * (n - 1), truncated_hadamard(n))
+            for out in outs:
+                np.testing.assert_array_equal(out.samples, fr.samples)
 
     def test_phase_ramp_tone_matches_conversion_gain(self):
         # dual route: sampled MAC output vs the closed-form row gain
