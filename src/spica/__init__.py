@@ -4,111 +4,27 @@ An N-element receiver array is modeled from analytic waveforms through
 per-element delay (quantized clock planning plus non-uniform sampling),
 truncated-Hadamard row combining, equalization, and the measurement stack
 (PSD, cancellation depth, conversion gain, EVM).
+
+Each public name is declared once, in its module's ``__all__``; the package
+re-exports all of them.
 """
 
 __version__ = "0.1.0"
 
-from .arrays import (
-    ArrayGeometry,
-    Scene,
-    SceneMode,
-    SourceSpec,
-    aoa_to_delay,
-    element_signal,
-    lo_align,
-)
-from .experiments import (
-    ConfigError,
-    Experiment,
-    ExperimentConfig,
-    load_config,
-    preset,
-    preset_names,
-    run_experiment,
-)
-from .metrics import (
-    MeasurementError,
-    PsdEstimate,
-    band_power,
-    cancellation_depth,
-    conversion_gain_measured,
-    evm_percent,
-    recover_symbols,
-    welch_psd,
-)
-from .ps_cancel import (
-    PsCancelPlan,
-    alternating_signs,
-    ps_cancel_stream,
-    ps_residual_gain,
-)
-from .ttd import (
-    DEFAULT_SAMPLE_RATE,
-    INTERLEAVE_STEP,
-    PI_STEP,
-    QUADRANT_STEP,
-    ClockConfig,
-    Quadrant,
-    SampleFrame,
-    ThmMatrix,
-    config_total_delay,
-    desired_conversion_gain,
-    equalize,
-    equalize_with_gain,
-    mac_apply,
-    plan_delay,
-    sample_element,
-    truncated_hadamard,
-)
-from .waveform import StreamTerm, ToneTerm, Waveform, map_qpsk, rrc_pulse
+from . import arrays, experiments, metrics, ps_cancel, ttd, waveform
+from .arrays import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .ps_cancel import *  # noqa: F403
+from .ttd import *  # noqa: F403
+from .waveform import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "ArrayGeometry",
-    "Scene",
-    "SceneMode",
-    "SourceSpec",
-    "aoa_to_delay",
-    "element_signal",
-    "lo_align",
-    "ConfigError",
-    "Experiment",
-    "ExperimentConfig",
-    "load_config",
-    "preset",
-    "preset_names",
-    "run_experiment",
-    "MeasurementError",
-    "PsdEstimate",
-    "band_power",
-    "cancellation_depth",
-    "conversion_gain_measured",
-    "evm_percent",
-    "recover_symbols",
-    "welch_psd",
-    "PsCancelPlan",
-    "alternating_signs",
-    "ps_cancel_stream",
-    "ps_residual_gain",
-    "DEFAULT_SAMPLE_RATE",
-    "INTERLEAVE_STEP",
-    "PI_STEP",
-    "QUADRANT_STEP",
-    "ClockConfig",
-    "Quadrant",
-    "SampleFrame",
-    "ThmMatrix",
-    "config_total_delay",
-    "desired_conversion_gain",
-    "equalize",
-    "equalize_with_gain",
-    "mac_apply",
-    "plan_delay",
-    "sample_element",
-    "truncated_hadamard",
-    "StreamTerm",
-    "ToneTerm",
-    "Waveform",
-    "map_qpsk",
-    "rrc_pulse",
+    *arrays.__all__,
+    *experiments.__all__,
+    *metrics.__all__,
+    *ps_cancel.__all__,
+    *ttd.__all__,
+    *waveform.__all__,
 ]

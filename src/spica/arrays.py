@@ -136,9 +136,9 @@ def element_signal(scene: Scene, i: int) -> Waveform:
 def lo_align(scene: Scene, target="undesired") -> np.ndarray:
     """Per-element phasors that cancel one source's carrier-phase progression.
 
-    ``target`` selects the source: "desired", "undesired" (first interferer),
-    or an integer index into the undesired list.  Only meaningful in
-    RF_DERIVED mode; BB_DIRECT scenes carry no carrier phase to align.
+    ``target`` selects the source: "desired" or "undesired" (the first
+    interferer).  Only meaningful in RF_DERIVED mode; BB_DIRECT scenes carry
+    no carrier phase to align.
     """
     if scene.mode is not SceneMode.RF_DERIVED:
         raise ValueError("lo_align requires RF_DERIVED mode")
@@ -148,8 +148,6 @@ def lo_align(scene: Scene, target="undesired") -> np.ndarray:
         if not scene.undesired:
             raise ValueError("scene has no undesired sources")
         src = scene.undesired[0]
-    elif isinstance(target, int):
-        src = scene.undesired[target]
     else:
         raise ValueError(f"unknown target selector: {target!r}")
     dt = scene.source_delay(src)

@@ -277,6 +277,14 @@ def _check_qpsk(cfg: ExperimentConfig) -> None:
         _fail("eq_eps", f"must be positive, got {cfg.eq_eps}")
     if cfg.seed is None:
         _fail("seed", "required to draw symbol bits")
+    n_needed = cfg.desired_n_symbols + cfg.span_symbols
+    last_needed = _genie_timing(cfg) + n_needed / cfg.desired_symbol_rate_hz
+    if last_needed > cfg.frame_len / cfg.sample_rate_hz:
+        _fail("frame_len", "too short for desired_n_symbols plus matched-filter span")
+    # With no delay difference every row's gain G_r(f) is zero at every f,
+    # so there is nothing to equalize.
+    if cfg.delta_ud_s[0] == 0:
+        _fail("delta_ud_s", "must be nonzero: at zero delay every row nulls the desired signal")
 
 
 def _check_plan_clock(cfg: ExperimentConfig) -> None:
@@ -357,7 +365,7 @@ def _sample_scene(cfg: ExperimentConfig, scene, delays, seed_key):
             wave = wave * phasors[i - 1]
         seed = np.random.SeedSequence([*seed_key, i]) if cfg.noise_rms > 0.0 else None
         fs, n, noise = cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms
-        frames.append(sample_element(wave, delays[i - 1], fs, n, noise, seed, element_tag=i - 1))
+        frames.append(sample_element(wave, delays[i - 1], fs, n, noise, seed))
     return mac_apply(frames, truncated_hadamard(cfg.n_elements)), frames[0]
 
 
@@ -450,32 +458,33 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     half_occupied = cfg.symbol_rate_hz * (1.0 + cfg.rolloff) / 2.0
     band = (cfg.center_freq_hz - half_occupied, cfg.center_freq_hz + half_occupied)
     rows = [
-        [r, band[0], band[1], cancellation_depth(ref, out, band, nfft=4096)]
+        [r, band[0], band[1], cancellation_depth(ref, out, band)]
         for r, out in enumerate(outs)
     ]
     derived = {"planned_configs": planned, "occupied_band_hz": [band[0], band[1]]}
     return {"": (header, rows)}, derived
 
 
-def _run_qpsk_evm(cfg: ExperimentConfig):
-    fs = cfg.sample_rate_hz
-    delta = cfg.delta_ud_s[0]
+def _genie_timing(cfg: ExperimentConfig) -> float:
+    """Desired-stream delay that puts symbol 0 and the matched-filter span inside the frame.
 
+    The delay is rounded onto the sample grid; genie timing equals this shift.
+    """
+    fs = cfg.sample_rate_hz
+    return round((cfg.span_symbols + 2) / cfg.desired_symbol_rate_hz * fs) / fs
+
+
+def _run_qpsk_evm(cfg: ExperimentConfig):
+    delta = cfg.delta_ud_s[0]
     desired_stream = _qpsk_stream(
         cfg, 0, cfg.desired_n_symbols, cfg.desired_symbol_rate_hz, cfg.desired_center_hz
     )
-    # Shift the stream so symbol 0 and the matched-filter span sit inside
-    # the frame; genie timing equals this shift.
-    genie = (cfg.span_symbols + 2) / cfg.desired_symbol_rate_hz
-    genie = round(genie * fs) / fs
+    genie = _genie_timing(cfg)
     desired_wave = Waveform(
         terms=(desired_stream,),
         scale=1.0 / math.sqrt(cfg.desired_symbol_rate_hz),
         delay=genie,
     )
-    last_needed = genie + (cfg.desired_n_symbols + cfg.span_symbols) / cfg.desired_symbol_rate_hz
-    if last_needed > cfg.frame_len / fs:
-        _fail("frame_len", "too short for desired_n_symbols plus matched-filter span")
 
     interferer = None
     if cfg.interferer:

@@ -48,8 +48,6 @@ class PsdEstimate:
     freqs: np.ndarray
     power_db: np.ndarray
     nfft: int
-    window: str
-    overlap: float
     enbw_bins: float
 
     def __post_init__(self):
@@ -94,8 +92,6 @@ def welch_psd(frame: SampleFrame, nfft: int = 4096, overlap: float = 0.5) -> Psd
         freqs=freqs,
         power_db=10.0 * np.log10(pxx),
         nfft=nfft,
-        window="hann",
-        overlap=overlap,
         enbw_bins=enbw,
     )
 

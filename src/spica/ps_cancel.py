@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ttd import SampleFrame, _stack_frames
+from .waveform import _scalar_like
 
 __all__ = [
     "PsCancelPlan",
@@ -32,10 +33,8 @@ def alternating_signs(n: int) -> tuple:
 class PsCancelPlan:
     """Sign pattern plus per-element alignment phase step.
 
-    ``signs`` must be balanced (equal +1 and -1 counts).  The single
-    exception is the degenerate one-element plan, which passes its input
-    through unchanged and exists so single-channel reference paths can
-    share the combiner code.
+    ``signs`` must be balanced (equal +1 and -1 counts), so ``n_elements``
+    is a power of 2 of at least 2.
     """
 
     n_elements: int
@@ -44,14 +43,14 @@ class PsCancelPlan:
 
     def __post_init__(self):
         n = self.n_elements
-        if n < 1 or (n & (n - 1)) != 0:
-            raise ValueError(f"n_elements must be a power of 2, got {n}")
+        if n < 2 or (n & (n - 1)) != 0:
+            raise ValueError(f"n_elements must be a power of 2 >= 2, got {n}")
         signs = tuple(int(s) for s in self.signs)
         if len(signs) != n:
             raise ValueError(f"signs length {len(signs)} != n_elements {n}")
         if any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must contain only +1 and -1")
-        if n > 1 and sum(signs) != 0:
+        if sum(signs) != 0:
             raise ValueError("signs must balance (+1 count == -1 count)")
         object.__setattr__(self, "signs", signs)
 
@@ -80,9 +79,7 @@ def ps_residual_gain(
     idx = np.arange(plan.n_elements)
     signs = np.asarray(plan.signs, dtype=complex)
     res = np.exp(1j * np.multiply.outer(step, idx)) @ signs
-    if np.isscalar(f_norm) or np.ndim(f_norm) == 0:
-        return complex(res)
-    return res
+    return _scalar_like(f_norm, res)
 
 
 def ps_cancel_stream(frames, plan: PsCancelPlan) -> SampleFrame:

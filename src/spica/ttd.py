@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waveform import Waveform
+from .waveform import _scalar_like
 
 __all__ = [
     "PI_STEP",
     "QUADRANT_STEP",
     "INTERLEAVE_STEP",
-    "DEFAULT_SAMPLE_RATE",
     "Quadrant",
     "ClockConfig",
     "config_total_delay",
@@ -38,13 +37,11 @@ __all__ = [
     "mac_apply",
     "desired_conversion_gain",
     "equalize",
-    "equalize_with_gain",
 ]
 
 PI_STEP = 5e-12
 QUADRANT_STEP = 1.25e-9
 INTERLEAVE_STEP = 5e-9
-DEFAULT_SAMPLE_RATE = 200e6
 
 # Relative slack for float comparisons against delay-range bounds.
 _RANGE_RTOL = 1e-9
@@ -86,22 +83,18 @@ class ClockConfig:
                 f"got {self.interleave_offset}"
             )
         max_total = (self.offset_limit + 1) * INTERLEAVE_STEP
-        if self.total_delay() > max_total * (1.0 + _RANGE_RTOL):
-            raise ValueError(
-                f"total delay {self.total_delay():.6e} s exceeds range {max_total:.6e} s"
-            )
-
-    def total_delay(self) -> float:
-        return (
-            self.pi_code * PI_STEP
-            + int(self.quadrant) * QUADRANT_STEP
-            + self.interleave_offset * INTERLEAVE_STEP
-        )
+        total = config_total_delay(self)
+        if total > max_total * (1.0 + _RANGE_RTOL):
+            raise ValueError(f"total delay {total:.6e} s exceeds range {max_total:.6e} s")
 
 
 def config_total_delay(c: ClockConfig) -> float:
     """Total delay in seconds realized by a clock configuration."""
-    return c.total_delay()
+    return (
+        c.pi_code * PI_STEP
+        + int(c.quadrant) * QUADRANT_STEP
+        + c.interleave_offset * INTERLEAVE_STEP
+    )
 
 
 def plan_delay(target: float, max_offset: int = 2) -> ClockConfig:
@@ -154,7 +147,6 @@ class SampleFrame:
     samples: np.ndarray
     sample_rate: float
     start_time: float = 0.0
-    element_tag: int | None = None
 
     def __post_init__(self):
         if self.sample_rate <= 0.0:
@@ -174,9 +166,7 @@ class SampleFrame:
         return self.start_time + np.arange(self.samples.size) / self.sample_rate
 
     def scaled(self, factor) -> "SampleFrame":
-        return SampleFrame(
-            self.samples * factor, self.sample_rate, self.start_time, self.element_tag
-        )
+        return SampleFrame(self.samples * factor, self.sample_rate, self.start_time)
 
 
 def sample_element(
@@ -186,7 +176,6 @@ def sample_element(
     n: int,
     noise_rms: float = 0.0,
     seed=None,
-    element_tag: int | None = None,
 ) -> SampleFrame:
     """Sample an analytic signal with a delayed clock.
 
@@ -197,8 +186,9 @@ def sample_element(
 
     Parameters
     ----------
-    sig : Waveform or callable
-        Signal to sample; anything accepting an ndarray of times.
+    sig : callable
+        Signal to sample, such as a Waveform; anything accepting an ndarray
+        of times.
     delay : ClockConfig or float
         Quantized clock configuration, or a raw delay in seconds for
         unquantized (ideal) clocking.
@@ -211,15 +201,14 @@ def sample_element(
         raise ValueError(f"sample count must be >= 1, got {n}")
     d = config_total_delay(delay) if isinstance(delay, ClockConfig) else float(delay)
     t = np.arange(n) / sample_rate + d
-    fn = sig.eval if isinstance(sig, Waveform) else sig
-    samples = np.asarray(fn(t), dtype=complex)
+    samples = np.asarray(sig(t), dtype=complex)
     if noise_rms > 0.0:
         if seed is None:
             raise ValueError("seed is required when noise_rms > 0")
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, 2))
         samples = samples + noise_rms / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
-    return SampleFrame(samples, sample_rate, 0.0, element_tag)
+    return SampleFrame(samples, sample_rate)
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,10 +274,7 @@ def mac_apply(frames, m: ThmMatrix):
     """
     stack, first = _stack_frames(frames, m.n)
     outputs = m.rows @ stack
-    return [
-        SampleFrame(outputs[r], first.sample_rate, first.start_time, element_tag=r)
-        for r in range(m.n - 1)
-    ]
+    return [SampleFrame(out, first.sample_rate, first.start_time) for out in outputs]
 
 
 def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
@@ -313,27 +299,7 @@ def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
     idx = np.arange(n)
     phases = np.exp(2j * np.pi * np.multiply.outer(f_arr, idx * delta))
     g = phases @ signs.astype(complex)
-    if np.isscalar(f) or np.ndim(f) == 0:
-        return complex(g)
-    return g
-
-
-def equalize_with_gain(frame: SampleFrame, gain_fn, eps: float) -> SampleFrame:
-    """Zero-forcing equalization against an arbitrary gain profile.
-
-    FFT the frame, divide each bin at frequency f by gain_fn(f) where
-    |gain| >= eps, zero the bin otherwise, inverse FFT.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    x = np.fft.fft(frame.samples)
-    freqs = np.fft.fftfreq(len(frame), d=1.0 / frame.sample_rate)
-    g = np.asarray(gain_fn(freqs), dtype=complex)
-    keep = np.abs(g) >= eps
-    y = np.where(keep, x / np.where(keep, g, 1.0), 0.0)
-    return SampleFrame(
-        np.fft.ifft(y), frame.sample_rate, frame.start_time, frame.element_tag
-    )
+    return _scalar_like(f, g)
 
 
 def equalize(
@@ -341,13 +307,18 @@ def equalize(
 ) -> SampleFrame:
     """Undo one row's desired-signal conversion gain by zero-forcing.
 
-    ``eps`` floors the inversion; bins where |G| < eps (always including
-    the structural DC null) are zeroed instead of amplified.  Default eps
-    is 0.05 * max |G| over the frame's FFT bins.
+    FFT the frame, divide each bin at frequency f by G(f) where
+    |G| >= eps, zero the bin otherwise, inverse FFT.  ``eps`` floors the
+    inversion so bins near a null (always including the structural DC
+    null) are zeroed instead of amplified.  Default eps is 0.05 * max |G|
+    over the frame's FFT bins.
     """
     freqs = np.fft.fftfreq(len(frame), d=1.0 / frame.sample_rate)
+    g = desired_conversion_gain(freqs, delta, row, n)
     if eps is None:
-        eps = 0.05 * float(np.max(np.abs(desired_conversion_gain(freqs, delta, row, n))))
-    return equalize_with_gain(
-        frame, lambda f: desired_conversion_gain(f, delta, row, n), eps
-    )
+        eps = 0.05 * float(np.max(np.abs(g)))
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    keep = np.abs(g) >= eps
+    y = np.where(keep, np.fft.fft(frame.samples) / np.where(keep, g, 1.0), 0.0)
+    return SampleFrame(np.fft.ifft(y), frame.sample_rate, frame.start_time)

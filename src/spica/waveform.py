@@ -24,6 +24,11 @@ __all__ = [
 _SINGULARITY_TOL = 1e-8
 
 
+def _scalar_like(x, out):
+    """``out`` as a Python scalar when the input ``x`` was a scalar, else unchanged."""
+    return out.item() if np.ndim(x) == 0 else out
+
+
 def rrc_pulse(t, symbol_rate: float, rolloff: float, span_symbols: int | None = 16):
     """Unit-energy root-raised-cosine pulse evaluated at time ``t``.
 
@@ -89,10 +94,7 @@ def rrc_pulse(t, symbol_rate: float, rolloff: float, span_symbols: int | None = 
         # on the truncation boundary are included consistently regardless of
         # how the caller's float arithmetic rounded them.
         out = np.where(np.abs(x) > float(span_symbols) + 1e-9, 0.0, out)
-
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(out)
-    return out
+    return _scalar_like(t, out)
 
 
 _QPSK_NORM = 1.0 / np.sqrt(2.0)
@@ -195,9 +197,7 @@ class StreamTerm:
             )
         if self.center_freq != 0.0:
             acc = acc * np.exp(2j * np.pi * self.center_freq * t_arr)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return complex(acc[0])
-        return acc.reshape(np.shape(t))
+        return _scalar_like(t, acc.reshape(np.shape(t)))
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,8 @@ class Waveform:
     """Linear combination of terms with an overall complex scale and delay.
 
     Evaluation is ``scale * sum(term.eval(t - delay))``.  Terms may be
-    ToneTerm, StreamTerm, or nested Waveform instances, so delayed and
-    scaled copies compose without re-deriving the underlying signals.
+    ToneTerm, StreamTerm, or nested Waveform instances, so sums and delayed
+    or scaled copies compose without re-deriving the underlying signals.
     An empty term list evaluates to zero everywhere.
     """
 
@@ -223,10 +223,7 @@ class Waveform:
         acc = np.zeros(t_arr.shape, dtype=complex)
         for term in self.terms:
             acc = acc + term.eval(shifted)
-        out = self.scale * acc
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return complex(out)
-        return out
+        return _scalar_like(t, self.scale * acc)
 
     def __call__(self, t):
         return self.eval(t)
@@ -237,10 +234,3 @@ class Waveform:
 
     def __mul__(self, factor) -> "Waveform":
         return Waveform(terms=self.terms, scale=self.scale * factor, delay=self.delay)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "Waveform") -> "Waveform":
-        if not isinstance(other, Waveform):
-            return NotImplemented
-        return Waveform(terms=(self, other))

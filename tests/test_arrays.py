@@ -186,7 +186,7 @@ class TestLoAlign:
 
     def test_target_selectors(self):
         sc = self.rf_scene()
-        np.testing.assert_allclose(lo_align(sc, target=0), lo_align(sc, "undesired"))
+        np.testing.assert_allclose(lo_align(sc, "undesired"), lo_align(sc))
         ph_des = lo_align(sc, target="desired")
         np.testing.assert_allclose(ph_des, np.ones(4), atol=1e-15)
 
@@ -196,5 +196,6 @@ class TestLoAlign:
             lo_align(sc)
 
     def test_unknown_selector(self):
-        with pytest.raises(ValueError, match="target"):
-            lo_align(self.rf_scene(), target=3.5)
+        for target in (3.5, 0):
+            with pytest.raises(ValueError, match="target"):
+                lo_align(self.rf_scene(), target=target)

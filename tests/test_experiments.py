@@ -132,10 +132,28 @@ BAD_TYPES = [
 ]
 
 
+QPSK = {"experiment": "QPSK_EVM", "delta_ud_s": [2.5e-9], "seed": 1, "frame_len": 65536}
+BAD_QPSK_VALUES = [
+    ("delta_ud_s", [0.0]),  # zero delay: G_r(f) is 0 everywhere, nothing to equalize
+    ("frame_len", 2048),  # shorter than the desired symbols plus matched-filter span
+]
+
+
 class TestValueTypes:
     @pytest.mark.parametrize("field,value", BAD_TYPES, ids=[f for f, _ in BAD_TYPES])
     def test_wrong_json_type_exits_1_naming_field(self, tmp_path, capsys, field, value):
         cfg = {"experiment": "PLAN_CLOCK", "plan_targets_s": [4e-9], field: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
+        assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", BAD_QPSK_VALUES, ids=[f for f, _ in BAD_QPSK_VALUES])
+    def test_bad_qpsk_value_exits_1_naming_field(self, tmp_path, capsys, field, value):
+        ExperimentConfig.from_dict(QPSK)  # the base config is valid
+        cfg = {**QPSK, field: value}
+        with pytest.raises(ConfigError, match=f"{field}:"):
+            ExperimentConfig.from_dict(cfg)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
@@ -268,6 +286,18 @@ class TestRunners:
         header, rows = read_csv(result["csv"])
         assert header == ["row", "band_lo_hz", "band_hi_hz", "depth_db"]
         assert rows == []
+
+    def test_short_modulated_frame_runs(self, tmp_path):
+        # a frame shorter than the 4096-point Welch segment uses the whole frame
+        cfg = {"experiment": "TTD_MODULATED", "delta_ud_s": [2.347e-9], "seed": 1}
+        cfg["frame_len"] = 2048
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "ttd_modulated.csv")
+        assert len(rows) == 3
+        for r in rows:
+            assert float(r[3]) >= 35.0
 
     def test_qpsk_evm_small(self, tmp_path):
         cfg = ExperimentConfig(

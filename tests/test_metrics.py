@@ -94,9 +94,9 @@ class TestWelchPsd:
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError, match="lengths"):
-            PsdEstimate(np.arange(4.0), np.zeros(3), 4, "hann", 0.5, 1.5)
+            PsdEstimate(np.arange(4.0), np.zeros(3), 4, 1.5)
         with pytest.raises(ValueError, match="increasing"):
-            PsdEstimate(np.array([0.0, 2.0, 1.0]), np.zeros(3), 4, "hann", 0.5, 1.5)
+            PsdEstimate(np.array([0.0, 2.0, 1.0]), np.zeros(3), 4, 1.5)
 
     def test_band_edges_validated(self):
         psd = welch_psd(sample_element(tone(1e6), 0.0, FS, 4096))

@@ -50,9 +50,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="balance"):
             PsCancelPlan(4, 0.0, (1, 1, 1, -1))
 
-    def test_single_element_plan_allowed(self):
-        plan = PsCancelPlan(1, 0.0, (1,))
-        assert plan.signs == (1,)
+    def test_single_element_plan_rejected(self):
+        # one element has no balanced sign pattern, so it cannot cancel
+        with pytest.raises(ValueError, match="power of 2 >= 2"):
+            PsCancelPlan(1, 0.0, (1,))
 
     def test_for_angle(self):
         plan = PsCancelPlan.for_angle(4, THETA, DOL)
@@ -164,13 +165,6 @@ class TestCancelStream:
         frames = _element_frames(sc, 1e9, 64)
         out = ps_cancel_stream(frames, plan)
         assert np.max(np.abs(out.samples)) < 1e-12
-
-    def test_single_element_plan_is_passthrough(self):
-        plan = PsCancelPlan(1, 0.0, (1,))
-        frame = sample_element(Waveform(terms=(ToneTerm(1.0, 3e6),)), 0.0, 1e8, 32)
-        out = ps_cancel_stream([frame], plan)
-        np.testing.assert_array_equal(out.samples, frame.samples)
-        assert out.sample_rate == frame.sample_rate
 
     def test_offset_tone_matches_closed_form(self):
         # dual route: sample-domain combiner vs the analytic leakage gain

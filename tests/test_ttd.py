@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
+from spica import ttd
 from spica import (
     ClockConfig,
     Quadrant,
@@ -16,7 +17,6 @@ from spica import (
     config_total_delay,
     desired_conversion_gain,
     equalize,
-    equalize_with_gain,
     mac_apply,
     plan_delay,
     sample_element,
@@ -123,12 +123,11 @@ class TestSampleFrame:
         np.testing.assert_allclose(fr.times(), np.arange(4) / 2e8)
 
     def test_scaled(self):
-        fr = SampleFrame(np.ones(3, complex), 1e8, 1e-6, element_tag=2)
+        fr = SampleFrame(np.ones(3, complex), 1e8, 1e-6)
         out = fr.scaled(2j)
         np.testing.assert_array_equal(out.samples, 2j * np.ones(3))
         assert out.sample_rate == 1e8
         assert out.start_time == 1e-6
-        assert out.element_tag == 2
 
     def test_samples_are_read_only(self):
         fr = SampleFrame(np.zeros(4, complex), 2e8)
@@ -238,8 +237,7 @@ class TestMacApply:
         fr = sample_element(tone(13e6, phase=0.4), 0.0, 1e8, 64)
         outs = mac_apply([fr] * 4, truncated_hadamard(4))
         assert len(outs) == 3
-        for r, out in enumerate(outs):
-            assert out.element_tag == r
+        for out in outs:
             assert np.max(np.abs(out.samples)) == 0.0
 
     def test_single_active_element_scales_by_row_entry(self):
@@ -319,15 +317,33 @@ class TestDesiredConversionGain:
 
 
 class TestEqualize:
-    def test_flat_gain_divides(self):
+    def test_flat_gain_divides(self, monkeypatch):
+        # every bin is divided by the row's gain, so a flat stand-in gain of
+        # 2 halves the frame
+        flat = lambda f, *_: np.full(np.shape(f), 2.0 + 0j)  # noqa: E731
+        monkeypatch.setattr(ttd, "desired_conversion_gain", flat)
         fr = sample_element(tone(12.5e6), 0.0, 1e8, 64)
-        out = equalize_with_gain(fr, lambda f: np.full(np.shape(f), 2.0 + 0j), eps=0.1)
+        out = equalize(fr, 0, 1e-9, eps=0.1)
         np.testing.assert_allclose(out.samples, fr.samples / 2.0, atol=1e-12)
 
     def test_eps_must_be_positive(self):
         fr = sample_element(tone(1e6), 0.0, 1e8, 16)
         with pytest.raises(ValueError, match="eps"):
-            equalize_with_gain(fr, lambda f: np.ones(np.shape(f)), eps=0.0)
+            equalize(fr, 0, 1e-9, eps=0.0)
+        # at zero delay G_r(f) is 0 at every bin, so the default eps is 0 too
+        with pytest.raises(ValueError, match="eps"):
+            equalize(fr, 0, 0.0)
+
+    def test_gain_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return desired_conversion_gain(*args, **kwargs)
+
+        monkeypatch.setattr(ttd, "desired_conversion_gain", counting)
+        equalize(sample_element(tone(20e6), 0.0, 2e8, 256), 1, 1e-9)
+        assert len(calls) == 1
 
     def test_bin_aligned_roundtrip(self):
         # distort a bin-aligned tone through a row's conversion gain, then

@@ -137,7 +137,7 @@ class TestWaveformEval:
     def test_linearity(self, a, t):
         w1 = Waveform(terms=(ToneTerm(1.0, 3e6, 0.4), ToneTerm(0.5, -7e6)))
         w2 = Waveform(terms=(ToneTerm(2.0, 11e6, -1.0),))
-        combined = a * w1 + w2
+        combined = Waveform(terms=(w1 * a, w2))
         expected = a * w1.eval(t) + w2.eval(t)
         assert combined.eval(t) == pytest.approx(expected, abs=1e-9)
 
