@@ -16,7 +16,13 @@ import numpy as np
 
 from . import __version__
 from .arrays import ArrayGeometry, Scene, SceneMode, SourceSpec, element_signal, lo_align
-from .metrics import cancellation_depth, conversion_gain_measured, evm_percent, recover_symbols
+from .metrics import (
+    _welch_freqs,
+    cancellation_depth,
+    conversion_gain_measured,
+    evm_percent,
+    recover_symbols,
+)
 from .ps_cancel import PsCancelPlan, ps_residual_gain
 from .ttd import (
     INTERLEAVE_STEP,
@@ -235,6 +241,22 @@ def _check_tone_grid(cfg: ExperimentConfig) -> None:
         _fail("delta_ud_s", "must list at least one inter-element delay")
 
 
+def _check_tone_bands(cfg: ExperimentConfig) -> None:
+    """Every tone's measurement band must hold at least one Welch bin."""
+    nfft = min(4096, cfg.frame_len)
+    bins = _welch_freqs(nfft, cfg.sample_rate_hz)
+    tones = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
+    lo, hi = tones - cfg.band_halfwidth_hz, tones + cfg.band_halfwidth_hz
+    first = np.minimum(np.searchsorted(bins, lo), bins.size - 1)
+    empty = np.flatnonzero(bins[first] > hi)
+    if empty.size:
+        _fail(
+            "band_halfwidth_hz",
+            f"band around the {tones[empty[0]]:.6g} Hz tone holds no PSD bin "
+            f"(bin spacing {cfg.sample_rate_hz / nfft:.4g} Hz at nfft {nfft})",
+        )
+
+
 def _check_delay_range(cfg: ExperimentConfig) -> None:
     worst = max(abs(d) for d in cfg.delta_ud_s) * (cfg.n_elements - 1)
     if worst > _plan_range(cfg):
@@ -285,6 +307,10 @@ def _check_qpsk(cfg: ExperimentConfig) -> None:
     # so there is nothing to equalize.
     if cfg.delta_ud_s[0] == 0:
         _fail("delta_ud_s", "must be nonzero: at zero delay every row nulls the desired signal")
+    # A negative delay shifts every clock by a common offset (see
+    # _clock_targets) that genie timing does not include.
+    if cfg.delta_ud_s[0] < 0:
+        _fail("delta_ud_s", "must be positive: genie timing assumes element 1's clock is undelayed")
 
 
 def _check_plan_clock(cfg: ExperimentConfig) -> None:
@@ -369,9 +395,19 @@ def _sample_scene(cfg: ExperimentConfig, scene, delays, seed_key):
     return mac_apply(frames, truncated_hadamard(cfg.n_elements)), frames[0]
 
 
+def _clock_targets(cfg: ExperimentConfig, delta: float) -> list:
+    """Per-element clock delays ``i * delta`` shifted so that none is negative.
+
+    Only relative delays align the interferer, so a negative ``delta`` is
+    planned with a common offset; for ``delta >= 0`` the offset is zero.
+    """
+    shift = min(0.0, (cfg.n_elements - 1) * delta)
+    return [i * delta - shift for i in range(cfg.n_elements)]
+
+
 def _plan_clocks(cfg: ExperimentConfig, delta: float):
     """Planned clock per element for inter-element delay ``delta``, and its manifest form."""
-    quant = [plan_delay(i * delta, cfg.max_offset) for i in range(cfg.n_elements)]
+    quant = [plan_delay(target, cfg.max_offset) for target in _clock_targets(cfg, delta)]
     return quant, [[c.pi_code, c.quadrant.name, c.interleave_offset] for c in quant]
 
 
@@ -392,12 +428,11 @@ def _run_ps_leakage(cfg: ExperimentConfig):
 
 
 def _run_ttd_tone_sweep(cfg: ExperimentConfig):
-    n = cfg.n_elements
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
     rows = []
     derived = {"planned_configs": {}}
     for d_idx, delta in enumerate(cfg.delta_ud_s):
-        ideal = [i * delta for i in range(n)]
+        ideal = _clock_targets(cfg, delta)
         quant, derived["planned_configs"][f"{delta!r}"] = _plan_clocks(cfg, delta)
         for f_idx, freq in enumerate(freqs):
             freq = float(freq)
@@ -407,7 +442,7 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
             for branch, delays in enumerate((ideal, quant)):
                 seed_key = (cfg.seed or 0, d_idx, f_idx, branch)
                 outs, ref = _sample_scene(cfg, scene, delays, seed_key)
-                depths.append([cancellation_depth(ref, out, band) for out in outs])
+                depths.append(cancellation_depth(ref, outs, band))
             rows += [[freq, delta, r, *pair] for r, pair in enumerate(zip(*depths))]
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
     return {"": (header, rows)}, derived
@@ -423,10 +458,11 @@ def _run_desired_gain(cfg: ExperimentConfig):
             freq = float(freq)
             scene = _scene(cfg, Waveform(terms=(ToneTerm(1.0, freq),)))
             outs, ref = _sample_scene(cfg, scene, delays, (cfg.seed or 0, d_idx, f_idx))
-            for r, out in enumerate(outs):
+            measured = conversion_gain_measured(outs, ref, freq)
+            for r, gain in enumerate(measured):
                 theory = desired_conversion_gain(freq, delta, r, n)
                 theory_db = 20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf
-                rows.append([freq, delta, r, theory_db, conversion_gain_measured(out, ref, freq)])
+                rows.append([freq, delta, r, theory_db, gain])
     header = ["freq_hz", "delta_s", "row", "gain_db_theory", "gain_db_measured"]
     return {"": (header, rows)}, {}
 
@@ -457,10 +493,8 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     outs, ref = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
     half_occupied = cfg.symbol_rate_hz * (1.0 + cfg.rolloff) / 2.0
     band = (cfg.center_freq_hz - half_occupied, cfg.center_freq_hz + half_occupied)
-    rows = [
-        [r, band[0], band[1], cancellation_depth(ref, out, band)]
-        for r, out in enumerate(outs)
-    ]
+    depths = cancellation_depth(ref, outs, band)
+    rows = [[r, band[0], band[1], depth] for r, depth in enumerate(depths)]
     derived = {"planned_configs": planned, "occupied_band_hz": [band[0], band[1]]}
     return {"": (header, rows)}, derived
 
@@ -533,7 +567,10 @@ def _run_plan_clock(cfg: ExperimentConfig):
 # Experiment -> (config checks run after the shared ones in validate, runner).
 _KINDS = {
     Experiment.PS_LEAKAGE: ((_check_ps_leakage,), _run_ps_leakage),
-    Experiment.TTD_TONE_SWEEP: ((_check_tone_grid, _check_delay_range), _run_ttd_tone_sweep),
+    Experiment.TTD_TONE_SWEEP: (
+        (_check_tone_grid, _check_tone_bands, _check_delay_range),
+        _run_ttd_tone_sweep,
+    ),
     Experiment.DESIRED_GAIN: ((_check_tone_grid, _check_delay_range), _run_desired_gain),
     Experiment.TTD_MODULATED: ((_check_stream, _check_delay_range), _run_ttd_modulated),
     Experiment.QPSK_EVM: ((_check_stream, _check_delay_range, _check_qpsk), _run_qpsk_evm),

@@ -9,18 +9,19 @@ noise integrate to its variance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
-from .ttd import SampleFrame
+from .ttd import SampleFrame, _stack_frames
 from .waveform import StreamTerm, rrc_pulse
 
 __all__ = [
     "MeasurementError",
     "PsdEstimate",
+    "welch_power",
     "welch_psd",
     "band_power",
     "cancellation_depth",
@@ -47,7 +48,6 @@ class PsdEstimate:
 
     freqs: np.ndarray
     power_db: np.ndarray
-    nfft: int
     enbw_bins: float
 
     def __post_init__(self):
@@ -63,98 +63,149 @@ class PsdEstimate:
         object.__setattr__(self, "power_db", power)
 
 
+@functools.lru_cache(maxsize=None)
+def _hann(nfft: int) -> np.ndarray:
+    """Periodic Hann window of length ``nfft``, shared read-only."""
+    win = np.hanning(nfft + 1)[:-1]
+    win.setflags(write=False)
+    return win
+
+
+@functools.lru_cache(maxsize=None)
+def _welch_freqs(nfft: int, fs: float) -> np.ndarray:
+    """Bin frequencies of a two-sided ``nfft``-point spectrum, ascending, shared read-only."""
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
+    freqs.setflags(write=False)
+    return freqs
+
+
+def welch_power(samples, fs: float, nfft: int, overlap: float = 0.5):
+    """Hann-windowed, overlap-averaged two-sided power spectrum over the last axis.
+
+    ``samples`` has shape ``(..., n)``; each leading index is one frame.
+    Returns ``(freqs, pxx, enbw_bins)``: ascending bin frequencies, linear
+    power of shape ``(..., nfft)`` clamped below at a tiny positive floor
+    (a unit tone on a bin center reads 1.0), and the window's equivalent
+    noise bandwidth in bins.  Segments are transformed one start at a time,
+    so memory grows with the number of frames times ``nfft``, not with the
+    frame length.
+
+    Raises ValueError if the frames are shorter than ``nfft``.
+    """
+    x = np.asarray(samples)
+    n = x.shape[-1]
+    if n < nfft:
+        raise ValueError(f"frame length {n} < nfft {nfft}")
+    if not 0.0 <= overlap < 1.0:
+        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
+    win = _hann(nfft)
+    starts = range(0, n - nfft + 1, nfft - int(round(nfft * overlap)))
+    acc = np.zeros(x.shape[:-1] + (nfft,))
+    for s in starts:
+        acc += np.abs(np.fft.fft(x[..., s : s + nfft] * win)) ** 2
+    win_sum = float(np.sum(win))
+    pxx = np.fft.fftshift(acc, axes=-1) / (len(starts) * win_sum**2)
+    enbw = nfft * float(np.sum(win**2)) / win_sum**2
+    return _welch_freqs(nfft, fs), np.maximum(pxx, _DB_FLOOR), enbw
+
+
 def welch_psd(frame: SampleFrame, nfft: int = 4096, overlap: float = 0.5) -> PsdEstimate:
-    """Hann-windowed, overlap-averaged two-sided power spectrum.
+    """Hann-windowed, overlap-averaged two-sided power spectrum of one frame.
 
     Raises ValueError if the frame is shorter than ``nfft``.
     """
-    if len(frame) < nfft:
-        raise ValueError(f"frame length {len(frame)} < nfft {nfft}")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    win = sp_signal.get_window("hann", nfft, fftbins=True)
-    freqs, pxx = sp_signal.welch(
-        frame.samples,
-        fs=frame.sample_rate,
-        window=win,
-        nperseg=nfft,
-        noverlap=int(round(nfft * overlap)),
-        nfft=nfft,
-        detrend=False,
-        return_onesided=False,
-        scaling="spectrum",
-    )
-    order = np.argsort(freqs)
-    freqs = freqs[order]
-    pxx = np.maximum(pxx[order].real, _DB_FLOOR)
-    enbw = nfft * float(np.sum(win**2)) / float(np.sum(win)) ** 2
-    return PsdEstimate(
-        freqs=freqs,
-        power_db=10.0 * np.log10(pxx),
-        nfft=nfft,
-        enbw_bins=enbw,
-    )
+    freqs, pxx, enbw = welch_power(frame.samples, frame.sample_rate, nfft, overlap)
+    return PsdEstimate(freqs=freqs, power_db=10.0 * np.log10(pxx), enbw_bins=enbw)
+
+
+def _band_sum(freqs, pxx, enbw: float, f_lo: float, f_hi: float):
+    """Linear power over [f_lo, f_hi] (inclusive) for each frame of ``pxx``."""
+    if f_hi < f_lo:
+        raise ValueError("band upper edge below lower edge")
+    mask = (freqs >= f_lo) & (freqs <= f_hi)
+    if not np.any(mask):
+        raise ValueError(f"band [{f_lo}, {f_hi}] Hz contains no PSD bins")
+    return np.sum(pxx[..., mask], axis=-1) / enbw
 
 
 def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
     """Linear power integrated over [f_lo, f_hi] (inclusive)."""
-    if f_hi < f_lo:
-        raise ValueError("band upper edge below lower edge")
-    mask = (psd.freqs >= f_lo) & (psd.freqs <= f_hi)
-    if not np.any(mask):
-        raise ValueError(f"band [{f_lo}, {f_hi}] Hz contains no PSD bins")
-    linear = 10.0 ** (psd.power_db[mask] / 10.0)
-    return float(np.sum(linear)) / psd.enbw_bins
+    linear = 10.0 ** (psd.power_db / 10.0)
+    return float(_band_sum(psd.freqs, linear, psd.enbw_bins, f_lo, f_hi))
 
 
-def cancellation_depth(
-    ref: SampleFrame, canc: SampleFrame, band: tuple, nfft: int | None = None
-) -> float:
+def _frame_stack(frames, other: SampleFrame):
+    """``(stack, single)`` for one frame or a sequence of matching frames.
+
+    The frames must match each other as ``mac_apply`` inputs do and share
+    ``other``'s sample rate; ``stack`` has one row per frame and ``single``
+    says whether a lone frame was given.
+    """
+    single = isinstance(frames, SampleFrame)
+    frames = [frames] if single else list(frames)
+    if not frames:
+        raise ValueError("need at least one frame")
+    stack, first = _stack_frames(frames, len(frames))
+    if first.sample_rate != other.sample_rate:
+        raise ValueError("frames have mismatched sample rates")
+    return stack, single
+
+
+def cancellation_depth(ref: SampleFrame, canc, band: tuple, nfft: int | None = None):
     """Band-integrated power ratio ref / canc in dB.
 
     ``ref`` is the output with a single input applied (no cancellation),
     ``canc`` the output with all inputs applied.  Returns +inf when the
-    cancelled band power is exactly zero.
+    cancelled band power is exactly zero.  ``canc`` may also be a sequence
+    of frames sharing length and start time (such as ``mac_apply``'s rows);
+    the result is then a list with one depth per frame, measured against
+    one reference spectrum.
     """
-    if ref.sample_rate != canc.sample_rate:
-        raise ValueError("frames have mismatched sample rates")
+    stack, single = _frame_stack(canc, ref)
     if nfft is None:
-        nfft = min(4096, len(ref), len(canc))
+        nfft = min(4096, len(ref), stack.shape[-1])
     f_lo, f_hi = band
-    p_ref = band_power(welch_psd(ref, nfft=nfft), f_lo, f_hi)
-    p_canc = band_power(welch_psd(canc, nfft=nfft), f_lo, f_hi)
+    fs = ref.sample_rate
+    p_ref = float(_band_sum(*welch_power(ref.samples, fs, nfft), f_lo, f_hi))
+    p_canc = _band_sum(*welch_power(stack, fs, nfft), f_lo, f_hi)
     # The all-zero frame hits the PSD floor rather than true zero; treat
     # anything at the floor as perfect cancellation.
-    if p_canc <= _DB_FLOOR * nfft:
-        return math.inf
-    return 10.0 * math.log10(p_ref / p_canc)
+    depths = [
+        math.inf if p <= _DB_FLOOR * nfft else 10.0 * math.log10(p_ref / p)
+        for p in p_canc.tolist()
+    ]
+    return depths[0] if single else depths
 
 
-def conversion_gain_measured(
-    all_in: SampleFrame, one_in: SampleFrame, f: float, nfft: int | None = None
-) -> float:
+def conversion_gain_measured(all_in, one_in: SampleFrame, f: float, nfft: int | None = None):
     """Measured conversion gain at a tone frequency, in dB.
 
     Ratio of output tone power with all inputs applied to the power with
     one input applied, read at the tone's bin.  Raises MeasurementError if
     the tone does not stand above the spectral floor in either frame.
+    ``all_in`` may also be a sequence of frames sharing length and start
+    time; the result is then a list with one gain per frame, against one
+    reference spectrum.
     """
-    if all_in.sample_rate != one_in.sample_rate:
-        raise ValueError("frames have mismatched sample rates")
+    stack, single = _frame_stack(all_in, one_in)
     if nfft is None:
-        nfft = min(4096, len(all_in), len(one_in))
-    p_all = welch_psd(all_in, nfft=nfft)
-    p_one = welch_psd(one_in, nfft=nfft)
-    bin_idx = int(np.argmin(np.abs(p_all.freqs - f)))
-    for est, name in ((p_all, "all-input"), (p_one, "one-input")):
-        peak_db = est.power_db[bin_idx]
-        floor_db = float(np.median(est.power_db))
-        if peak_db < floor_db + 10.0:
+        nfft = min(4096, stack.shape[-1], len(one_in))
+    freqs, p_all, _ = welch_power(stack, one_in.sample_rate, nfft)
+    _, p_one, _ = welch_power(one_in.samples, one_in.sample_rate, nfft)
+    db_all, db_one = 10.0 * np.log10(p_all), 10.0 * np.log10(p_one)
+    bin_idx = int(np.argmin(np.abs(freqs - f)))
+    for db, name in ((db_all, "all-input"), (db_one, "one-input")):
+        peak_db = np.atleast_1d(db[..., bin_idx])
+        floor_db = np.atleast_1d(np.median(db, axis=-1))
+        low = np.flatnonzero(peak_db < floor_db + 10.0)
+        if low.size:
+            k = low[0]
             raise MeasurementError(
                 f"tone at {f:.6g} Hz is below the {name} spectral floor "
-                f"({peak_db:.1f} dB vs median {floor_db:.1f} dB)"
+                f"({peak_db[k]:.1f} dB vs median {floor_db[k]:.1f} dB)"
             )
-    return p_all.power_db[bin_idx] - p_one.power_db[bin_idx]
+    gains = (db_all[:, bin_idx] - db_one[bin_idx]).tolist()
+    return gains[0] if single else gains
 
 
 def evm_percent(rx_symbols, ref_symbols) -> float:
@@ -204,7 +255,12 @@ def recover_symbols(
     taps = rrc_pulse(
         np.arange(-half, half + 1) / fs, rate, stream.rolloff, stream.span_symbols
     ) / fs
-    matched = sp_signal.fftconvolve(base, taps, mode="same")
+    # "Same"-mode linear convolution: pad both to a power of two past the
+    # full length, then keep the part centred on the input.
+    n_full = base.size + taps.size - 1
+    n_fft = 1 << (n_full - 1).bit_length()
+    full = np.fft.ifft(np.fft.fft(base, n_fft) * np.fft.fft(taps, n_fft))
+    matched = full[(taps.size - 1) // 2 :][: base.size]
 
     n_sym = stream.symbols.size
     sym_times = genie_timing + np.arange(n_sym) / rate

@@ -2,15 +2,21 @@
 
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spica import (
+    ClockConfig,
     ConfigError,
     Experiment,
     ExperimentConfig,
+    Quadrant,
     SceneMode,
+    config_total_delay,
     load_config,
     preset,
     preset_names,
@@ -133,9 +139,18 @@ BAD_TYPES = [
 
 
 QPSK = {"experiment": "QPSK_EVM", "delta_ud_s": [2.5e-9], "seed": 1, "frame_len": 65536}
-BAD_QPSK_VALUES = [
-    ("delta_ud_s", [0.0]),  # zero delay: G_r(f) is 0 everywhere, nothing to equalize
-    ("frame_len", 2048),  # shorter than the desired symbols plus matched-filter span
+TONE_SWEEP = {"experiment": "TTD_TONE_SWEEP", "delta_ud_s": [1e-9]}
+# (valid base config, field set, bad value, field the error must name)
+BAD_VALUES = [
+    # zero delay: G_r(f) is 0 everywhere, nothing to equalize
+    pytest.param(QPSK, "delta_ud_s", [0.0], "delta_ud_s", id="qpsk-zero-delta_ud_s"),
+    # negative delay: genie timing does not include the common clock offset
+    pytest.param(QPSK, "delta_ud_s", [-2.5e-9], "delta_ud_s", id="qpsk-negative-delta_ud_s"),
+    # shorter than the desired symbols plus matched-filter span
+    pytest.param(QPSK, "frame_len", 2048, "frame_len", id="qpsk-frame_len"),
+    # bins 12.5 MHz and 1.5625 MHz apart: the 1 MHz band around a tone can miss them all
+    pytest.param(TONE_SWEEP, "frame_len", 16, "band_halfwidth_hz", id="tone-band-frame_len-16"),
+    pytest.param(TONE_SWEEP, "frame_len", 128, "band_halfwidth_hz", id="tone-band-frame_len-128"),
 ]
 
 
@@ -148,16 +163,16 @@ class TestValueTypes:
         assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
         assert f"{field}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", BAD_QPSK_VALUES, ids=[f for f, _ in BAD_QPSK_VALUES])
-    def test_bad_qpsk_value_exits_1_naming_field(self, tmp_path, capsys, field, value):
-        ExperimentConfig.from_dict(QPSK)  # the base config is valid
-        cfg = {**QPSK, field: value}
-        with pytest.raises(ConfigError, match=f"{field}:"):
+    @pytest.mark.parametrize("base,field,value,named", BAD_VALUES)
+    def test_bad_value_exits_1_naming_field(self, tmp_path, capsys, base, field, value, named):
+        ExperimentConfig.from_dict(base)  # the base config is valid
+        cfg = {**base, field: value}
+        with pytest.raises(ConfigError, match=f"{named}:"):
             ExperimentConfig.from_dict(cfg)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
-        assert f"{field}:" in capsys.readouterr().err
+        assert f"{named}:" in capsys.readouterr().err
 
     def test_integer_accepted_for_float_field(self):
         cfg = ExperimentConfig.from_dict(
@@ -298,6 +313,41 @@ class TestRunners:
         assert len(rows) == 3
         for r in rows:
             assert float(r[3]) >= 35.0
+
+    def test_negative_delay_modulated_runs(self, tmp_path):
+        # an interferer at a negative angle: every clock gets a common offset
+        cfg = {"experiment": "TTD_MODULATED", "delta_ud_s": [-2.347e-9], "seed": 1}
+        cfg["frame_len"] = 4096
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "ttd_modulated.csv")
+        assert len(rows) == 3
+        for r in rows:
+            assert float(r[3]) >= 35.0
+
+    @given(delta=st.floats(-4.9e-9, -1e-12))
+    @settings(max_examples=15, deadline=None)
+    def test_negative_delay_tone_sweep(self, delta):
+        cfg = ExperimentConfig(
+            Experiment.TTD_TONE_SWEEP,
+            delta_ud_s=(delta,),
+            tone_start_hz=10e6,
+            tone_stop_hz=90e6,
+            tone_count=2,
+            frame_len=256,
+        )
+        with tempfile.TemporaryDirectory() as out:
+            result = run_experiment(cfg, output_dir=out)
+            _, rows = read_csv(result["csv"])
+        for r in rows:
+            assert float(r[3]) >= 200.0  # ideal clocks: the criterion-2 floor
+        # planned clocks track i * delta plus the common offset -(n - 1) * delta
+        shift = -(cfg.n_elements - 1) * delta
+        planned = result["derived"]["planned_configs"][repr(delta)]
+        for i, (pi_code, quadrant, offset) in enumerate(planned):
+            total = config_total_delay(ClockConfig(pi_code, Quadrant[quadrant], offset))
+            assert abs(total - (i * delta + shift)) <= 2.5e-12 * (1.0 + 1e-9)
 
     def test_qpsk_evm_small(self, tmp_path):
         cfg = ExperimentConfig(

@@ -1,6 +1,9 @@
 """Package exports: each public name is declared once, in its module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spica
@@ -27,3 +30,16 @@ def test_init_names_no_public_symbol_by_hand():
         if isinstance(node, ast.Assign) and node.targets[0].id == "__all__":
             literals = [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
             assert literals == ["__version__"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing spica must not pull it in
+    src = str(Path(spica.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    code = "import spica, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,6 +9,9 @@ true power no matter where it falls between bins.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 from spica import (
     MeasurementError,
@@ -27,6 +30,7 @@ from spica import (
     recover_symbols,
     sample_element,
     truncated_hadamard,
+    welch_power,
     welch_psd,
 )
 
@@ -94,9 +98,9 @@ class TestWelchPsd:
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError, match="lengths"):
-            PsdEstimate(np.arange(4.0), np.zeros(3), 4, 1.5)
+            PsdEstimate(np.arange(4.0), np.zeros(3), 1.5)
         with pytest.raises(ValueError, match="increasing"):
-            PsdEstimate(np.array([0.0, 2.0, 1.0]), np.zeros(3), 4, 1.5)
+            PsdEstimate(np.array([0.0, 2.0, 1.0]), np.zeros(3), 1.5)
 
     def test_band_edges_validated(self):
         psd = welch_psd(sample_element(tone(1e6), 0.0, FS, 4096))
@@ -104,6 +108,52 @@ class TestWelchPsd:
             band_power(psd, 1e6, 0.0)
         with pytest.raises(ValueError, match="no PSD bins"):
             band_power(psd, FS, FS + 1e6)
+
+
+class TestWelchPower:
+    @given(
+        log_nfft=st.integers(4, 12),
+        overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+        extra=st.floats(0.0, 3.0),
+        lead=st.sampled_from([(), (3,), (2, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy_welch(self, log_nfft, overlap, extra, lead, seed):
+        # scipy's Welch with the same periodic Hann window, spectrum scaling
+        # and no detrending is the oracle; frequencies come back ascending
+        nfft = 2**log_nfft
+        n = nfft + int(extra * nfft)
+        z = np.random.default_rng(seed).standard_normal((*lead, n, 2))
+        x = z[..., 0] + 1j * z[..., 1]
+        freqs, pxx, enbw = welch_power(x, FS, nfft, overlap)
+        win = signal.get_window("hann", nfft, fftbins=True)
+        f_ref, p_ref = signal.welch(
+            x,
+            fs=FS,
+            window=win,
+            nperseg=nfft,
+            noverlap=int(round(nfft * overlap)),
+            nfft=nfft,
+            detrend=False,
+            return_onesided=False,
+            scaling="spectrum",
+        )
+        order = np.argsort(f_ref)
+        np.testing.assert_allclose(freqs, f_ref[order], rtol=1e-15, atol=0.0)
+        assert pxx.shape == (*lead, nfft)
+        p_ref = p_ref[..., order]
+        assert np.max(np.abs(pxx - p_ref)) <= 1e-12 * np.max(p_ref)
+        assert enbw == pytest.approx(nfft * np.sum(win**2) / np.sum(win) ** 2, rel=1e-12)
+
+    def test_periodic_hann_enbw_and_read_only_bins(self):
+        _, _, enbw = welch_power(np.ones(64, complex), FS, 64)
+        assert enbw == pytest.approx(1.5, rel=1e-12)  # periodic Hann
+        frame = sample_element(tone(1e6), 0.0, FS, 64)
+        a = welch_psd(frame, nfft=64)
+        b = welch_psd(frame, nfft=64)
+        assert a.freqs is b.freqs
+        assert not a.freqs.flags.writeable
 
 
 class TestCancellationDepth:
@@ -140,6 +190,26 @@ class TestCancellationDepth:
         b = sample_element(tone(10e6), 0.0, FS / 2, 4096)
         with pytest.raises(ValueError, match="sample rates"):
             cancellation_depth(a, b, self.BAND)
+
+    def test_stacked_frames_match_single_calls(self):
+        ref = self.frame()
+        canc = [self.frame(0.01), self.frame(0.3), SampleFrame(np.zeros(8192, complex), FS)]
+        stacked = cancellation_depth(ref, canc, self.BAND)
+        singles = [cancellation_depth(ref, c, self.BAND) for c in canc]
+        assert isinstance(stacked, list) and len(stacked) == 3
+        assert stacked[2] == singles[2] == np.inf
+        np.testing.assert_allclose(stacked[:2], singles[:2], rtol=0.0, atol=1e-12)
+
+    def test_stacked_frames_validated(self):
+        ref = self.frame()
+        with pytest.raises(ValueError, match="at least one frame"):
+            cancellation_depth(ref, [], self.BAND)
+        short = sample_element(tone(10e6), 0.0, FS, 4096)
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            cancellation_depth(ref, [self.frame(0.1), short], self.BAND)
+        slow = sample_element(tone(10e6), 0.0, FS / 2, 8192)
+        with pytest.raises(ValueError, match="sample rates"):
+            cancellation_depth(ref, [self.frame(0.1), slow], self.BAND)
 
 
 class TestConversionGainMeasured:
@@ -183,6 +253,18 @@ class TestConversionGainMeasured:
         got = conversion_gain_measured(all_in, one_in, f)
         expected = 20.0 * np.log10(abs(desired_conversion_gain(f, delta, row)))
         assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_stacked_rows_match_single_calls(self):
+        f, delta = 50e6, 1e-9
+        m = truncated_hadamard(4)
+        frames = [
+            sample_element(tone(f) * np.exp(2j * np.pi * f * i * delta), 0.0, FS, 8192)
+            for i in range(4)
+        ]
+        rows = mac_apply(frames, m)
+        stacked = conversion_gain_measured(rows, frames[0], f)
+        singles = [conversion_gain_measured(row, frames[0], f) for row in rows]
+        np.testing.assert_allclose(stacked, singles, rtol=0.0, atol=1e-12)
 
     def test_missing_tone_raises(self):
         present = sample_element(tone(50e6), 0.0, FS, 8192)
