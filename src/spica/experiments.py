@@ -26,11 +26,13 @@ from .metrics import (
 from .ps_cancel import PsCancelPlan, ps_residual_gain
 from .ttd import (
     INTERLEAVE_STEP,
-    config_total_delay,
+    Quadrant,
+    _total_delay,
     desired_conversion_gain,
     equalize,
     mac_apply,
-    plan_delay,
+    plan_delay,  # noqa: F401  (not called here; bench/tracer.py wraps this name)
+    plan_delays,
     sample_element,
     truncated_hadamard,
 )
@@ -137,7 +139,8 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        # Every field is immutable, so the values need no deep copy.
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         out["experiment"] = self.experiment.value
         out["mode"] = self.mode.value
         for name in _TUPLE_FIELDS:
@@ -405,10 +408,15 @@ def _clock_targets(cfg: ExperimentConfig, delta: float) -> list:
     return [i * delta - shift for i in range(cfg.n_elements)]
 
 
-def _plan_clocks(cfg: ExperimentConfig, delta: float):
-    """Planned clock per element for inter-element delay ``delta``, and its manifest form."""
-    quant = [plan_delay(target, cfg.max_offset) for target in _clock_targets(cfg, delta)]
-    return quant, [[c.pi_code, c.quadrant.name, c.interleave_offset] for c in quant]
+_QUADRANT_NAMES = [q.name for q in Quadrant]
+
+
+def _plan_clocks(cfg: ExperimentConfig, targets):
+    """Planned clock delays for ``targets`` and each one's [pi_code, quadrant, offset]."""
+    codes = plan_delays(targets, cfg.max_offset)
+    pi_code, quadrant, offset = (c.tolist() for c in codes)
+    planned = [[p, _QUADRANT_NAMES[q], o] for p, q, o in zip(pi_code, quadrant, offset)]
+    return _total_delay(*codes), planned
 
 
 def _run_ps_leakage(cfg: ExperimentConfig):
@@ -422,7 +430,8 @@ def _run_ps_leakage(cfg: ExperimentConfig):
         with np.errstate(divide="ignore"):
             leak_db = 20.0 * np.log10(res)
             rej_db = -20.0 * np.log10(res / n)
-        rows += [[n, float(fn), float(lk), float(rj)] for fn, lk, rj in zip(grid, leak_db, rej_db)]
+        columns = zip(grid.tolist(), leak_db.tolist(), rej_db.tolist())
+        rows += [[n, fn, lk, rj] for fn, lk, rj in columns]
     header = ["n_elements", "f_norm", "leak_db_single", "rej_db_array"]
     return {"": (header, rows)}, derived
 
@@ -433,7 +442,7 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     derived = {"planned_configs": {}}
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         ideal = _clock_targets(cfg, delta)
-        quant, derived["planned_configs"][f"{delta!r}"] = _plan_clocks(cfg, delta)
+        quant, derived["planned_configs"][f"{delta!r}"] = _plan_clocks(cfg, ideal)
         for f_idx, freq in enumerate(freqs):
             freq = float(freq)
             scene = _scene(cfg, Waveform(), Waveform(terms=(ToneTerm(1.0, freq),)), delta)
@@ -489,7 +498,7 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     stream = _interferer_stream(cfg)
     scale = 1.0 / math.sqrt(cfg.symbol_rate_hz)  # unit mean power
     scene = _scene(cfg, Waveform(), Waveform(terms=(stream,), scale=scale), delta)
-    quant, planned = _plan_clocks(cfg, delta)
+    quant, planned = _plan_clocks(cfg, _clock_targets(cfg, delta))
     outs, ref = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
     half_occupied = cfg.symbol_rate_hz * (1.0 + cfg.rolloff) / 2.0
     band = (cfg.center_freq_hz - half_occupied, cfg.center_freq_hz + half_occupied)
@@ -526,7 +535,7 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
         power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
         interferer = Waveform(terms=(stream,), scale=math.sqrt(power))
     scene = _scene(cfg, desired_wave, interferer, delta)
-    quant, planned = _plan_clocks(cfg, delta)
+    quant, planned = _plan_clocks(cfg, _clock_targets(cfg, delta))
     outs, _ = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
 
     rows = []
@@ -553,13 +562,10 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
 
 
 def _run_plan_clock(cfg: ExperimentConfig):
-    rows = []
-    for target in cfg.plan_targets_s:
-        c = plan_delay(target, cfg.max_offset)
-        total = config_total_delay(c)
-        rows.append(
-            [target, c.pi_code, c.quadrant.name, c.interleave_offset, total, total - target]
-        )
+    targets = cfg.plan_targets_s
+    total, planned = _plan_clocks(cfg, targets)
+    errors = (total - targets).tolist()
+    rows = [[t, *c, tot, err] for t, c, tot, err in zip(targets, planned, total.tolist(), errors)]
     header = ["target_s", "pi_code", "quadrant", "interleave_offset", "total_s", "error_s"]
     return {"": (header, rows)}, {}
 

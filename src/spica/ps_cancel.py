@@ -66,19 +66,23 @@ def ps_residual_gain(
 ):
     """Complex leakage gain of the phase-shift combiner at f = f_norm * f_c.
 
-    sum_i signs[i] * exp(j*(i)*(align_phase - 2*pi*f_norm*(d/lambda)*sin(theta)))
+    sum_i signs[i] * z**i,  z = exp(j*(align_phase - 2*pi*f_norm*(d/lambda)*sin(theta)))
 
     with i = 0..n-1.  When the plan's align_phase matches the interferer
     direction, the exponent collapses to a pure function of (1 - f_norm),
     zero at the carrier and growing away from it.  ``f_norm`` may be a
     scalar or ndarray.
+
+    The sum is evaluated by Horner's rule, ((s[n-1]*z + s[n-2])*z + ...)*z
+    + s[0]: one ``exp`` per frequency and n-1 in-place multiply-adds, so
+    memory is O(points) for any sign pattern and array size.
     """
-    f_arr = np.asarray(f_norm, dtype=float)
     arrival = 2.0 * np.pi * d_over_lambda * np.sin(np.radians(theta_ud_deg))
-    step = plan.align_phase - f_arr * arrival
-    idx = np.arange(plan.n_elements)
-    signs = np.asarray(plan.signs, dtype=complex)
-    res = np.exp(1j * np.multiply.outer(step, idx)) @ signs
+    z = np.exp(1j * (plan.align_phase - np.asarray(f_norm, dtype=float) * arrival))
+    res = np.full(z.shape, complex(plan.signs[-1]))
+    for sign in reversed(plan.signs[:-1]):
+        res *= z
+        res += sign
     return _scalar_like(f_norm, res)
 
 

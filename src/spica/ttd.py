@@ -29,6 +29,7 @@ __all__ = [
     "Quadrant",
     "ClockConfig",
     "config_total_delay",
+    "plan_delays",
     "plan_delay",
     "SampleFrame",
     "sample_element",
@@ -88,51 +89,67 @@ class ClockConfig:
             raise ValueError(f"total delay {total:.6e} s exceeds range {max_total:.6e} s")
 
 
+def _total_delay(pi_code, quadrant, interleave_offset):
+    """Delay in seconds of clock codes; scalars or equal-shape integer arrays."""
+    return pi_code * PI_STEP + quadrant * QUADRANT_STEP + interleave_offset * INTERLEAVE_STEP
+
+
 def config_total_delay(c: ClockConfig) -> float:
     """Total delay in seconds realized by a clock configuration."""
-    return (
-        c.pi_code * PI_STEP
-        + int(c.quadrant) * QUADRANT_STEP
-        + c.interleave_offset * INTERLEAVE_STEP
-    )
+    return _total_delay(c.pi_code, int(c.quadrant), c.interleave_offset)
 
 
-def plan_delay(target: float, max_offset: int = 2) -> ClockConfig:
-    """Decompose a target delay into the canonical clock configuration.
+def plan_delays(targets, max_offset: int = 2):
+    """Decompose target delays into canonical clock codes, elementwise.
 
     Greedy coarse-to-fine: largest interleave offset not exceeding the
     target, then the largest quadrant, then the nearest phase-interpolator
-    code.  The result is always within 2.5 ps (half a PI step) of the
-    target.
+    code.  Each result is within 2.5 ps (half a PI step) of its target.
 
     Parameters
     ----------
-    target : float
-        Desired delay in seconds, within [0, (max_offset + 1) * 5 ns].
+    targets : float or array_like
+        Desired delays in seconds, each within [0, (max_offset + 1) * 5 ns].
     max_offset : int
         Largest usable interleave offset; 2 for the 4-element clocking
         scheme (15 ns total range).  Larger arrays extrapolate the same
         decomposition over more sample periods.
-    """
-    max_range = (max_offset + 1) * INTERLEAVE_STEP
-    if target < -max_range * _RANGE_RTOL or target > max_range * (1.0 + _RANGE_RTOL):
-        raise ValueError(
-            f"target delay {target:.6e} s outside [0, {max_range:.6e}] s"
-        )
-    target = min(max(target, 0.0), max_range)
 
-    offset = min(int(np.floor(target / INTERLEAVE_STEP)), max_offset)
-    r1 = target - offset * INTERLEAVE_STEP
-    quadrant = min(int(np.floor(r1 / QUADRANT_STEP)), 3)
+    Returns
+    -------
+    (pi_code, quadrant, interleave_offset)
+        Integer arrays shaped like ``targets``.
+    """
+    if max_offset < 0:
+        raise ValueError(f"max_offset must be >= 0, got {max_offset}")
+    t = np.asarray(targets, dtype=float)
+    max_range = (max_offset + 1) * INTERLEAVE_STEP
+    lo, hi = -max_range * _RANGE_RTOL, max_range * (1.0 + _RANGE_RTOL)
+    bad = np.flatnonzero(~((t >= lo) & (t <= hi)))
+    if bad.size:
+        raise ValueError(
+            f"target delay {t.flat[bad[0]]:.6e} s outside [0, {max_range:.6e}] s"
+        )
+    t = np.clip(t, 0.0, max_range)
+
+    offset = np.minimum(np.floor(t / INTERLEAVE_STEP).astype(np.int64), max_offset)
+    r1 = t - offset * INTERLEAVE_STEP
+    quadrant = np.minimum(np.floor(r1 / QUADRANT_STEP).astype(np.int64), 3)
     rem = r1 - quadrant * QUADRANT_STEP
-    pi_code = int(np.floor(rem / PI_STEP + 0.5))
-    pi_code = min(max(pi_code, 0), 255)
-    return ClockConfig(
-        pi_code=pi_code,
-        quadrant=Quadrant(quadrant),
-        interleave_offset=offset,
-        offset_limit=max_offset,
-    )
+    pi_code = np.clip(np.floor(rem / PI_STEP + 0.5).astype(np.int64), 0, 255)
+    total = _total_delay(pi_code, quadrant, offset)
+    over = np.flatnonzero(total > hi)
+    if over.size:
+        raise ValueError(
+            f"total delay {total.flat[over[0]]:.6e} s exceeds range {max_range:.6e} s"
+        )
+    return pi_code, quadrant, offset
+
+
+def plan_delay(target: float, max_offset: int = 2) -> ClockConfig:
+    """The clock configuration ``plan_delays`` gives for one target delay."""
+    pi_code, quadrant, offset = plan_delays(target, max_offset)
+    return ClockConfig(int(pi_code), int(quadrant), int(offset), offset_limit=max_offset)
 
 
 @dataclass(frozen=True)

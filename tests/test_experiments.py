@@ -1,14 +1,17 @@
 """Experiment config, runner, preset and CLI tests."""
 
 import csv
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spica import experiments
 from spica import (
     ClockConfig,
     ConfigError,
@@ -18,6 +21,7 @@ from spica import (
     SceneMode,
     config_total_delay,
     load_config,
+    plan_delay,
     preset,
     preset_names,
     run_experiment,
@@ -125,6 +129,13 @@ class TestConfigValidation:
         cfg = preset("fig16")
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_to_dict_matches_deep_copy(self, name):
+        cfg = preset(name)
+        copied = dataclasses.asdict(cfg)
+        copied.update(experiment=cfg.experiment.value, mode=cfg.mode.value)
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(copied, sort_keys=True)
 
 
 BAD_TYPES = [
@@ -252,6 +263,22 @@ class TestRunners:
         assert got[12e-9] == (150, "Q_P", 2)
         for r in rows:
             assert abs(float(r[5])) <= 2.5e-12 * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["fig10", "grid-20001"])
+    def test_plan_clock_rows_match_scalar_planner(self, grid):
+        cfg = preset("fig10")
+        if grid:
+            targets = np.linspace(0.0, 15e-9, 20_001).tolist()
+            cfg = dataclasses.replace(cfg, plan_targets_s=tuple(targets))
+        expected = []
+        for target in cfg.plan_targets_s:
+            c = plan_delay(target, cfg.max_offset)
+            total = config_total_delay(c)
+            expected.append(
+                [target, c.pi_code, c.quadrant.name, c.interleave_offset, total, total - target]
+            )
+        tables, _ = experiments._run_plan_clock(cfg)
+        assert repr(tables[""][1]) == repr(expected)
 
     def test_ps_leakage_rows_and_nulls(self, tmp_path):
         cfg = ExperimentConfig(

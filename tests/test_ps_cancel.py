@@ -1,8 +1,11 @@
 """Phase-shift cancellation tests: closed-form leakage and the sample combiner."""
 
+import cmath
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spica import (
@@ -74,7 +77,7 @@ def test_align_phase_matches_plan_and_ignores_carrier():
 
 class TestResidualGain:
     @given(
-        n_exp=st.integers(1, 4),
+        n_exp=st.integers(1, 8),
         theta=st.floats(-90.0, 90.0),
         dol=st.floats(0.1, 2.0),
     )
@@ -85,6 +88,59 @@ class TestResidualGain:
         # balanced sign pattern is exactly zero
         plan = PsCancelPlan.for_angle(2**n_exp, theta, dol)
         assert ps_residual_gain(plan, 1.0, theta, dol) == 0j
+
+    @given(
+        n_exp=st.integers(1, 8),
+        f_norm=st.floats(0.5, 1.5),
+        theta=st.floats(-90.0, 90.0),
+        dol=st.floats(0.1, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_alternating_matches_geometric_closed_form(self, n_exp, f_norm, theta, dol):
+        # sum_i (-z)**i = (1 - z**n) / (1 + z) for even n
+        n = 2**n_exp
+        plan = PsCancelPlan.for_angle(n, theta, dol)
+        # for_angle's align_phase is the interferer's arrival phase step
+        z = cmath.exp(1j * (plan.align_phase - f_norm * plan.align_phase))
+        assume(abs(1.0 + z) > 1e-3)
+        expected = (1.0 - z**n) / (1.0 + z)
+        got = ps_residual_gain(plan, f_norm, theta, dol)
+        assert abs(got - expected) <= 1e-12 * n / abs(1.0 + z)
+
+    @given(
+        signs=st.integers(1, 8).flatmap(
+            lambda k: st.permutations([1, -1] * 2 ** (k - 1))
+        ),
+        f_norms=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8),
+        align=st.floats(-np.pi, np.pi),
+        theta=st.floats(-90.0, 90.0),
+        dol=st.floats(0.1, 2.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_balanced_pattern_matches_scalar_loop(
+        self, signs, f_norms, align, theta, dol
+    ):
+        n = len(signs)
+        plan = PsCancelPlan(n, align, tuple(signs))
+        arrival = 2.0 * np.pi * dol * np.sin(np.radians(theta))
+        got = ps_residual_gain(plan, np.array(f_norms), theta, dol)
+        for f_norm, value in zip(f_norms, got):
+            step = align - f_norm * arrival
+            expected = sum(s * cmath.exp(1j * i * step) for i, s in enumerate(signs))
+            assert abs(value - expected) <= 1e-12 * n
+
+    def test_memory_linear_in_points(self):
+        # 50,001 complex points take 0.8 MB; anything shaped (points x n)
+        # at n = 256 would take 205 MB
+        plan = PsCancelPlan.for_angle(256, THETA, DOL)
+        grid = np.linspace(0.9, 1.1, 50_001)
+        tracemalloc.start()
+        try:
+            ps_residual_gain(plan, grid, THETA, DOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_frozen_leakage_values(self):
         # magnitudes worked out independently with a scalar cmath loop

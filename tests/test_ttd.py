@@ -1,5 +1,7 @@
 """Clock planning, sampling, matrix combining and equalization tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from scipy.linalg import hadamard
 
 from spica import ttd
 from spica import (
+    INTERLEAVE_STEP,
+    PI_STEP,
+    QUADRANT_STEP,
     ClockConfig,
     Quadrant,
     SampleFrame,
@@ -19,6 +24,7 @@ from spica import (
     equalize,
     mac_apply,
     plan_delay,
+    plan_delays,
     sample_element,
     truncated_hadamard,
 )
@@ -114,6 +120,68 @@ class TestPlanDelay:
     def test_plan_is_within_declared_range(self, target):
         c = plan_delay(target)
         assert 0.0 <= config_total_delay(c) <= 15e-9 * (1.0 + 1e-9)
+
+
+def greedy_reference(target, max_offset):
+    """The coarse-to-fine decomposition, one Python float at a time."""
+    target = min(max(target, 0.0), (max_offset + 1) * 5e-9)
+    offset = min(math.floor(target / 5e-9), max_offset)
+    r1 = target - offset * 5e-9
+    quadrant = min(math.floor(r1 / 1.25e-9), 3)
+    rem = r1 - quadrant * 1.25e-9
+    return min(max(math.floor(rem / 5e-12 + 0.5), 0), 255), quadrant, offset
+
+
+@st.composite
+def planner_targets(draw):
+    """(targets, max_offset) with 0, the range end and step boundaries mixed in."""
+    max_offset = draw(st.integers(0, 7))
+    top = (max_offset + 1) * INTERLEAVE_STEP
+    boundary = st.one_of(
+        st.sampled_from([0.0, top]),
+        st.integers(0, round(top / PI_STEP) - 1).map(lambda k: (k + 0.5) * PI_STEP),
+        st.integers(0, 4 * (max_offset + 1)).map(lambda k: k * QUADRANT_STEP),
+    )
+    targets = draw(st.lists(st.one_of(st.floats(0.0, top), boundary), min_size=1, max_size=40))
+    return targets, max_offset
+
+
+class TestPlanDelays:
+    @given(case=planner_targets())
+    @settings(max_examples=200, deadline=None)
+    def test_each_element_matches_scalar_plan(self, case):
+        targets, max_offset = case
+        codes = plan_delays(targets, max_offset)
+        totals = ttd._total_delay(*codes)
+        for i, target in enumerate(targets):
+            c = plan_delay(target, max_offset)
+            scalar = (c.pi_code, int(c.quadrant), c.interleave_offset)
+            assert tuple(int(a[i]) for a in codes) == scalar
+            assert greedy_reference(target, max_offset) == scalar
+            assert float(totals[i]).hex() == config_total_delay(c).hex()
+
+    def test_shape_follows_targets(self):
+        codes = plan_delays(np.full((2, 3), 4e-9))
+        assert all(a.shape == (2, 3) for a in codes)
+        assert [int(a[1, 2]) for a in codes] == [50, int(Quadrant.Q_N), 0]
+        assert all(a.shape == () for a in plan_delays(8e-9))
+
+    def test_out_of_range_names_first_bad_target(self):
+        with pytest.raises(ValueError, match=r"target delay 1\.510000e-08 s outside \[0, 1\.5"):
+            plan_delays([0.0, 4e-9, 15.1e-9, -1e-9])
+        with pytest.raises(ValueError, match="target delay -1.000000e-09 s outside"):
+            plan_delays([0.0, -1e-9])
+        with pytest.raises(ValueError, match="outside"):
+            plan_delays([1e-9, np.nan])
+        with pytest.raises(ValueError, match="max_offset must be >= 0"):
+            plan_delays([0.0], max_offset=-1)
+
+    def test_total_over_range_rejected(self, monkeypatch):
+        # with 7 ps steps the top quadrant rounds to 179 codes = 1.253 ns,
+        # so a target at the range end would plan past it
+        monkeypatch.setattr(ttd, "PI_STEP", 7e-12)
+        with pytest.raises(ValueError, match="total delay .* exceeds range"):
+            plan_delays([1e-9, 15e-9])
 
 
 class TestSampleFrame:
