@@ -244,20 +244,23 @@ def _check_tone_grid(cfg: ExperimentConfig) -> None:
         _fail("delta_ud_s", "must list at least one inter-element delay")
 
 
-def _check_tone_bands(cfg: ExperimentConfig) -> None:
-    """Every tone's measurement band must hold at least one Welch bin."""
+def _check_bins(cfg: ExperimentConfig, name: str, centers, halfwidth: float) -> None:
+    """Each measurement band ``centers +/- halfwidth`` must hold a Welch bin."""
     nfft = min(4096, cfg.frame_len)
     bins = _welch_freqs(nfft, cfg.sample_rate_hz)
-    tones = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
-    lo, hi = tones - cfg.band_halfwidth_hz, tones + cfg.band_halfwidth_hz
-    first = np.minimum(np.searchsorted(bins, lo), bins.size - 1)
-    empty = np.flatnonzero(bins[first] > hi)
+    lo, hi = np.atleast_1d(centers) - halfwidth, np.atleast_1d(centers) + halfwidth
+    empty = np.flatnonzero(np.searchsorted(bins, hi, "right") <= np.searchsorted(bins, lo))
     if empty.size:
         _fail(
-            "band_halfwidth_hz",
-            f"band around the {tones[empty[0]]:.6g} Hz tone holds no PSD bin "
+            name,
+            f"band [{lo[empty[0]]:.9g}, {hi[empty[0]]:.9g}] Hz holds no PSD bin "
             f"(bin spacing {cfg.sample_rate_hz / nfft:.4g} Hz at nfft {nfft})",
         )
+
+
+def _check_tone_bands(cfg: ExperimentConfig) -> None:
+    tones = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
+    _check_bins(cfg, "band_halfwidth_hz", tones, cfg.band_halfwidth_hz)
 
 
 def _check_delay_range(cfg: ExperimentConfig) -> None:
@@ -266,13 +269,17 @@ def _check_delay_range(cfg: ExperimentConfig) -> None:
         _fail(
             "delta_ud_s",
             f"largest per-element delay {worst:.4g} s exceeds the "
-            f"{_plan_range(cfg):.4g} s planner range",
+            f"{_plan_range(cfg):.4g} s planner range; raise max_offset "
+            f"(now {cfg.max_offset}) to extend it by {INTERLEAVE_STEP:.4g} s per step",
         )
 
 
+def _half_occupied(cfg: ExperimentConfig, symbol_rate: float) -> float:
+    return symbol_rate * (1.0 + cfg.rolloff) / 2.0
+
+
 def _check_band(cfg: ExperimentConfig, name: str, center: float, symbol_rate: float) -> None:
-    occupied = symbol_rate * (1.0 + cfg.rolloff) / 2.0
-    if abs(center) + occupied > cfg.sample_rate_hz / 2.0:
+    if abs(center) + _half_occupied(cfg, symbol_rate) > cfg.sample_rate_hz / 2.0:
         _fail(name, "occupied band extends past Nyquist")
 
 
@@ -286,6 +293,13 @@ def _check_stream(cfg: ExperimentConfig) -> None:
     _check_band(cfg, "center_freq_hz", cfg.center_freq_hz, cfg.symbol_rate_hz)
     if cfg.interferer and cfg.seed is None:
         _fail("seed", "required to draw interferer symbols")
+
+
+def _check_stream_bins(cfg: ExperimentConfig) -> None:
+    """TTD_MODULATED measures depth over the interferer's occupied band."""
+    if cfg.interferer:
+        half = _half_occupied(cfg, cfg.symbol_rate_hz)
+        _check_bins(cfg, "symbol_rate_hz", cfg.center_freq_hz, half)
 
 
 def _check_qpsk(cfg: ExperimentConfig) -> None:
@@ -500,8 +514,8 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     scene = _scene(cfg, Waveform(), Waveform(terms=(stream,), scale=scale), delta)
     quant, planned = _plan_clocks(cfg, _clock_targets(cfg, delta))
     outs, ref = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
-    half_occupied = cfg.symbol_rate_hz * (1.0 + cfg.rolloff) / 2.0
-    band = (cfg.center_freq_hz - half_occupied, cfg.center_freq_hz + half_occupied)
+    half = _half_occupied(cfg, cfg.symbol_rate_hz)
+    band = (cfg.center_freq_hz - half, cfg.center_freq_hz + half)
     depths = cancellation_depth(ref, outs, band)
     rows = [[r, band[0], band[1], depth] for r, depth in enumerate(depths)]
     derived = {"planned_configs": planned, "occupied_band_hz": [band[0], band[1]]}
@@ -578,7 +592,10 @@ _KINDS = {
         _run_ttd_tone_sweep,
     ),
     Experiment.DESIRED_GAIN: ((_check_tone_grid, _check_delay_range), _run_desired_gain),
-    Experiment.TTD_MODULATED: ((_check_stream, _check_delay_range), _run_ttd_modulated),
+    Experiment.TTD_MODULATED: (
+        (_check_stream, _check_stream_bins, _check_delay_range),
+        _run_ttd_modulated,
+    ),
     Experiment.QPSK_EVM: ((_check_stream, _check_delay_range, _check_qpsk), _run_qpsk_evm),
     Experiment.PLAN_CLOCK: ((_check_plan_clock,), _run_plan_clock),
 }

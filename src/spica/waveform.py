@@ -22,6 +22,8 @@ __all__ = [
 
 # Tolerance for detecting the removable singularities of the RRC formula.
 _SINGULARITY_TOL = 1e-8
+# Instants per block of StreamTerm evaluation.
+_BLOCK = 8192
 
 
 def _scalar_like(x, out):
@@ -56,45 +58,39 @@ def rrc_pulse(t, symbol_rate: float, rolloff: float, span_symbols: int | None = 
     if symbol_rate <= 0.0:
         raise ValueError(f"symbol_rate must be positive, got {symbol_rate}")
 
-    t_arr = np.asarray(t, dtype=float)
-    x = t_arr * symbol_rate
+    x = np.atleast_1d(np.asarray(t, dtype=float)) * symbol_rate
     b = rolloff
-    root_rate = np.sqrt(symbol_rate)
+    sin_a = np.sin(np.pi * x * (1.0 - b))
+    cos_b = np.cos(np.pi * x * (1.0 + b))
+    out = _rrc_shape(x, sin_a, cos_b, b, span_symbols, np.sqrt(symbol_rate))
+    return _scalar_like(t, out.reshape(np.shape(t)))
 
-    center = np.abs(x) < _SINGULARITY_TOL
-    if b > 0.0:
-        edge = np.abs(np.abs(4.0 * b * x) - 1.0) < _SINGULARITY_TOL
-    else:
-        edge = np.zeros_like(center)
-    regular = ~(center | edge)
 
-    out = np.empty_like(x)
+def _rrc_shape(x, sin_a, cos_b, b: float, span_symbols: int | None, scale: float):
+    """RRC pulse at normalized times ``x`` (an ndarray, in symbol periods).
 
-    # Generic formula away from the two removable singularities.
+    ``sin_a`` and ``cos_b`` are sin(pi*(1-b)*x) and cos(pi*(1+b)*x), however
+    the caller computed them.  The generic formula is used away from its two
+    removable singularities, x = 0 and |4*b*x| = 1, which take their limits.
+    Past ``span_symbols`` the pulse is zero; the cutoff is slightly tolerant
+    so instants exactly on the boundary are kept whatever their rounding.
+    """
+    y = 4.0 * b * x
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = np.sin(np.pi * x * (1.0 - b)) + 4.0 * b * x * np.cos(np.pi * x * (1.0 + b))
-        den = np.pi * x * (1.0 - (4.0 * b * x) ** 2)
-        generic = np.where(regular, num / np.where(regular, den, 1.0), 0.0)
-    out[regular] = generic[regular] * root_rate
-
-    # t = 0 limit.
-    out[center] = root_rate * (1.0 - b + 4.0 * b / np.pi)
-
-    # |4*b*x| = 1 limit.
-    if b > 0.0 and np.any(edge):
+        out = (sin_a + y * cos_b) / (np.pi * x * (1.0 - y**2)) * scale
+    ax = np.abs(x)
+    out[ax < _SINGULARITY_TOL] = scale * (1.0 - b + 4.0 * b / np.pi)
+    edge = np.abs(np.abs(y) - 1.0) < _SINGULARITY_TOL
+    if edge.any():
         a = np.pi / (4.0 * b)
         out[edge] = (
-            root_rate
+            scale
             * (b / np.sqrt(2.0))
             * ((1.0 + 2.0 / np.pi) * np.sin(a) + (1.0 - 2.0 / np.pi) * np.cos(a))
         )
-
     if span_symbols is not None:
-        # Slightly tolerant cutoff so evaluation instants that land exactly
-        # on the truncation boundary are included consistently regardless of
-        # how the caller's float arithmetic rounded them.
-        out = np.where(np.abs(x) > float(span_symbols) + 1e-9, 0.0, out)
-    return _scalar_like(t, out)
+        out[ax > float(span_symbols) + 1e-9] = 0.0
+    return out
 
 
 _QPSK_NORM = 1.0 / np.sqrt(2.0)
@@ -143,6 +139,10 @@ class StreamTerm:
     """Pulse-shaped symbol stream with finite-support RRC shaping.
 
     The symbol list is normalized to unit average power on construction.
+    Evaluation is exact: each instant sums the closed-form pulses of the
+    symbols within ``span_symbols`` of it, with the pulse's two sines and
+    cosines taken by angle addition around the nearest symbol, so
+    no transcendental is computed per (instant, symbol) pair.
     ``center_freq`` shifts the occupied band away from DC by multiplying the
     envelope with exp(j*2*pi*center_freq*t); the row-combining stage has a
     structural null at DC, so band-limited stimuli are normally placed at a
@@ -175,29 +175,42 @@ class StreamTerm:
 
     def eval(self, t) -> np.ndarray:
         """Sum of shaped symbol pulses at time ``t`` (scalar or ndarray)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        period = 1.0 / self.symbol_rate
-        span = self.span_symbols
-        n_sym = self.symbols.size
+        t_flat = np.asarray(t, dtype=float).ravel()
+        acc = np.empty(t_flat.shape, dtype=complex)
+        # Blocks keep each offset's temporaries small, so they are reused from
+        # the heap and the cache instead of being freshly mapped every time.
+        for i in range(0, t_flat.size, _BLOCK):
+            acc[i : i + _BLOCK] = self._pulse_sum(t_flat[i : i + _BLOCK])
+        if self.center_freq != 0.0:
+            acc *= np.exp(2j * np.pi * self.center_freq * t_flat)
+        return _scalar_like(t, acc.reshape(np.shape(t)))
 
-        # Nearest-symbol index per evaluation instant; only symbols within
-        # the pulse span contribute, so accumulate over relative offsets.
-        # The small nudge keeps the window choice stable when an instant
-        # falls exactly on a symbol boundary (common on uniform grids).
-        k0 = np.floor(t_arr / period + 1e-9).astype(np.int64)
+    def _pulse_sum(self, t_arr: np.ndarray) -> np.ndarray:
+        """Baseband sum of shaped symbol pulses at the 1-D instants ``t_arr``."""
+        b, span = self.rolloff, self.span_symbols
+        # Each instant sits f in [-1/2, 1/2] symbol periods from its nearest
+        # symbol k0, and only symbols k0 + off with |off| <= span reach it, at
+        # x = f - off.  Expanding around the nearest symbol keeps every small
+        # x exact (x = f at off = 0), so the sinc-like term keeps its relative
+        # precision near x = 0; any other symbol is at least half a period away.
+        pos = t_arr * self.symbol_rate
+        k0 = np.rint(pos)
+        f = pos - k0
+        lo, hi = np.pi * (1.0 - b), np.pi * (1.0 + b)
+        sin_lo, cos_lo = np.sin(lo * f), np.cos(lo * f)
+        sin_hi, cos_hi = np.sin(hi * f), np.cos(hi * f)
+        # Symbol k is padded[k + 1]; clipped indices past either end read 0.
+        padded = np.concatenate(([0j], self.symbols, [0j]))
+        first = k0.astype(np.int64) + 1
+        root_rate = np.sqrt(self.symbol_rate)
         acc = np.zeros(t_arr.shape, dtype=complex)
         for off in range(-span, span + 1):
-            k = k0 + off
-            valid = (k >= 0) & (k < n_sym)
-            if not np.any(valid):
-                continue
-            tau = t_arr[valid] - k[valid] * period
-            acc[valid] += self.symbols[k[valid]] * rrc_pulse(
-                tau, self.symbol_rate, self.rolloff, span
-            )
-        if self.center_freq != 0.0:
-            acc = acc * np.exp(2j * np.pi * self.center_freq * t_arr)
-        return _scalar_like(t, acc.reshape(np.shape(t)))
+            # sin(lo*x) and cos(hi*x) by angle addition: trig on scalars only.
+            sin_a = sin_lo * np.cos(lo * off) - cos_lo * np.sin(lo * off)
+            cos_b = cos_hi * np.cos(hi * off) + sin_hi * np.sin(hi * off)
+            pulse = _rrc_shape(f - off, sin_a, cos_b, b, span, root_rate)
+            acc += np.take(padded, first + off, mode="clip") * pulse
+        return acc
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,15 @@ BAD_TYPES = [
 
 QPSK = {"experiment": "QPSK_EVM", "delta_ud_s": [2.5e-9], "seed": 1, "frame_len": 65536}
 TONE_SWEEP = {"experiment": "TTD_TONE_SWEEP", "delta_ud_s": [1e-9]}
+# one tone above the last Welch bin (99.95 MHz at 200 MHz, nfft 2048)
+TOP_TONE = {**TONE_SWEEP, "tone_start_hz": 99.99e6, "tone_stop_hz": 99.99e6, "tone_count": 1}
+MODULATED = {
+    "experiment": "TTD_MODULATED",
+    "delta_ud_s": [2.347e-9],
+    "seed": 1,
+    "center_freq_hz": 50.01e6,
+    "frame_len": 4096,
+}
 # (valid base config, field set, bad value, field the error must name)
 BAD_VALUES = [
     # zero delay: G_r(f) is 0 everywhere, nothing to equalize
@@ -162,6 +171,10 @@ BAD_VALUES = [
     # bins 12.5 MHz and 1.5625 MHz apart: the 1 MHz band around a tone can miss them all
     pytest.param(TONE_SWEEP, "frame_len", 16, "band_halfwidth_hz", id="tone-band-frame_len-16"),
     pytest.param(TONE_SWEEP, "frame_len", 128, "band_halfwidth_hz", id="tone-band-frame_len-128"),
+    # a 2 kHz band that lies wholly above the last bin
+    pytest.param(TOP_TONE, "band_halfwidth_hz", 1e3, "band_halfwidth_hz", id="tone-band-above-last-bin"),
+    # 1.25 kHz occupied band between bins 48.8 kHz apart
+    pytest.param(MODULATED, "symbol_rate_hz", 1e3, "symbol_rate_hz", id="modulated-band-symbol_rate_hz"),
 ]
 
 
@@ -184,6 +197,16 @@ class TestValueTypes:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
         assert f"{named}:" in capsys.readouterr().err
+
+    def test_delay_range_error_names_max_offset(self, tmp_path, capsys):
+        # 7 * 2.5 ns = 17.5 ns is past the 15 ns reach of max_offset 2
+        cfg = {**TONE_SWEEP, "delta_ud_s": [2.5e-9], "n_elements": 8, "tone_count": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "delta_ud_s:" in err and "max_offset" in err
+        ExperimentConfig.from_dict({**cfg, "max_offset": 3})  # the advice holds
 
     def test_integer_accepted_for_float_field(self):
         cfg = ExperimentConfig.from_dict(

@@ -1,11 +1,13 @@
 """Waveform generator tests, including the pulse-shape quadrature oracle."""
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from spica import waveform
 from spica import SampleFrame, StreamTerm, ToneTerm, Waveform, map_qpsk, rrc_pulse, sample_element, welch_psd
 
 
@@ -36,6 +38,61 @@ def rrc_peak_by_quadrature(symbol_rate, rolloff):
     flat, _ = integrate.quad(spectrum, 0.0, lo)
     skirt, _ = integrate.quad(spectrum, lo, hi, limit=200)
     return 2.0 * (flat + skirt)
+
+
+def rrc_by_mpmath(x, b):
+    """Unit-rate RRC pulse at ``x`` symbol periods from the closed form, at mpmath's precision.
+
+    Exactly on a removable singularity the formula is evaluated 1e-25 beside it.
+    """
+    den = mpmath.pi * x * (1 - (4 * b * x) ** 2)
+    if den == 0:
+        return rrc_by_mpmath(x + mpmath.mpf("1e-25"), b)
+    num = mpmath.sin(mpmath.pi * x * (1 - b)) + 4 * b * x * mpmath.cos(mpmath.pi * x * (1 + b))
+    return num / den
+
+
+def stream_by_mpmath(stream, t):
+    """40-digit sum of ``stream``'s shaped pulses at the float instant ``t``, taken exactly.
+
+    Returns the value, or None when a symbol sits so close to the span
+    cutoff (or, for b > 0, so close to |4bx| = 1 without being on it) that
+    rounding decides the double-precision answer.
+    """
+    with mpmath.workdps(40):
+        b = mpmath.mpf(stream.rolloff)
+        rate = mpmath.mpf(stream.symbol_rate)
+        cutoff = stream.span_symbols + mpmath.mpf(1e-9)
+        total = mpmath.mpc(0)
+        for k, sym in enumerate(stream.symbols.tolist()):
+            x = mpmath.mpf(t) * rate - k
+            if abs(abs(x) - cutoff) < 1e-11:
+                return None
+            if b > 0 and 1e-12 < abs(abs(4 * b * x) - 1) < 1e-4:
+                return None
+            if abs(x) <= cutoff:
+                total += mpmath.mpc(sym) * rrc_by_mpmath(x, b)
+        return complex(total * mpmath.sqrt(rate))
+
+
+@st.composite
+def streams_and_instants(draw):
+    """A random stream and instants (in s), including ones on each singularity and the cutoff."""
+    rolloff = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    span = draw(st.integers(1, 16))
+    n_sym = draw(st.integers(1, 40))
+    rate = draw(st.floats(1e3, 1e9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    symbols = rng.standard_normal(n_sym) + 1j * rng.standard_normal(n_sym)
+    # In symbol periods: on symbol k (x = 0), just off it, on the span
+    # cutoff, then random.
+    k = draw(st.integers(0, n_sym - 1))
+    near = draw(st.floats(2e-8, 1e-3))
+    positions = [k, k - near, k + near, k - span, k + span]
+    if rolloff > 0.0 and 1.0 / (4.0 * rolloff) <= span:
+        positions += [k + 1.0 / (4.0 * rolloff), k - 1.0 / (4.0 * rolloff)]  # |4bx| = 1
+    positions += draw(st.lists(st.floats(-span - 2.0, n_sym + span + 1.0), min_size=1, max_size=5))
+    return StreamTerm(symbols, rate, rolloff, span), np.array(positions) / rate
 
 
 class TestRrcPulse:
@@ -193,6 +250,30 @@ class TestStreamTerm:
         np.testing.assert_allclose(
             shifted.eval(t), base.eval(t) * np.exp(2j * np.pi * 30e6 * t), atol=1e-9
         )
+
+    @given(case=streams_and_instants())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_mpmath_pulse_sum(self, case):
+        stream, t = case
+        expected = [stream_by_mpmath(stream, ti) for ti in t.tolist()]
+        assume(None not in expected)
+        # Unit-power symbols and unit-energy pulses: the stream's rms is sqrt(rate).
+        tol = 5e-11 * np.sqrt(stream.symbol_rate)
+        grid = np.stack([t, t[::-1]])
+        got = stream.eval(grid)
+        assert got.shape == grid.shape
+        np.testing.assert_allclose(got, [expected, expected[::-1]], rtol=0, atol=tol)
+        one = stream.eval(float(t[0]))
+        assert type(one) is complex
+        assert abs(one - expected[0]) <= tol
+
+    def test_blocks_match_one_pass(self, monkeypatch):
+        syms = map_qpsk(np.random.default_rng(2).integers(0, 2, 400))
+        stream = StreamTerm(syms, 64e6, center_freq=20e6)
+        t = np.linspace(-1e-7, 3.3e-6, 1001).reshape(7, 143)
+        whole = stream.eval(t)
+        monkeypatch.setattr(waveform, "_BLOCK", 100)  # ten full blocks and a partial one
+        np.testing.assert_allclose(stream.eval(t), whole, rtol=0, atol=1e-12 * 64e6**0.5)
 
     def test_occupied_bandwidth_drop(self):
         # Out-of-band floor is set by pulse truncation: roughly 44 dB below
