@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import json
@@ -642,7 +641,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
 
 
 def _write_csv(path, header, rows):
+    # Matches csv.writer's output: str gives float.__repr__ for floats and
+    # np.float64, and no field written here holds a comma, quote or newline.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in (header, *rows))

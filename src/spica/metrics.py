@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ttd import SampleFrame, _stack_frames
+from .ttd import SampleFrame
 from .waveform import StreamTerm, rrc_pulse
 
 __all__ = [
@@ -134,64 +134,47 @@ def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
     return float(_band_sum(psd.freqs, linear, psd.enbw_bins, f_lo, f_hi))
 
 
-def _frame_stack(frames, other: SampleFrame):
-    """``(stack, single)`` for one frame or a sequence of matching frames.
-
-    The frames must match each other as ``mac_apply`` inputs do and share
-    ``other``'s sample rate; ``stack`` has one row per frame and ``single``
-    says whether a lone frame was given.
-    """
-    single = isinstance(frames, SampleFrame)
-    frames = [frames] if single else list(frames)
-    if not frames:
-        raise ValueError("need at least one frame")
-    stack, first = _stack_frames(frames, len(frames))
-    if first.sample_rate != other.sample_rate:
-        raise ValueError("frames have mismatched sample rates")
-    return stack, single
-
-
-def cancellation_depth(ref: SampleFrame, canc, band: tuple, nfft: int | None = None):
+def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
     """Band-integrated power ratio ref / canc in dB.
 
     ``ref`` is the output with a single input applied (no cancellation),
     ``canc`` the output with all inputs applied.  Returns +inf when the
-    cancelled band power is exactly zero.  ``canc`` may also be a sequence
-    of frames sharing length and start time (such as ``mac_apply``'s rows);
-    the result is then a list with one depth per frame, measured against
-    one reference spectrum.
+    cancelled band power is exactly zero.  ``canc`` may also be a stacked
+    frame (such as ``mac_apply``'s rows); the result is then a list with one
+    depth per row, measured against one reference spectrum.
     """
-    stack, single = _frame_stack(canc, ref)
-    if nfft is None:
-        nfft = min(4096, len(ref), stack.shape[-1])
+    if canc.sample_rate != ref.sample_rate:
+        raise ValueError("frames have mismatched sample rates")
+    nfft = min(4096, len(ref), len(canc))
     f_lo, f_hi = band
     fs = ref.sample_rate
     p_ref = float(_band_sum(*welch_power(ref.samples, fs, nfft), f_lo, f_hi))
-    p_canc = _band_sum(*welch_power(stack, fs, nfft), f_lo, f_hi)
+    p_canc = _band_sum(*welch_power(np.atleast_2d(canc.samples), fs, nfft), f_lo, f_hi)
     # The all-zero frame hits the PSD floor rather than true zero; treat
     # anything at the floor as perfect cancellation.
     depths = [
         math.inf if p <= _DB_FLOOR * nfft else 10.0 * math.log10(p_ref / p)
         for p in p_canc.tolist()
     ]
-    return depths[0] if single else depths
+    return depths if canc.samples.ndim == 2 else depths[0]
 
 
-def conversion_gain_measured(all_in, one_in: SampleFrame, f: float, nfft: int | None = None):
+def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f: float):
     """Measured conversion gain at a tone frequency, in dB.
 
     Ratio of output tone power with all inputs applied to the power with
     one input applied, read at the tone's bin.  Raises MeasurementError if
     the tone does not stand above the spectral floor in either frame.
-    ``all_in`` may also be a sequence of frames sharing length and start
-    time; the result is then a list with one gain per frame, against one
-    reference spectrum.
+    ``all_in`` may also be a stacked frame (such as ``mac_apply``'s rows);
+    the result is then a list with one gain per row, against one reference
+    spectrum.
     """
-    stack, single = _frame_stack(all_in, one_in)
-    if nfft is None:
-        nfft = min(4096, stack.shape[-1], len(one_in))
-    freqs, p_all, _ = welch_power(stack, one_in.sample_rate, nfft)
-    _, p_one, _ = welch_power(one_in.samples, one_in.sample_rate, nfft)
+    if all_in.sample_rate != one_in.sample_rate:
+        raise ValueError("frames have mismatched sample rates")
+    nfft = min(4096, len(all_in), len(one_in))
+    fs = one_in.sample_rate
+    freqs, p_all, _ = welch_power(np.atleast_2d(all_in.samples), fs, nfft)
+    _, p_one, _ = welch_power(one_in.samples, fs, nfft)
     db_all, db_one = 10.0 * np.log10(p_all), 10.0 * np.log10(p_one)
     bin_idx = int(np.argmin(np.abs(freqs - f)))
     for db, name in ((db_all, "all-input"), (db_one, "one-input")):
@@ -205,7 +188,7 @@ def conversion_gain_measured(all_in, one_in: SampleFrame, f: float, nfft: int | 
                 f"({peak_db[k]:.1f} dB vs median {floor_db[k]:.1f} dB)"
             )
     gains = (db_all[:, bin_idx] - db_one[bin_idx]).tolist()
-    return gains[0] if single else gains
+    return gains if all_in.samples.ndim == 2 else gains[0]
 
 
 def evm_percent(rx_symbols, ref_symbols) -> float:
@@ -264,7 +247,7 @@ def recover_symbols(
 
     n_sym = stream.symbols.size
     sym_times = genie_timing + np.arange(n_sym) / rate
-    idx_float = (sym_times - frame.start_time) * fs
+    idx_float = sym_times * fs
     idx = np.rint(idx_float).astype(np.int64)
     if float(np.max(np.abs(idx_float - idx))) > 1e-3:
         raise ValueError("symbol instants do not land on the sample grid")

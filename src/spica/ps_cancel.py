@@ -91,8 +91,7 @@ def ps_cancel_stream(frames, plan: PsCancelPlan) -> SampleFrame:
 
     output[k] = sum_i signs[i] * exp(j*i*align_phase) * frames[i][k]
     """
-    stack, first = _stack_frames(frames, plan.n_elements)
+    stack, rate = _stack_frames(frames, plan.n_elements)
     idx = np.arange(plan.n_elements)
     weights = np.asarray(plan.signs, dtype=complex) * np.exp(1j * idx * plan.align_phase)
-    out = weights @ stack
-    return SampleFrame(out, first.sample_rate, first.start_time)
+    return SampleFrame(weights @ stack, rate)

@@ -154,36 +154,39 @@ def plan_delay(target: float, max_offset: int = 2) -> ClockConfig:
 
 @dataclass(frozen=True)
 class SampleFrame:
-    """Finite uniform-rate complex sample stream plus its sampling metadata.
+    """Uniform-rate complex samples: one frame ``(n,)`` or a stack ``(rows, n)``.
 
-    ``start_time`` is the nominal time of sample 0 on the shared output
-    grid; per-element clock skew is applied during sampling and does not
-    appear here.
+    A stack holds equal-length frames, such as ``mac_apply``'s row outputs.
+    ``len`` is the samples per frame, ``frame[r]`` is row r of a stack as a
+    frame, and iterating a stack yields its rows.  Sample 0 is at time 0;
+    per-element clock skew is applied during sampling, not here.
     """
 
     samples: np.ndarray
     sample_rate: float
-    start_time: float = 0.0
 
     def __post_init__(self):
         if self.sample_rate <= 0.0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         samples = np.asarray(self.samples, dtype=complex)
-        if samples.ndim != 1 or samples.size < 1:
-            raise ValueError("samples must be a non-empty 1-D sequence")
+        if samples.ndim not in (1, 2) or samples.size < 1:
+            raise ValueError("samples must be a non-empty frame (n,) or stack (rows, n)")
         samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
-        return self.samples.size
+        return self.samples.shape[-1]
+
+    def __getitem__(self, row) -> "SampleFrame":
+        return SampleFrame(self.samples[row], self.sample_rate)
 
     def times(self) -> np.ndarray:
         """Nominal sample instants on the shared output grid."""
-        return self.start_time + np.arange(self.samples.size) / self.sample_rate
+        return np.arange(len(self)) / self.sample_rate
 
     def scaled(self, factor) -> "SampleFrame":
-        return SampleFrame(self.samples * factor, self.sample_rate, self.start_time)
+        return SampleFrame(self.samples * factor, self.sample_rate)
 
 
 def sample_element(
@@ -267,31 +270,28 @@ def truncated_hadamard(n: int) -> ThmMatrix:
 
 
 def _stack_frames(frames, count: int):
-    """Check ``count`` frames share rate, length and start time; return (stack, frames[0])."""
+    """Check ``count`` frames share rate and length; return (stacked samples, rate)."""
     frames = list(frames)
     if len(frames) != count:
         raise ValueError(f"expected {count} frames, got {len(frames)}")
-    first = frames[0]
+    rate = frames[0].sample_rate
     for fr in frames[1:]:
-        if fr.sample_rate != first.sample_rate:
+        if fr.sample_rate != rate:
             raise ValueError("frames have mismatched sample rates")
-        if len(fr) != len(first):
+        if len(fr) != len(frames[0]):
             raise ValueError("frames have mismatched lengths")
-        if fr.start_time != first.start_time:
-            raise ValueError("frames have mismatched start times")
-    return np.vstack([fr.samples for fr in frames]), first
+    return np.vstack([fr.samples for fr in frames]), rate
 
 
-def mac_apply(frames, m: ThmMatrix):
+def mac_apply(frames, m: ThmMatrix) -> SampleFrame:
     """Apply each matrix row as a sample-wise multiply-accumulate.
 
-    Returns n-1 frames, one per row: output_r[k] = sum_i rows[r][i] *
-    frames[i][k].  The hardware's charge-share-then-transfer gain
-    bookkeeping is modeled as net unity weight.
+    Returns one stacked frame whose row r is output_r[k] = sum_i
+    rows[r][i] * frames[i][k].  The hardware's charge-share-then-transfer
+    gain bookkeeping is modeled as net unity weight.
     """
-    stack, first = _stack_frames(frames, m.n)
-    outputs = m.rows @ stack
-    return [SampleFrame(out, first.sample_rate, first.start_time) for out in outputs]
+    stack, rate = _stack_frames(frames, m.n)
+    return SampleFrame(m.rows @ stack, rate)
 
 
 def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
@@ -338,4 +338,4 @@ def equalize(
         raise ValueError(f"eps must be positive, got {eps}")
     keep = np.abs(g) >= eps
     y = np.where(keep, np.fft.fft(frame.samples) / np.where(keep, g, 1.0), 0.0)
-    return SampleFrame(np.fft.ifft(y), frame.sample_rate, frame.start_time)
+    return SampleFrame(np.fft.ifft(y), frame.sample_rate)

@@ -176,11 +176,17 @@ class StreamTerm:
     def eval(self, t) -> np.ndarray:
         """Sum of shaped symbol pulses at time ``t`` (scalar or ndarray)."""
         t_flat = np.asarray(t, dtype=float).ravel()
-        acc = np.empty(t_flat.shape, dtype=complex)
+        acc = np.zeros(t_flat.shape, dtype=complex)
+        # A pulse reaches only instants whose nearest symbol (k0 in _pulse_sum)
+        # is within span_symbols of the stream; every other instant stays 0.
+        k0 = np.rint(t_flat * self.symbol_rate)
+        span = self.span_symbols
+        reached = np.flatnonzero((k0 >= -span) & (k0 <= self.symbols.size - 1 + span))
         # Blocks keep each offset's temporaries small, so they are reused from
         # the heap and the cache instead of being freshly mapped every time.
-        for i in range(0, t_flat.size, _BLOCK):
-            acc[i : i + _BLOCK] = self._pulse_sum(t_flat[i : i + _BLOCK])
+        for i in range(0, reached.size, _BLOCK):
+            idx = reached[i : i + _BLOCK]
+            acc[idx] = self._pulse_sum(t_flat[idx])
         if self.center_freq != 0.0:
             acc *= np.exp(2j * np.pi * self.center_freq * t_flat)
         return _scalar_like(t, acc.reshape(np.shape(t)))

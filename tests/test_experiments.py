@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -449,6 +450,23 @@ class TestRunners:
         a = run_experiment(cfg, output_dir=tmp_path / "a")
         b = run_experiment(cfg, output_dir=tmp_path / "b")
         assert Path(a["csv"]).read_bytes() == Path(b["csv"]).read_bytes()
+
+
+class TestWriteCsv:
+    def test_matches_csv_writer(self, tmp_path):
+        header = ["a", "b", "c"]
+        rows = [
+            [3, 0.1, np.float64(2.0) / 3.0],
+            [math.inf, -math.inf, -0.0],
+            [np.float64(-0.0), "Q_N", np.float64(-1.5e-300)],
+            [np.int64(-7), 1e22, np.float64(math.inf)],
+        ]
+        experiments._write_csv(tmp_path / "plain.csv", header, rows)
+        with open(tmp_path / "csv.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
 class TestCli:

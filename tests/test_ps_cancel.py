@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from spica import (
     ArrayGeometry,
     PsCancelPlan,
-    SampleFrame,
     Scene,
     SceneMode,
     SourceSpec,
@@ -249,6 +248,3 @@ class TestCancelStream:
             ps_cancel_stream([base, other_rate], plan)
         with pytest.raises(ValueError, match="lengths"):
             ps_cancel_stream([base, other_len], plan)
-        shifted = SampleFrame(base.samples, 1e8, start_time=1e-6)
-        with pytest.raises(ValueError, match="start times"):
-            ps_cancel_stream([base, shifted], plan)

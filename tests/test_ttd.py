@@ -191,11 +191,10 @@ class TestSampleFrame:
         np.testing.assert_allclose(fr.times(), np.arange(4) / 2e8)
 
     def test_scaled(self):
-        fr = SampleFrame(np.ones(3, complex), 1e8, 1e-6)
+        fr = SampleFrame(np.ones(3, complex), 1e8)
         out = fr.scaled(2j)
         np.testing.assert_array_equal(out.samples, 2j * np.ones(3))
         assert out.sample_rate == 1e8
-        assert out.start_time == 1e-6
 
     def test_samples_are_read_only(self):
         fr = SampleFrame(np.zeros(4, complex), 2e8)
@@ -205,10 +204,10 @@ class TestSampleFrame:
     def test_validation(self):
         with pytest.raises(ValueError, match="sample_rate"):
             SampleFrame(np.zeros(4, complex), 0.0)
-        with pytest.raises(ValueError, match="1-D"):
-            SampleFrame(np.zeros((2, 2), complex), 1e8)
-        with pytest.raises(ValueError, match="1-D"):
-            SampleFrame(np.zeros(0, complex), 1e8)
+        assert len(SampleFrame(np.zeros((2, 3), complex), 1e8)) == 3
+        for bad in (1j, np.zeros((2, 2, 2)), np.zeros(0), np.zeros((2, 0)), np.zeros((0, 4))):
+            with pytest.raises(ValueError, match="non-empty frame"):
+                SampleFrame(bad, 1e8)
 
 
 class TestSampleElement:
@@ -304,7 +303,7 @@ class TestMacApply:
     def test_identical_inputs_cancel(self):
         fr = sample_element(tone(13e6, phase=0.4), 0.0, 1e8, 64)
         outs = mac_apply([fr] * 4, truncated_hadamard(4))
-        assert len(outs) == 3
+        assert outs.samples.shape == (3, 64)
         for out in outs:
             assert np.max(np.abs(out.samples)) == 0.0
 
@@ -337,6 +336,31 @@ class TestMacApply:
             g = desired_conversion_gain(f, delta, r, n)
             np.testing.assert_allclose(out.samples, g * base.samples, atol=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_n=st.integers(1, 6),
+        length=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_scalar_loop(self, log_n, length, seed):
+        n = 2**log_n
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((n, length)) + 1j * rng.standard_normal((n, length))).tolist()
+        m = truncated_hadamard(n)
+        out = mac_apply([SampleFrame(xi, 1e8) for xi in x], m)
+        assert len(out) == length and out.sample_rate == 1e8
+        rows = list(out)
+        assert len(rows) == n - 1
+        with pytest.raises(IndexError):
+            out[n - 1]
+        for r, row in enumerate(rows):
+            assert len(row) == length and row.sample_rate == 1e8
+            np.testing.assert_array_equal(out[r].samples, row.samples)
+            signs = m.rows[r].tolist()
+            for k, got in enumerate(row.samples.tolist()):
+                expected = sum(signs[i] * x[i][k] for i in range(n))
+                assert abs(got - expected) <= 1e-12 * n
+
     def test_frame_count_checked(self):
         fr = sample_element(tone(1e6), 0.0, 1e8, 8)
         with pytest.raises(ValueError, match="expected 4 frames"):
@@ -349,9 +373,6 @@ class TestMacApply:
             mac_apply([base, sample_element(tone(1e6), 0.0, 2e8, 8)], m)
         with pytest.raises(ValueError, match="lengths"):
             mac_apply([base, sample_element(tone(1e6), 0.0, 1e8, 9)], m)
-        shifted = SampleFrame(base.samples, 1e8, start_time=1e-6)
-        with pytest.raises(ValueError, match="start times"):
-            mac_apply([base, shifted], m)
 
 
 class TestDesiredConversionGain:

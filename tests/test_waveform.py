@@ -275,6 +275,25 @@ class TestStreamTerm:
         monkeypatch.setattr(waveform, "_BLOCK", 100)  # ten full blocks and a partial one
         np.testing.assert_allclose(stream.eval(t), whole, rtol=0, atol=1e-12 * 64e6**0.5)
 
+    def test_instants_no_symbol_reaches_are_exactly_zero(self, monkeypatch):
+        rate, span = 4e6, 6
+        syms = map_qpsk(np.random.default_rng(4).integers(0, 2, 80))
+        stream = StreamTerm(syms, rate, span_symbols=span, center_freq=5e6)
+        # 40 symbols; the grid runs 20 symbol periods past both ends, shuffled
+        # so the reached instants are not one contiguous run.
+        t = np.random.default_rng(6).permutation(np.linspace(-20 / rate, 60 / rate, 3001))
+        monkeypatch.setattr(waveform, "_BLOCK", 256)
+        got = stream.eval(t)
+        k0 = np.rint(t * rate)
+        before, after = k0 < -span, k0 > 39 + span
+        assert before.any() and after.any()
+        outside = before | after
+        assert np.all(got[outside] == 0)
+        np.testing.assert_array_equal(got[~outside], stream.eval(t[~outside]))
+        pulses = [s * rrc_pulse(t - k / rate, rate, 0.25, span) for k, s in enumerate(stream.symbols)]
+        expected = sum(pulses) * np.exp(2j * np.pi * 5e6 * t)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * rate**0.5)
+
     def test_occupied_bandwidth_drop(self):
         # Out-of-band floor is set by pulse truncation: roughly 44 dB below
         # the in-band level at the default span of 16, past 60 dB by span
