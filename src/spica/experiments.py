@@ -373,7 +373,8 @@ def preset(name: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns ({csv suffix: (header, rows)}, derived); suffix "" is the main CSV
+# runners: each returns ({csv suffix: (header, blocks)}, derived); suffix "" is the main CSV.
+# A block is a tuple of equal-length columns; _write_csv writes one at a time.
 
 
 def _scene(cfg: ExperimentConfig, desired: Waveform, undesired=None, delta=0.0) -> Scene:
@@ -425,16 +426,22 @@ _QUADRANT_NAMES = [q.name for q in Quadrant]
 
 
 def _plan_clocks(cfg: ExperimentConfig, targets):
-    """Planned clock delays for ``targets`` and each one's [pi_code, quadrant, offset]."""
-    codes = plan_delays(targets, cfg.max_offset)
-    pi_code, quadrant, offset = (c.tolist() for c in codes)
-    planned = [[p, _QUADRANT_NAMES[q], o] for p, q, o in zip(pi_code, quadrant, offset)]
-    return _total_delay(*codes), planned
+    """Planned clock delays for ``targets`` and the pi_code, quadrant and offset columns."""
+    pi_code, quadrant, offset = plan_delays(targets, cfg.max_offset)
+    names = [_QUADRANT_NAMES[q] for q in quadrant.tolist()]
+    return _total_delay(pi_code, quadrant, offset), (pi_code.tolist(), names, offset.tolist())
+
+
+def _planned_configs(columns) -> list:
+    """Each target's [pi_code, quadrant, offset], as the manifest records it."""
+    return [list(c) for c in zip(*columns)]
 
 
 def _run_ps_leakage(cfg: ExperimentConfig):
     grid = np.linspace(cfg.fnorm_start, cfg.fnorm_stop, cfg.fnorm_count)
-    rows = []
+    # Every element count shares the grid, so its text is formatted once.
+    grid_text = list(map(str, grid.tolist()))
+    blocks = []
     derived = {}
     for n in cfg.ps_n_elements:
         plan = PsCancelPlan.for_angle(n, cfg.theta_ud_deg, cfg.d_over_lambda)
@@ -443,50 +450,58 @@ def _run_ps_leakage(cfg: ExperimentConfig):
         with np.errstate(divide="ignore"):
             leak_db = 20.0 * np.log10(res)
             rej_db = -20.0 * np.log10(res / n)
-        columns = zip(grid.tolist(), leak_db.tolist(), rej_db.tolist())
-        rows += [[n, fn, lk, rj] for fn, lk, rj in columns]
+        blocks.append(([n] * grid.size, grid_text, leak_db, rej_db))
     header = ["n_elements", "f_norm", "leak_db_single", "rej_db_array"]
-    return {"": (header, rows)}, derived
+    return {"": (header, blocks)}, derived
+
+
+def _sweep_block(freqs, delta, n_rows, *values):
+    """One delay's block of a tone sweep: each tone's rows, then the ``values`` columns."""
+    size = freqs.size * n_rows
+    return (np.repeat(freqs, n_rows), [delta] * size, [*range(n_rows)] * freqs.size, *values)
 
 
 def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
-    rows = []
+    n_rows = cfg.n_elements - 1
+    blocks = []
     derived = {"planned_configs": {}}
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         ideal = _clock_targets(cfg, delta)
-        quant, derived["planned_configs"][f"{delta!r}"] = _plan_clocks(cfg, ideal)
+        quant, planned = _plan_clocks(cfg, ideal)
+        derived["planned_configs"][f"{delta!r}"] = _planned_configs(planned)
+        depths = ([], [])
         for f_idx, freq in enumerate(freqs):
             freq = float(freq)
             scene = _scene(cfg, Waveform(), Waveform(terms=(ToneTerm(1.0, freq),)), delta)
             band = (freq - cfg.band_halfwidth_hz, freq + cfg.band_halfwidth_hz)
-            depths = []
             for branch, delays in enumerate((ideal, quant)):
                 seed_key = (cfg.seed or 0, d_idx, f_idx, branch)
                 outs, ref = _sample_scene(cfg, scene, delays, seed_key)
-                depths.append(cancellation_depth(ref, outs, band))
-            rows += [[freq, delta, r, *pair] for r, pair in enumerate(zip(*depths))]
+                depths[branch].extend(cancellation_depth(ref, outs, band))
+        blocks.append(_sweep_block(freqs, delta, n_rows, *depths))
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
-    return {"": (header, rows)}, derived
+    return {"": (header, blocks)}, derived
 
 
 def _run_desired_gain(cfg: ExperimentConfig):
     n = cfg.n_elements
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
-    rows = []
+    blocks = []
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         delays = [i * delta for i in range(n)]
+        theory_db, measured = [], []
         for f_idx, freq in enumerate(freqs):
             freq = float(freq)
             scene = _scene(cfg, Waveform(terms=(ToneTerm(1.0, freq),)))
             outs, ref = _sample_scene(cfg, scene, delays, (cfg.seed or 0, d_idx, f_idx))
-            measured = conversion_gain_measured(outs, ref, freq)
-            for r, gain in enumerate(measured):
+            measured += conversion_gain_measured(outs, ref, freq)
+            for r in range(n - 1):
                 theory = desired_conversion_gain(freq, delta, r, n)
-                theory_db = 20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf
-                rows.append([freq, delta, r, theory_db, gain])
+                theory_db.append(20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf)
+        blocks.append(_sweep_block(freqs, delta, n - 1, theory_db, measured))
     header = ["freq_hz", "delta_s", "row", "gain_db_theory", "gain_db_measured"]
-    return {"": (header, rows)}, {}
+    return {"": (header, blocks)}, {}
 
 
 def _qpsk_stream(cfg: ExperimentConfig, stream_id: int, n_symbols: int, rate, center):
@@ -516,9 +531,10 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     half = _half_occupied(cfg, cfg.symbol_rate_hz)
     band = (cfg.center_freq_hz - half, cfg.center_freq_hz + half)
     depths = cancellation_depth(ref, outs, band)
-    rows = [[r, band[0], band[1], depth] for r, depth in enumerate(depths)]
-    derived = {"planned_configs": planned, "occupied_band_hz": [band[0], band[1]]}
-    return {"": (header, rows)}, derived
+    n_rows = len(depths)
+    block = (range(n_rows), [band[0]] * n_rows, [band[1]] * n_rows, depths)
+    derived = {"planned_configs": _planned_configs(planned), "occupied_band_hz": list(band)}
+    return {"": (header, [block])}, derived
 
 
 def _genie_timing(cfg: ExperimentConfig) -> float:
@@ -551,36 +567,33 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     quant, planned = _plan_clocks(cfg, _clock_targets(cfg, delta))
     outs, _ = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
 
-    rows = []
+    evms = []
     constellation = []
+    ref = desired_stream.symbols
     for r, out in enumerate(outs):
         eq = equalize(out, row=r, delta=delta, n=cfg.n_elements, eps=cfg.eq_eps)
         recovered = recover_symbols(eq, desired_stream, genie_timing=genie)
-        evm = evm_percent(recovered, desired_stream.symbols)
-        rows.append([r, cfg.desired_n_symbols, evm])
+        evms.append(evm_percent(recovered, ref))
         # Export the fitted constellation alongside the reference points.
-        a = np.vdot(recovered, desired_stream.symbols) / np.vdot(recovered, recovered)
-        constellation += [
-            [r, k, ref.real, ref.imag, float(rx.real), float(rx.imag)]
-            for k, (ref, rx) in enumerate(zip(desired_stream.symbols, a * recovered))
-        ]
+        rx = np.vdot(recovered, ref) / np.vdot(recovered, recovered) * recovered
+        indices = range(ref.size)
+        constellation.append(([r] * ref.size, indices, ref.real, ref.imag, rx.real, rx.imag))
+    n_symbols = [cfg.desired_n_symbols] * len(evms)
     tables = {
-        "": (["row", "n_symbols", "evm_percent"], rows),
+        "": (["row", "n_symbols", "evm_percent"], [(range(len(evms)), n_symbols, evms)]),
         "_constellation": (
             ["row", "symbol_index", "ref_re", "ref_im", "rx_re", "rx_im"],
             constellation,
         ),
     }
-    return tables, {"planned_configs": planned, "genie_timing_s": genie}
+    return tables, {"planned_configs": _planned_configs(planned), "genie_timing_s": genie}
 
 
 def _run_plan_clock(cfg: ExperimentConfig):
     targets = cfg.plan_targets_s
     total, planned = _plan_clocks(cfg, targets)
-    errors = (total - targets).tolist()
-    rows = [[t, *c, tot, err] for t, c, tot, err in zip(targets, planned, total.tolist(), errors)]
     header = ["target_s", "pi_code", "quadrant", "interleave_offset", "total_s", "error_s"]
-    return {"": (header, rows)}, {}
+    return {"": (header, [(targets, *planned, total, total - targets)])}, {}
 
 
 # Experiment -> (config checks run after the shared ones in validate, runner).
@@ -615,9 +628,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     _, runner = _KINDS[cfg.experiment]
     tables, derived = runner(cfg)
     outputs = {}
-    for suffix, (header, rows) in tables.items():
+    for suffix, (header, blocks) in tables.items():
         path = out_dir / f"{cfg.output}{suffix}.csv"
-        _write_csv(path, header, rows)
+        _write_csv(path, header, blocks)
         outputs[suffix.lstrip("_") or "csv"] = path.name
 
     manifest = {
@@ -635,13 +648,27 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     return {
         "csv": str(out_dir / outputs["csv"]),
         "manifest": str(manifest_path),
-        "rows": len(tables[""][1]),
+        "rows": sum(len(block[0]) for block in tables[""][1]),
         "derived": derived,
     }
 
 
-def _write_csv(path, header, rows):
-    # Matches csv.writer's output: str gives float.__repr__ for floats and
-    # np.float64, and no field written here holds a comma, quote or newline.
+def _write_csv(path, header, blocks):
+    """Write ``header``, then each block of a column-block table in turn.
+
+    A block is a tuple of equal-length columns (numpy arrays or sequences),
+    one per field; writing block by block keeps one block's text alive at a
+    time.  Each column goes through one ``map(str, ...)`` (arrays after
+    ``.tolist()``) and each line is one format call.  The bytes equal
+    csv.writer's: str gives float.__repr__ for floats and np.float64, and no
+    field written here holds a comma, quote or newline.
+    """
+    line = ",".join(["{}"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in (header, *rows))
+        fh.write(line.format(*header))
+        for block in blocks:
+            lengths = [len(column) for column in block]
+            if len(block) != len(header) or len(set(lengths)) > 1:
+                raise ValueError(f"block column lengths {lengths} do not fit {len(header)} fields")
+            texts = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in block]
+            fh.writelines(map(line.format, *texts))

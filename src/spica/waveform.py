@@ -20,8 +20,12 @@ __all__ = [
     "map_qpsk",
 ]
 
-# Tolerance for detecting the removable singularities of the RRC formula.
+# Tolerance for detecting the removable singularity of the RRC formula at x = 0.
 _SINGULARITY_TOL = 1e-8
+# Half-width of the window of |4*b*x| around 1 where _rrc_edge replaces the
+# RRC formula.  Outside it 1 - (4*b*x)**2 is at least about 0.02, so the
+# formula's cancellation costs at most about 100 ulps.
+_EDGE_WINDOW = 1e-2
 # Instants per block of StreamTerm evaluation.
 _BLOCK = 8192
 
@@ -71,26 +75,38 @@ def _rrc_shape(x, sin_a, cos_b, b: float, span_symbols: int | None, scale: float
 
     ``sin_a`` and ``cos_b`` are sin(pi*(1-b)*x) and cos(pi*(1+b)*x), however
     the caller computed them.  The generic formula is used away from its two
-    removable singularities, x = 0 and |4*b*x| = 1, which take their limits.
-    Past ``span_symbols`` the pulse is zero; the cutoff is slightly tolerant
-    so instants exactly on the boundary are kept whatever their rounding.
+    removable singularities: x = 0 takes its limit, and near |4*b*x| = 1,
+    where the formula cancels, ``_rrc_edge`` evaluates it.  Past
+    ``span_symbols`` the pulse is zero; the cutoff is slightly tolerant so
+    instants exactly on the boundary are kept whatever their rounding.
     """
     y = 4.0 * b * x
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (sin_a + y * cos_b) / (np.pi * x * (1.0 - y**2)) * scale
     ax = np.abs(x)
     out[ax < _SINGULARITY_TOL] = scale * (1.0 - b + 4.0 * b / np.pi)
-    edge = np.abs(np.abs(y) - 1.0) < _SINGULARITY_TOL
-    if edge.any():
-        a = np.pi / (4.0 * b)
-        out[edge] = (
-            scale
-            * (b / np.sqrt(2.0))
-            * ((1.0 + 2.0 / np.pi) * np.sin(a) + (1.0 - 2.0 / np.pi) * np.cos(a))
-        )
+    edge = np.flatnonzero(np.abs(np.abs(y) - 1.0) < _EDGE_WINDOW)
+    if edge.size:
+        out[edge] = _rrc_edge(ax[edge], b) * scale
     if span_symbols is not None:
         out[ax > float(span_symbols) + 1e-9] = 0.0
     return out
+
+
+def _rrc_edge(ax, b: float):
+    """Unit-rate RRC pulse at ``ax`` = |x| near its edge singularity x_e = 1/(4*b).
+
+    With h = ax - x_e and u = pi*(1-b)*x_e, so that pi*(1+b)*x_e = u + pi/2,
+    sum-to-product turns the numerator into
+    -2*sin(pi*b*h)*cos(u + pi*h) - 4*b*h*sin(u + pi*(1+b)*h) and the
+    denominator is -4*pi*b*h*ax*(2 + 4*b*h).  Both vanish with h and no O(1)
+    terms cancel, so h divides out exactly (sin(pi*b*h) = pi*b*h*sinc(b*h)).
+    """
+    x_e = 0.25 / b
+    h = ax - x_e
+    u = np.pi * (1.0 - b) * x_e
+    num = np.pi * np.sinc(b * h) * np.cos(u + np.pi * h) + 2.0 * np.sin(u + np.pi * (1.0 + b) * h)
+    return num / (2.0 * np.pi * ax * (2.0 + 4.0 * b * h))
 
 
 _QPSK_NORM = 1.0 / np.sqrt(2.0)

@@ -36,6 +36,14 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def write_with_csv_writer(path, header, rows):
+    """The oracle for _write_csv: the standard library's writer over plain rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 class TestConfigValidation:
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="unknown config field.*fnorm_stp"):
@@ -289,7 +297,7 @@ class TestRunners:
             assert abs(float(r[5])) <= 2.5e-12 * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("grid", [False, True], ids=["fig10", "grid-20001"])
-    def test_plan_clock_rows_match_scalar_planner(self, grid):
+    def test_plan_clock_rows_match_scalar_planner(self, grid, tmp_path):
         cfg = preset("fig10")
         if grid:
             targets = np.linspace(0.0, 15e-9, 20_001).tolist()
@@ -301,8 +309,12 @@ class TestRunners:
             expected.append(
                 [target, c.pi_code, c.quadrant.name, c.interleave_offset, total, total - target]
             )
-        tables, _ = experiments._run_plan_clock(cfg)
-        assert repr(tables[""][1]) == repr(expected)
+        result = run_experiment(cfg, output_dir=tmp_path)
+        header, _ = read_csv(result["csv"])
+        oracle = tmp_path / "oracle.csv"
+        write_with_csv_writer(oracle, header, expected)
+        assert Path(result["csv"]).read_bytes() == oracle.read_bytes()
+        assert result["rows"] == len(expected)
 
     def test_ps_leakage_rows_and_nulls(self, tmp_path):
         cfg = ExperimentConfig(
@@ -319,6 +331,18 @@ class TestRunners:
         for r in center:
             assert float(r[2]) < -250.0
             assert float(r[3]) > 250.0
+        # Every element count's block pairs the shared grid with its own
+        # leakage, row by row: a plain alternating-sign sum at each f_norm.
+        grid = np.linspace(cfg.fnorm_start, cfg.fnorm_stop, cfg.fnorm_count).tolist()
+        step = 2.0 * math.pi * cfg.d_over_lambda * math.sin(math.radians(cfg.theta_ud_deg))
+        for i, (n, f_norm, leak_db, rej_db) in enumerate(rows):
+            n, f_norm = int(n), float(f_norm)
+            assert (n, f_norm) == ((4, 16)[i // 5], grid[i % 5])
+            if f_norm != 1.0:
+                z = complex(math.cos(step * (1 - f_norm)), math.sin(step * (1 - f_norm)))
+                leak = abs(sum((-z) ** k for k in range(n)))
+                assert float(leak_db) == pytest.approx(20.0 * math.log10(leak), abs=1e-9)
+                assert float(rej_db) == pytest.approx(-20.0 * math.log10(leak / n), abs=1e-9)
 
     def test_tone_sweep_reduced(self, tmp_path):
         cfg = ExperimentConfig(
@@ -452,6 +476,37 @@ class TestRunners:
         assert Path(a["csv"]).read_bytes() == Path(b["csv"]).read_bytes()
 
 
+# Field text csv.writer never quotes: no comma, quote or line break.
+_PLAIN_TEXT = st.text(
+    st.characters(min_codepoint=32, max_codepoint=0x2FF, blacklist_characters=',"'), min_size=1
+)
+_EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e22])
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def tables_as_blocks(draw):
+    """Columns of every kind a runner writes, and a random split of their rows into blocks."""
+    n_rows = draw(st.integers(0, 12))
+    kinds = {
+        "float": st.floats() | _EDGE_FLOATS,
+        "int": _INT64,
+        "float64": st.floats() | _EDGE_FLOATS,
+        "int64": _INT64,
+        "str": _PLAIN_TEXT,
+    }
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=5)):
+        values = draw(st.lists(kinds[kind], min_size=n_rows, max_size=n_rows))
+        if kind in ("float64", "int64"):
+            values = np.array(values, dtype=kind)
+        columns.append(values)
+    cuts = sorted(draw(st.lists(st.integers(0, n_rows), max_size=4)))
+    bounds = list(zip([0, *cuts], [*cuts, n_rows]))
+    blocks = [tuple(column[lo:hi] for column in columns) for lo, hi in bounds]
+    return columns, blocks
+
+
 class TestWriteCsv:
     def test_matches_csv_writer(self, tmp_path):
         header = ["a", "b", "c"]
@@ -461,12 +516,67 @@ class TestWriteCsv:
             [np.float64(-0.0), "Q_N", np.float64(-1.5e-300)],
             [np.int64(-7), 1e22, np.float64(math.inf)],
         ]
-        experiments._write_csv(tmp_path / "plain.csv", header, rows)
-        with open(tmp_path / "csv.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        blocks = [tuple(zip(*rows[:2])), tuple(zip(*rows[2:]))]
+        experiments._write_csv(tmp_path / "plain.csv", header, blocks)
+        write_with_csv_writer(tmp_path / "csv.csv", header, rows)
         assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+
+    @given(table=tables_as_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_csv_writer_rows(self, table):
+        # Rows of the numpy columns hold numpy scalars, so this also pins
+        # str(x) of .tolist() to str of np.float64 and np.int64.
+        columns, blocks = table
+        header = [f"c{i}" for i in range(len(columns))]
+        with tempfile.TemporaryDirectory() as out:
+            experiments._write_csv(Path(out, "blocks.csv"), header, blocks)
+            write_with_csv_writer(Path(out, "rows.csv"), header, zip(*columns))
+            assert Path(out, "blocks.csv").read_bytes() == Path(out, "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "block",
+        [([1, 2], [3.0]), (np.zeros(3), [1.0, 2.0]), ([1], [2], [3]), ([1],)],
+        ids=["ragged-lists", "ragged-array", "extra-column", "missing-column"],
+    )
+    def test_block_that_does_not_fit_raises(self, block, tmp_path):
+        with pytest.raises(ValueError, match="column lengths"):
+            experiments._write_csv(tmp_path / "bad.csv", ["a", "b"], [([0], [0]), block])
+
+
+# A small config of each kind; the no-interferer one writes zero rows in zero blocks.
+_SMALL_CONFIGS = {
+    "ps_leakage": dict(experiment="PS_LEAKAGE", ps_n_elements=[4, 16], fnorm_count=5),
+    "tone_sweep": dict(
+        experiment="TTD_TONE_SWEEP",
+        delta_ud_s=[1e-9, 2e-9],
+        tone_start_hz=10e6,
+        tone_stop_hz=90e6,
+        tone_count=3,
+        frame_len=256,
+    ),
+    "desired_gain": dict(
+        experiment="DESIRED_GAIN", delta_ud_s=[1e-9, 2.5e-9], tone_count=2, frame_len=256
+    ),
+    "modulated": dict(experiment="TTD_MODULATED", delta_ud_s=[2.347e-9], seed=1, frame_len=2048),
+    "modulated_no_interferer": dict(
+        experiment="TTD_MODULATED", delta_ud_s=[2e-9], seed=5, interferer=False
+    ),
+    "qpsk_evm": dict(
+        experiment="QPSK_EVM", delta_ud_s=[2.5e-9], seed=11, desired_n_symbols=8, frame_len=8192
+    ),
+    "plan_clock": dict(experiment="PLAN_CLOCK", plan_targets_s=[0.0, 1e-9, 7.3e-9]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_CONFIGS))
+def test_rows_count_data_lines_of_main_csv(name, tmp_path):
+    cfg = ExperimentConfig.from_dict(_SMALL_CONFIGS[name])
+    result = run_experiment(cfg, output_dir=tmp_path)
+    lines = Path(result["csv"]).read_bytes().split(b"\r\n")
+    assert lines[-1] == b""
+    assert result["rows"] == len(lines) - 2
+    if name == "modulated_no_interferer":
+        assert result["rows"] == 0
 
 
 class TestCli:

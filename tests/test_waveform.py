@@ -56,8 +56,7 @@ def stream_by_mpmath(stream, t):
     """40-digit sum of ``stream``'s shaped pulses at the float instant ``t``, taken exactly.
 
     Returns the value, or None when a symbol sits so close to the span
-    cutoff (or, for b > 0, so close to |4bx| = 1 without being on it) that
-    rounding decides the double-precision answer.
+    cutoff that rounding decides the double-precision answer.
     """
     with mpmath.workdps(40):
         b = mpmath.mpf(stream.rolloff)
@@ -67,8 +66,6 @@ def stream_by_mpmath(stream, t):
         for k, sym in enumerate(stream.symbols.tolist()):
             x = mpmath.mpf(t) * rate - k
             if abs(abs(x) - cutoff) < 1e-11:
-                return None
-            if b > 0 and 1e-12 < abs(abs(4 * b * x) - 1) < 1e-4:
                 return None
             if abs(x) <= cutoff:
                 total += mpmath.mpc(sym) * rrc_by_mpmath(x, b)
@@ -85,12 +82,13 @@ def streams_and_instants(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     symbols = rng.standard_normal(n_sym) + 1j * rng.standard_normal(n_sym)
     # In symbol periods: on symbol k (x = 0), just off it, on the span
-    # cutoff, then random.
+    # cutoff, on and just off |4bx| = 1, then random.
     k = draw(st.integers(0, n_sym - 1))
     near = draw(st.floats(2e-8, 1e-3))
     positions = [k, k - near, k + near, k - span, k + span]
     if rolloff > 0.0 and 1.0 / (4.0 * rolloff) <= span:
-        positions += [k + 1.0 / (4.0 * rolloff), k - 1.0 / (4.0 * rolloff)]  # |4bx| = 1
+        edge = 1.0 / (4.0 * rolloff)
+        positions += [k + edge, k - edge, k + edge + near, k - edge - near, k + edge - near]
     positions += draw(st.lists(st.floats(-span - 2.0, n_sym + span + 1.0), min_size=1, max_size=5))
     return StreamTerm(symbols, rate, rolloff, span), np.array(positions) / rate
 
@@ -113,6 +111,21 @@ class TestRrcPulse:
         near = rrc_pulse(x0 * (1.0 + 1e-7), 1.0, b)
         assert at == pytest.approx(near, rel=1e-5)
         assert np.isfinite(at)
+
+    @given(
+        b=st.floats(1e-6, 1.0),
+        h=st.floats(-1e-3, 1e-3).filter(bool),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_near_edge_singularity_matches_mpmath(self, b, h, side):
+        # Near |4bx| = 1 the closed form's numerator and denominator both
+        # vanish; the pulse must still hold 1e-12 of its peak.
+        x = side * (0.25 / b + h)
+        with mpmath.workdps(40):
+            expected = float(rrc_by_mpmath(mpmath.mpf(x), mpmath.mpf(b)))
+        peak = 1.0 - b + 4.0 * b / np.pi
+        assert abs(rrc_pulse(x, 1.0, b, span_symbols=None) - expected) <= 1e-12 * peak
 
     def test_beyond_span_is_zero(self):
         assert rrc_pulse(16.5, 1.0, 0.25) == 0.0
