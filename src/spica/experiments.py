@@ -432,9 +432,10 @@ def _plan_clocks(cfg: ExperimentConfig, targets):
     return _total_delay(pi_code, quadrant, offset), (pi_code.tolist(), names, offset.tolist())
 
 
-def _planned_configs(columns) -> list:
-    """Each target's [pi_code, quadrant, offset], as the manifest records it."""
-    return [list(c) for c in zip(*columns)]
+def _plan_rows(cfg: ExperimentConfig, targets):
+    """Planned clock delays for ``targets`` and the manifest's [pi_code, quadrant, offset] rows."""
+    total, columns = _plan_clocks(cfg, targets)
+    return total, [list(c) for c in zip(*columns)]
 
 
 def _run_ps_leakage(cfg: ExperimentConfig):
@@ -468,8 +469,8 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     derived = {"planned_configs": {}}
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         ideal = _clock_targets(cfg, delta)
-        quant, planned = _plan_clocks(cfg, ideal)
-        derived["planned_configs"][f"{delta!r}"] = _planned_configs(planned)
+        quant, planned = _plan_rows(cfg, ideal)
+        derived["planned_configs"][f"{delta!r}"] = planned
         depths = ([], [])
         for f_idx, freq in enumerate(freqs):
             freq = float(freq)
@@ -526,14 +527,14 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     stream = _interferer_stream(cfg)
     scale = 1.0 / math.sqrt(cfg.symbol_rate_hz)  # unit mean power
     scene = _scene(cfg, Waveform(), Waveform(terms=(stream,), scale=scale), delta)
-    quant, planned = _plan_clocks(cfg, _clock_targets(cfg, delta))
+    quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
     outs, ref = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
     half = _half_occupied(cfg, cfg.symbol_rate_hz)
     band = (cfg.center_freq_hz - half, cfg.center_freq_hz + half)
     depths = cancellation_depth(ref, outs, band)
     n_rows = len(depths)
     block = (range(n_rows), [band[0]] * n_rows, [band[1]] * n_rows, depths)
-    derived = {"planned_configs": _planned_configs(planned), "occupied_band_hz": list(band)}
+    derived = {"planned_configs": planned, "occupied_band_hz": list(band)}
     return {"": (header, [block])}, derived
 
 
@@ -564,7 +565,7 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
         power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
         interferer = Waveform(terms=(stream,), scale=math.sqrt(power))
     scene = _scene(cfg, desired_wave, interferer, delta)
-    quant, planned = _plan_clocks(cfg, _clock_targets(cfg, delta))
+    quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
     outs, _ = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
 
     evms = []
@@ -586,7 +587,7 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
             constellation,
         ),
     }
-    return tables, {"planned_configs": _planned_configs(planned), "genie_timing_s": genie}
+    return tables, {"planned_configs": planned, "genie_timing_s": genie}
 
 
 def _run_plan_clock(cfg: ExperimentConfig):

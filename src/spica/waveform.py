@@ -85,8 +85,8 @@ def _rrc_shape(x, sin_a, cos_b, b: float, span_symbols: int | None, scale: float
         out = (sin_a + y * cos_b) / (np.pi * x * (1.0 - y**2)) * scale
     ax = np.abs(x)
     out[ax < _SINGULARITY_TOL] = scale * (1.0 - b + 4.0 * b / np.pi)
-    edge = np.flatnonzero(np.abs(np.abs(y) - 1.0) < _EDGE_WINDOW)
-    if edge.size:
+    edge = np.abs(np.abs(y) - 1.0) < _EDGE_WINDOW
+    if edge.any():
         out[edge] = _rrc_edge(ax[edge], b) * scale
     if span_symbols is not None:
         out[ax > float(span_symbols) + 1e-9] = 0.0

@@ -144,6 +144,14 @@ class TestRrcPulse:
         vec = rrc_pulse(t, 1.0, 0.25)
         scl = np.array([rrc_pulse(float(x), 1.0, 0.25) for x in t])
         np.testing.assert_allclose(vec, scl, rtol=0, atol=1e-15)
+        # 2-D grids holding x = 0 and the edge x = 1/(4b) = 1 keep their shape and
+        # match the scalar calls element-wise.
+        for grid in ([[0.0, 1.0]], [[1.0, 0.0], [2.0, 3.0]], t.reshape(1, 41), t[:40].reshape(2, 20)):
+            grid = np.asarray(grid)
+            vec = rrc_pulse(grid, 1.0, 0.25)
+            assert vec.shape == grid.shape
+            scl = np.vectorize(lambda x: rrc_pulse(float(x), 1.0, 0.25))(grid)
+            np.testing.assert_allclose(vec, scl, rtol=0, atol=1e-15)
 
     def test_unit_energy(self):
         # Discrete energy of a finely sampled long-span pulse approaches 1.
