@@ -8,7 +8,7 @@ of undesired (interfering) sources.  Two synthesis modes are supported:
   inter-element delays directly at baseband.
 * ``RF_DERIVED``  - envelope delays plus the carrier-phase rotation each
   element would acquire at RF; a separate LO alignment stage (``lo_align``)
-  supplies the per-element phasors that de-rotate one chosen source.
+  supplies the per-element phasors that de-rotate the first interferer.
 """
 
 from __future__ import annotations
@@ -133,24 +133,17 @@ def element_signal(scene: Scene, i: int) -> Waveform:
     return Waveform(terms=tuple(parts), scale=scene.element_mismatch[k])
 
 
-def lo_align(scene: Scene, target="undesired") -> np.ndarray:
-    """Per-element phasors that cancel one source's carrier-phase progression.
+def lo_align(scene: Scene) -> np.ndarray:
+    """Per-element phasors that cancel the first interferer's carrier-phase progression.
 
-    ``target`` selects the source: "desired" or "undesired" (the first
-    interferer).  Only meaningful in RF_DERIVED mode; BB_DIRECT scenes carry
-    no carrier phase to align.
+    Only meaningful in RF_DERIVED mode; BB_DIRECT scenes carry no carrier
+    phase to align.
     """
     if scene.mode is not SceneMode.RF_DERIVED:
         raise ValueError("lo_align requires RF_DERIVED mode")
-    if target == "desired":
-        src = scene.desired
-    elif target == "undesired":
-        if not scene.undesired:
-            raise ValueError("scene has no undesired sources")
-        src = scene.undesired[0]
-    else:
-        raise ValueError(f"unknown target selector: {target!r}")
-    dt = scene.source_delay(src)
+    if not scene.undesired:
+        raise ValueError("scene has no undesired sources")
+    dt = scene.source_delay(scene.undesired[0])
     fc = scene.geometry.carrier_freq
     idx = np.arange(scene.geometry.n_elements)
     return np.exp(2j * np.pi * fc * idx * dt)

@@ -164,7 +164,7 @@ class ExperimentConfig:
 
 
 def _has_type(value, hint) -> bool:
-    """JSON type check: bools are not numbers, ints pass as floats, enums take strings."""
+    """JSON type check: no bools as numbers, ints and finite floats as floats, strings as enums."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
@@ -173,7 +173,7 @@ def _has_type(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     if issubclass(hint, enum.Enum):
         return isinstance(value, (str, hint))
     return isinstance(value, hint)
@@ -399,8 +399,8 @@ def _sample_scene(cfg: ExperimentConfig, scene, delays, seed_key):
     point, not run order.
     """
     phasors = None
-    if scene.mode is SceneMode.RF_DERIVED:
-        phasors = lo_align(scene, "undesired" if scene.undesired else "desired")
+    if scene.mode is SceneMode.RF_DERIVED and scene.undesired:
+        phasors = lo_align(scene)
     frames = []
     for i in range(1, scene.geometry.n_elements + 1):
         wave = element_signal(scene, i)

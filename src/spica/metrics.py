@@ -79,8 +79,8 @@ def _welch_freqs(nfft: int, fs: float) -> np.ndarray:
     return freqs
 
 
-def welch_power(samples, fs: float, nfft: int, overlap: float = 0.5):
-    """Hann-windowed, overlap-averaged two-sided power spectrum over the last axis.
+def welch_power(samples, fs: float, nfft: int):
+    """Hann-windowed, 50%-overlap-averaged two-sided power spectrum over the last axis.
 
     ``samples`` has shape ``(..., n)``; each leading index is one frame.
     Returns ``(freqs, pxx, enbw_bins)``: ascending bin frequencies, linear
@@ -96,10 +96,8 @@ def welch_power(samples, fs: float, nfft: int, overlap: float = 0.5):
     n = x.shape[-1]
     if n < nfft:
         raise ValueError(f"frame length {n} < nfft {nfft}")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap must be in [0, 1), got {overlap}")
     win = _hann(nfft)
-    starts = range(0, n - nfft + 1, nfft - int(round(nfft * overlap)))
+    starts = range(0, n - nfft + 1, nfft - int(round(nfft * 0.5)))
     acc = np.zeros(x.shape[:-1] + (nfft,))
     for s in starts:
         acc += np.abs(np.fft.fft(x[..., s : s + nfft] * win)) ** 2
@@ -109,12 +107,12 @@ def welch_power(samples, fs: float, nfft: int, overlap: float = 0.5):
     return _welch_freqs(nfft, fs), np.maximum(pxx, _DB_FLOOR), enbw
 
 
-def welch_psd(frame: SampleFrame, nfft: int = 4096, overlap: float = 0.5) -> PsdEstimate:
-    """Hann-windowed, overlap-averaged two-sided power spectrum of one frame.
+def welch_psd(frame: SampleFrame, nfft: int = 4096) -> PsdEstimate:
+    """Hann-windowed, 50%-overlap-averaged two-sided power spectrum of one frame.
 
     Raises ValueError if the frame is shorter than ``nfft``.
     """
-    freqs, pxx, enbw = welch_power(frame.samples, frame.sample_rate, nfft, overlap)
+    freqs, pxx, enbw = welch_power(frame.samples, frame.sample_rate, nfft)
     return PsdEstimate(freqs=freqs, power_db=10.0 * np.log10(pxx), enbw_bins=enbw)
 
 

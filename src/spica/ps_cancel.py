@@ -1,15 +1,15 @@
 """Phase-shift cancellation baseline.
 
 Aligns elements with per-element carrier-frequency phase shifts and sums
-them under a balanced +/-1 sign pattern.  The alignment is exact at one
-frequency only, so a wideband interferer leaks back in away from the
-carrier; this module provides the closed-form leakage (residual gain) and
-the sample-domain combiner used to cross-check it.
+them with even elements subtracted from odd ones.  The alignment is exact
+at one frequency only, so a wideband interferer leaks back in away from
+the carrier; this module provides the closed-form leakage (residual gain)
+and the sample-domain combiner used to cross-check it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,47 +18,34 @@ from .waveform import _scalar_like
 
 __all__ = [
     "PsCancelPlan",
-    "alternating_signs",
     "ps_residual_gain",
     "ps_cancel_stream",
 ]
 
 
-def alternating_signs(n: int) -> tuple:
-    """The subtract-even-from-odd pattern (+1, -1, +1, -1, ...)."""
-    return tuple(1 if i % 2 == 0 else -1 for i in range(n))
-
-
 @dataclass(frozen=True)
 class PsCancelPlan:
-    """Sign pattern plus per-element alignment phase step.
+    """Per-element alignment phase step under the subtract-even-from-odd signs.
 
-    ``signs`` must be balanced (equal +1 and -1 counts), so ``n_elements``
-    is a power of 2 of at least 2.
+    ``signs`` is derived: (+1, -1, +1, -1, ...), balanced because
+    ``n_elements`` must be a power of 2 of at least 2.
     """
 
     n_elements: int
     align_phase: float
-    signs: tuple
+    signs: tuple = field(init=False)
 
     def __post_init__(self):
         n = self.n_elements
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"n_elements must be a power of 2 >= 2, got {n}")
-        signs = tuple(int(s) for s in self.signs)
-        if len(signs) != n:
-            raise ValueError(f"signs length {len(signs)} != n_elements {n}")
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must contain only +1 and -1")
-        if sum(signs) != 0:
-            raise ValueError("signs must balance (+1 count == -1 count)")
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", (1, -1) * (n // 2))
 
     @classmethod
     def for_angle(cls, n: int, theta_ud_deg: float, d_over_lambda: float) -> "PsCancelPlan":
         """Alternating-sign plan aligned to an interferer at ``theta_ud_deg``."""
         phase = 2.0 * np.pi * d_over_lambda * np.sin(np.radians(theta_ud_deg))
-        return cls(n_elements=n, align_phase=phase, signs=alternating_signs(n))
+        return cls(n_elements=n, align_phase=phase)
 
 
 def ps_residual_gain(

@@ -104,7 +104,8 @@ def plan_delays(targets, max_offset: int = 2):
 
     Greedy coarse-to-fine: largest interleave offset not exceeding the
     target, then the largest quadrant, then the nearest phase-interpolator
-    code.  Each result is within 2.5 ps (half a PI step) of its target.
+    code.  Each result is within 2.5 ps (half a PI step) of its target;
+    the range end lies on the PI grid, so no total passes it.
 
     Parameters
     ----------
@@ -137,12 +138,6 @@ def plan_delays(targets, max_offset: int = 2):
     quadrant = np.minimum(np.floor(r1 / QUADRANT_STEP).astype(np.int64), 3)
     rem = r1 - quadrant * QUADRANT_STEP
     pi_code = np.clip(np.floor(rem / PI_STEP + 0.5).astype(np.int64), 0, 255)
-    total = _total_delay(pi_code, quadrant, offset)
-    over = np.flatnonzero(total > hi)
-    if over.size:
-        raise ValueError(
-            f"total delay {total.flat[over[0]]:.6e} s exceeds range {max_range:.6e} s"
-        )
     return pi_code, quadrant, offset
 
 

@@ -172,7 +172,7 @@ class TestLoAlign:
         # after alignment a zero-frequency interferer looks identical at
         # every element, which is what makes the sign-flip sum cancel it
         sc = self.rf_scene()
-        ph = lo_align(sc, target="undesired")
+        ph = lo_align(sc)
         t = np.linspace(0.0, 1e-6, 9)
         vals = [ph[i - 1] * element_signal(sc, i).eval(t) for i in (1, 2, 3, 4)]
         # strip the desired source by using a desired-free comparison scene
@@ -184,18 +184,7 @@ class TestLoAlign:
             np.testing.assert_allclose(v, ud_vals[0], atol=1e-12)
         assert len(vals) == 4
 
-    def test_target_selectors(self):
-        sc = self.rf_scene()
-        np.testing.assert_allclose(lo_align(sc, "undesired"), lo_align(sc))
-        ph_des = lo_align(sc, target="desired")
-        np.testing.assert_allclose(ph_des, np.ones(4), atol=1e-15)
-
     def test_no_undesired(self):
         sc = Scene(GEO, SourceSpec(tone(1e6)), mode=SceneMode.RF_DERIVED)
         with pytest.raises(ValueError, match="no undesired"):
             lo_align(sc)
-
-    def test_unknown_selector(self):
-        for target in (3.5, 0):
-            with pytest.raises(ValueError, match="target"):
-                lo_align(self.rf_scene(), target=target)

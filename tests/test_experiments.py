@@ -169,8 +169,21 @@ MODULATED = {
     "center_freq_hz": 50.01e6,
     "frame_len": 4096,
 }
+PLAN = {"experiment": "PLAN_CLOCK", "plan_targets_s": [4e-9]}
+LEAKAGE = {"experiment": "PS_LEAKAGE"}
 # (valid base config, field set, bad value, field the error must name)
 BAD_VALUES = [
+    pytest.param(PLAN, "seed", -1, "seed", id="seed-negative"),
+    pytest.param(PLAN, "sample_rate_hz", 0, "sample_rate_hz", id="sample_rate_hz-zero"),
+    pytest.param(PLAN, "noise_rms", -1, "noise_rms", id="noise_rms-negative"),
+    pytest.param(PLAN, "max_offset", -1, "max_offset", id="max_offset-negative"),
+    pytest.param(LEAKAGE, "ps_n_elements", [], "ps_n_elements", id="ps_n_elements-empty"),
+    pytest.param(LEAKAGE, "theta_ud_deg", 91.0, "theta_ud_deg", id="theta_ud_deg-past-90"),
+    pytest.param(LEAKAGE, "fnorm_stop", 0.8, "fnorm_stop", id="fnorm_stop-below-start"),
+    pytest.param(TONE_SWEEP, "tone_stop_hz", 0.5e6, "tone_stop_hz", id="tone_stop_hz-below-start"),
+    pytest.param(MODULATED, "delta_ud_s", [1e-9, 2e-9], "delta_ud_s", id="modulated-two-delays"),
+    pytest.param(MODULATED, "rolloff", 1.5, "rolloff", id="rolloff-past-1"),
+    pytest.param(QPSK, "eq_eps", 0, "eq_eps", id="eq_eps-zero"),
     # zero delay: G_r(f) is 0 everywhere, nothing to equalize
     pytest.param(QPSK, "delta_ud_s", [0.0], "delta_ud_s", id="qpsk-zero-delta_ud_s"),
     # negative delay: genie timing does not include the common clock offset
@@ -187,7 +200,27 @@ BAD_VALUES = [
 ]
 
 
+NAN, INF = float("nan"), float("inf")
+GAIN = {"experiment": "DESIRED_GAIN", "delta_ud_s": [1e-9]}
+# json.load reads NaN and Infinity; each config must exit 1 naming its own field
+NON_FINITE = [
+    ({**TONE_SWEEP, "delta_ud_s": [NAN], "tone_count": 2}, "delta_ud_s"),
+    ({**LEAKAGE, "fnorm_start": NAN, "fnorm_count": 3}, "fnorm_start"),
+    ({**QPSK, "delta_ud_s": [2.347e-9], "interferer_excess_db": NAN}, "interferer_excess_db"),
+    ({**TONE_SWEEP, "tone_count": 2, "seed": 1, "noise_rms": NAN}, "noise_rms"),
+    ({**GAIN, "band_halfwidth_hz": INF}, "band_halfwidth_hz"),
+    ({**PLAN, "sample_rate_hz": NAN}, "sample_rate_hz"),
+]
+
+
 class TestValueTypes:
+    @pytest.mark.parametrize("cfg,named", NON_FINITE, ids=[n for _, n in NON_FINITE])
+    def test_non_finite_number_exits_1_naming_field(self, tmp_path, capsys, cfg, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
+        assert f"config error: {named}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", BAD_TYPES, ids=[f for f, _ in BAD_TYPES])
     def test_wrong_json_type_exits_1_naming_field(self, tmp_path, capsys, field, value):
         cfg = {"experiment": "PLAN_CLOCK", "plan_targets_s": [4e-9], field: value}
@@ -424,6 +457,24 @@ class TestRunners:
             total = config_total_delay(ClockConfig(pi_code, Quadrant[quadrant], offset))
             assert abs(total - (i * delta + shift)) <= 2.5e-12 * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"experiment": "TTD_MODULATED", "delta_ud_s": [2.347e-9], "seed": 1, "frame_len": 4096},
+            {"experiment": "DESIRED_GAIN", "delta_ud_s": [1e-9, 2.5e-9], "tone_count": 5},
+        ],
+        ids=["modulated", "desired_gain"],
+    )
+    def test_rf_derived_matches_bb_direct(self, tmp_path, cfg):
+        # the LO phasors undo the interferer's carrier rotation, and the
+        # broadside desired source has none, so both modes measure the same
+        values = {}
+        for mode in ("BB_DIRECT", "RF_DERIVED"):
+            config = ExperimentConfig.from_dict({**cfg, "mode": mode, "output": mode})
+            _, rows = read_csv(run_experiment(config, output_dir=tmp_path)["csv"])
+            values[mode] = np.array(rows, dtype=float)
+        np.testing.assert_allclose(values["RF_DERIVED"], values["BB_DIRECT"], rtol=0, atol=1e-9)
+
     def test_qpsk_evm_small(self, tmp_path):
         cfg = ExperimentConfig(
             Experiment.QPSK_EVM,
@@ -611,6 +662,16 @@ class TestCli:
         assert "pi_code=50" in out
         assert "quadrant=Q_N" in out
         assert "interleave_offset=0" in out
+
+    def test_runtime_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg, output_dir=None):
+            raise RuntimeError("simulated failure")
+
+        monkeypatch.setattr("spica.cli.run_experiment", fail)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(PLAN))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "error: simulated failure" in capsys.readouterr().err
 
     def test_plan_out_of_range_is_config_error(self, capsys):
         assert main(["plan", "1e-6"]) == 1

@@ -248,6 +248,8 @@ class TestStreamTerm:
             StreamTerm([], 1e6)
         with pytest.raises(ValueError):
             StreamTerm([0.0, 0.0], 1e6)
+        with pytest.raises(ValueError, match="span_symbols must be >= 1"):
+            StreamTerm([1.0], 1e6, span_symbols=0)
 
     def test_finite_support(self):
         st_ = StreamTerm([1.0 + 0j], 1e6, span_symbols=4)
