@@ -7,6 +7,7 @@ import enum
 import json
 import math
 import os
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,7 +165,7 @@ class ExperimentConfig:
 
 
 def _has_type(value, hint) -> bool:
-    """JSON type check: no bools as numbers, ints and finite floats as floats, strings as enums."""
+    """JSON type check: no bools as numbers, numbers in float range as floats, strings as enums."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
@@ -173,7 +174,7 @@ def _has_type(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if issubclass(hint, enum.Enum):
         return isinstance(value, (str, hint))
     return isinstance(value, hint)
@@ -390,13 +391,13 @@ def _scene(cfg: ExperimentConfig, desired: Waveform, undesired=None, delta=0.0) 
     )
 
 
-def _sample_scene(cfg: ExperimentConfig, scene, delays, seed_key):
-    """Row outputs and the single-input reference for one sweep point.
+def _sample_scene(cfg: ExperimentConfig, scene, delays, keys):
+    """Row outputs and the single-input reference for one sweep point or tone chunk.
 
     Column 0 of the truncated Hadamard matrix is all +1, so with only
     element 1 driven every row outputs element 1's frame: that frame is
     each row's no-cancellation reference.  Noise seeds are keyed by sweep
-    point, not run order.
+    point, not run order: ``keys`` has one key per tone of a chunk, or a single key.
     """
     phasors = None
     if scene.mode is SceneMode.RF_DERIVED and scene.undesired:
@@ -406,7 +407,7 @@ def _sample_scene(cfg: ExperimentConfig, scene, delays, seed_key):
         wave = element_signal(scene, i)
         if phasors is not None:
             wave = wave * phasors[i - 1]
-        seed = np.random.SeedSequence([*seed_key, i]) if cfg.noise_rms > 0.0 else None
+        seed = [np.random.SeedSequence([*key, i]) for key in keys] if cfg.noise_rms else None
         fs, n, noise = cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms
         frames.append(sample_element(wave, delays[i - 1], fs, n, noise, seed))
     return mac_apply(frames, truncated_hadamard(cfg.n_elements)), frames[0]
@@ -462,6 +463,11 @@ def _sweep_block(freqs, delta, n_rows, *values):
     return (np.repeat(freqs, n_rows), [delta] * size, [*range(n_rows)] * freqs.size, *values)
 
 
+# Tones sampled and measured together, each chunk before the next; four cut
+# the per-tone Python overhead, and larger chunks ran slower and grew peak RSS.
+_TONE_CHUNK = 4
+
+
 def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
     n_rows = cfg.n_elements - 1
@@ -472,14 +478,14 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
         quant, planned = _plan_rows(cfg, ideal)
         derived["planned_configs"][f"{delta!r}"] = planned
         depths = ([], [])
-        for f_idx, freq in enumerate(freqs):
-            freq = float(freq)
-            scene = _scene(cfg, Waveform(), Waveform(terms=(ToneTerm(1.0, freq),)), delta)
-            band = (freq - cfg.band_halfwidth_hz, freq + cfg.band_halfwidth_hz)
+        for c in range(0, freqs.size, _TONE_CHUNK):
+            chunk = freqs[c : c + _TONE_CHUNK]
+            scene = _scene(cfg, Waveform(), Waveform(terms=(ToneTerm(1.0, chunk[:, None]),)), delta)
+            band = (chunk - cfg.band_halfwidth_hz, chunk + cfg.band_halfwidth_hz)
             for branch, delays in enumerate((ideal, quant)):
-                seed_key = (cfg.seed or 0, d_idx, f_idx, branch)
-                outs, ref = _sample_scene(cfg, scene, delays, seed_key)
-                depths[branch].extend(cancellation_depth(ref, outs, band))
+                keys = [(cfg.seed or 0, d_idx, c + j, branch) for j in range(chunk.size)]
+                outs, ref = _sample_scene(cfg, scene, delays, keys)
+                depths[branch].extend(sum(cancellation_depth(ref, outs, band), []))
         blocks.append(_sweep_block(freqs, delta, n_rows, *depths))
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
     return {"": (header, blocks)}, derived
@@ -492,14 +498,16 @@ def _run_desired_gain(cfg: ExperimentConfig):
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         delays = [i * delta for i in range(n)]
         theory_db, measured = [], []
-        for f_idx, freq in enumerate(freqs):
-            freq = float(freq)
-            scene = _scene(cfg, Waveform(terms=(ToneTerm(1.0, freq),)))
-            outs, ref = _sample_scene(cfg, scene, delays, (cfg.seed or 0, d_idx, f_idx))
-            measured += conversion_gain_measured(outs, ref, freq)
-            for r in range(n - 1):
-                theory = desired_conversion_gain(freq, delta, r, n)
-                theory_db.append(20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf)
+        for c in range(0, freqs.size, _TONE_CHUNK):
+            chunk = freqs[c : c + _TONE_CHUNK]
+            scene = _scene(cfg, Waveform(terms=(ToneTerm(1.0, chunk[:, None]),)))
+            keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
+            outs, ref = _sample_scene(cfg, scene, delays, keys)
+            measured += sum(conversion_gain_measured(outs, ref, chunk), [])
+            for freq in chunk.tolist():
+                for r in range(n - 1):
+                    theory = desired_conversion_gain(freq, delta, r, n)
+                    theory_db.append(20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf)
         blocks.append(_sweep_block(freqs, delta, n - 1, theory_db, measured))
     header = ["freq_hz", "delta_s", "row", "gain_db_theory", "gain_db_measured"]
     return {"": (header, blocks)}, {}
@@ -528,7 +536,7 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     scale = 1.0 / math.sqrt(cfg.symbol_rate_hz)  # unit mean power
     scene = _scene(cfg, Waveform(), Waveform(terms=(stream,), scale=scale), delta)
     quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
-    outs, ref = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
+    outs, ref = _sample_scene(cfg, scene, quant, [(cfg.seed, 2)])
     half = _half_occupied(cfg, cfg.symbol_rate_hz)
     band = (cfg.center_freq_hz - half, cfg.center_freq_hz + half)
     depths = cancellation_depth(ref, outs, band)
@@ -566,7 +574,7 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
         interferer = Waveform(terms=(stream,), scale=math.sqrt(power))
     scene = _scene(cfg, desired_wave, interferer, delta)
     quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
-    outs, _ = _sample_scene(cfg, scene, quant, (cfg.seed, 2))
+    outs, _ = _sample_scene(cfg, scene, quant, [(cfg.seed, 2)])
 
     evms = []
     constellation = []

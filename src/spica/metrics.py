@@ -116,14 +116,18 @@ def welch_psd(frame: SampleFrame, nfft: int = 4096) -> PsdEstimate:
     return PsdEstimate(freqs=freqs, power_db=10.0 * np.log10(pxx), enbw_bins=enbw)
 
 
-def _band_sum(freqs, pxx, enbw: float, f_lo: float, f_hi: float):
-    """Linear power over [f_lo, f_hi] (inclusive) for each frame of ``pxx``."""
-    if f_hi < f_lo:
-        raise ValueError("band upper edge below lower edge")
-    mask = (freqs >= f_lo) & (freqs <= f_hi)
-    if not np.any(mask):
-        raise ValueError(f"band [{f_lo}, {f_hi}] Hz contains no PSD bins")
-    return np.sum(pxx[..., mask], axis=-1) / enbw
+def _band_sum(freqs, pxx, enbw: float, f_lo, f_hi, lead=()):
+    """Linear power over [f_lo, f_hi] (inclusive) per frame; edges broadcast to ``lead``."""
+    lo, hi = np.broadcast_to(f_lo, lead), np.broadcast_to(f_hi, lead)
+    out = np.empty(pxx.shape[:-1])
+    for idx in np.ndindex(lead):
+        if hi[idx] < lo[idx]:
+            raise ValueError("band upper edge below lower edge")
+        mask = (freqs >= lo[idx]) & (freqs <= hi[idx])
+        if not np.any(mask):
+            raise ValueError(f"band [{lo[idx]}, {hi[idx]}] Hz contains no PSD bins")
+        out[idx] = np.sum(pxx[idx][..., mask], axis=-1) / enbw
+    return out
 
 
 def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
@@ -132,61 +136,73 @@ def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
     return float(_band_sum(psd.freqs, linear, psd.enbw_bins, f_lo, f_hi))
 
 
+def _leading(one: SampleFrame, many: SampleFrame):
+    """Leading shape of ``one``, and whether ``many`` adds a row axis after it."""
+    if many.sample_rate != one.sample_rate:
+        raise ValueError("frames have mismatched sample rates")
+    lead, extra = one.samples.shape[:-1], many.samples.ndim - one.samples.ndim
+    if many.samples.shape[: len(lead)] != lead or extra not in (0, 1):
+        raise ValueError(f"frame shapes {many.samples.shape} and {one.samples.shape} do not pair")
+    return lead, extra == 1
+
+
 def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
     """Band-integrated power ratio ref / canc in dB.
 
     ``ref`` is the output with a single input applied (no cancellation),
     ``canc`` the output with all inputs applied.  Returns +inf when the
-    cancelled band power is exactly zero.  ``canc`` may also be a stacked
-    frame (such as ``mac_apply``'s rows); the result is then a list with one
-    depth per row, measured against one reference spectrum.
+    cancelled band power is exactly zero.  ``canc`` may add a row axis
+    (``mac_apply``'s rows), each row measured against the one reference.
+    Leading axes of ``ref``, such as k tones ``(k, n)`` against ``canc`` of
+    ``(k, rows, n)``, carry one band edge each (or share scalar edges).
+    The result has ``canc``'s leading shape: a float, or a nested list.
     """
-    if canc.sample_rate != ref.sample_rate:
-        raise ValueError("frames have mismatched sample rates")
-    nfft = min(4096, len(ref), len(canc))
-    f_lo, f_hi = band
-    fs = ref.sample_rate
-    p_ref = float(_band_sum(*welch_power(ref.samples, fs, nfft), f_lo, f_hi))
-    p_canc = _band_sum(*welch_power(np.atleast_2d(canc.samples), fs, nfft), f_lo, f_hi)
+    lead, rows = _leading(ref, canc)
+    nfft, fs = min(4096, len(ref), len(canc)), ref.sample_rate
+    p_ref = _band_sum(*welch_power(ref.samples, fs, nfft), *band, lead)
+    p_canc = _band_sum(*welch_power(canc.samples, fs, nfft), *band, lead)
+    ratio = (p_ref[..., None] if rows else p_ref) / p_canc
     # The all-zero frame hits the PSD floor rather than true zero; treat
     # anything at the floor as perfect cancellation.
     depths = [
-        math.inf if p <= _DB_FLOOR * nfft else 10.0 * math.log10(p_ref / p)
-        for p in p_canc.tolist()
+        math.inf if p <= _DB_FLOOR * nfft else 10.0 * math.log10(r)
+        for p, r in zip(p_canc.flat, ratio.flat)
     ]
-    return depths if canc.samples.ndim == 2 else depths[0]
+    return np.reshape(depths, p_canc.shape).tolist()
 
 
-def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f: float):
+def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):
     """Measured conversion gain at a tone frequency, in dB.
 
     Ratio of output tone power with all inputs applied to the power with
-    one input applied, read at the tone's bin.  Raises MeasurementError if
-    the tone does not stand above the spectral floor in either frame.
-    ``all_in`` may also be a stacked frame (such as ``mac_apply``'s rows);
-    the result is then a list with one gain per row, against one reference
-    spectrum.
+    one input applied, read at the tone's bin.  Raises MeasurementError,
+    naming the tone, if it does not stand above the spectral floor in
+    either frame.  ``all_in`` may add a row axis (such as
+    ``mac_apply``'s rows), each row read against the one reference.
+    Leading axes of ``one_in``, such as k tones ``(k, n)`` against
+    ``all_in`` of ``(k, rows, n)``, carry one frequency each (or share a
+    scalar ``f``).  The result has ``all_in``'s leading shape, as above.
     """
-    if all_in.sample_rate != one_in.sample_rate:
-        raise ValueError("frames have mismatched sample rates")
-    nfft = min(4096, len(all_in), len(one_in))
-    fs = one_in.sample_rate
-    freqs, p_all, _ = welch_power(np.atleast_2d(all_in.samples), fs, nfft)
+    lead, _ = _leading(one_in, all_in)
+    nfft, fs = min(4096, len(all_in), len(one_in)), one_in.sample_rate
+    freqs, p_all, _ = welch_power(all_in.samples, fs, nfft)
     _, p_one, _ = welch_power(one_in.samples, fs, nfft)
     db_all, db_one = 10.0 * np.log10(p_all), 10.0 * np.log10(p_one)
-    bin_idx = int(np.argmin(np.abs(freqs - f)))
-    for db, name in ((db_all, "all-input"), (db_one, "one-input")):
-        peak_db = np.atleast_1d(db[..., bin_idx])
-        floor_db = np.atleast_1d(np.median(db, axis=-1))
-        low = np.flatnonzero(peak_db < floor_db + 10.0)
-        if low.size:
-            k = low[0]
-            raise MeasurementError(
-                f"tone at {f:.6g} Hz is below the {name} spectral floor "
-                f"({peak_db[k]:.1f} dB vs median {floor_db[k]:.1f} dB)"
-            )
-    gains = (db_all[:, bin_idx] - db_one[bin_idx]).tolist()
-    return gains if all_in.samples.ndim == 2 else gains[0]
+    tones = np.broadcast_to(f, lead)
+    gains = np.empty(db_all.shape[:-1])
+    for idx in np.ndindex(lead):
+        tone = float(tones[idx])
+        bin_idx = int(np.argmin(np.abs(freqs - tone)))
+        for db, name in ((db_all[idx], "all-input"), (db_one[idx], "one-input")):
+            peak_db, floor_db = np.atleast_1d(db[..., bin_idx], np.median(db, axis=-1))
+            low = np.flatnonzero(peak_db < floor_db + 10.0)
+            if low.size:
+                raise MeasurementError(
+                    f"tone at {tone:.6g} Hz is below the {name} spectral floor "
+                    f"({peak_db[low[0]]:.1f} dB vs median {floor_db[low[0]]:.1f} dB)"
+                )
+        gains[idx] = db_all[idx][..., bin_idx] - db_one[idx][bin_idx]
+    return gains.tolist()
 
 
 def evm_percent(rx_symbols, ref_symbols) -> float:
@@ -213,9 +229,7 @@ def evm_percent(rx_symbols, ref_symbols) -> float:
     return 100.0 * math.sqrt(err / ref_power)
 
 
-def recover_symbols(
-    frame: SampleFrame, stream: StreamTerm, genie_timing: float
-) -> np.ndarray:
+def recover_symbols(frame: SampleFrame, stream: StreamTerm, genie_timing: float) -> np.ndarray:
     """Matched-filter symbol recovery with genie timing, no blind sync.
 
     ``genie_timing`` is the absolute time of symbol 0 and the phase
@@ -250,7 +264,5 @@ def recover_symbols(
     if float(np.max(np.abs(idx_float - idx))) > 1e-3:
         raise ValueError("symbol instants do not land on the sample grid")
     if idx.min() < half or idx.max() > len(frame) - 1 - half:
-        raise ValueError(
-            "frame does not cover the symbol span plus matched-filter support"
-        )
+        raise ValueError("frame does not cover the symbol span plus matched-filter support")
     return matched[idx]

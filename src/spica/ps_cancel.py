@@ -48,9 +48,7 @@ class PsCancelPlan:
         return cls(n_elements=n, align_phase=phase)
 
 
-def ps_residual_gain(
-    plan: PsCancelPlan, f_norm, theta_ud_deg: float, d_over_lambda: float
-):
+def ps_residual_gain(plan: PsCancelPlan, f_norm, theta_ud_deg: float, d_over_lambda: float):
     """Complex leakage gain of the phase-shift combiner at f = f_norm * f_c.
 
     sum_i signs[i] * z**i,  z = exp(j*(align_phase - 2*pi*f_norm*(d/lambda)*sin(theta)))

@@ -128,9 +128,7 @@ def plan_delays(targets, max_offset: int = 2):
     lo, hi = -max_range * _RANGE_RTOL, max_range * (1.0 + _RANGE_RTOL)
     bad = np.flatnonzero(~((t >= lo) & (t <= hi)))
     if bad.size:
-        raise ValueError(
-            f"target delay {t.flat[bad[0]]:.6e} s outside [0, {max_range:.6e}] s"
-        )
+        raise ValueError(f"target delay {t.flat[bad[0]]:.6e} s outside [0, {max_range:.6e}] s")
     t = np.clip(t, 0.0, max_range)
 
     offset = np.minimum(np.floor(t / INTERLEAVE_STEP).astype(np.int64), max_offset)
@@ -149,12 +147,11 @@ def plan_delay(target: float, max_offset: int = 2) -> ClockConfig:
 
 @dataclass(frozen=True)
 class SampleFrame:
-    """Uniform-rate complex samples: one frame ``(n,)`` or a stack ``(rows, n)``.
+    """Uniform-rate complex samples: a frame ``(n,)`` or a stack of frames.
 
-    A stack holds equal-length frames, such as ``mac_apply``'s row outputs.
-    ``len`` is the samples per frame, ``frame[r]`` is row r of a stack as a
-    frame, and iterating a stack yields its rows.  Sample 0 is at time 0;
-    per-element clock skew is applied during sampling, not here.
+    A stack is ``(rows, n)`` (``mac_apply``'s rows), ``(k, n)`` (k tones) or
+    ``(k, rows, n)`` (each tone's rows).  ``len`` is the samples per frame;
+    ``frame[i]`` and iteration walk the first axis.  Sample 0 is at time 0.
     """
 
     samples: np.ndarray
@@ -163,10 +160,9 @@ class SampleFrame:
     def __post_init__(self):
         if self.sample_rate <= 0.0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        samples = np.asarray(self.samples, dtype=complex)
-        if samples.ndim not in (1, 2) or samples.size < 1:
-            raise ValueError("samples must be a non-empty frame (n,) or stack (rows, n)")
-        samples = samples.copy()
+        samples = np.array(self.samples, dtype=complex)
+        if not 1 <= samples.ndim <= 3 or samples.size < 1:
+            raise ValueError("samples must be a non-empty frame (n,) or stack of up to 3 axes")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -197,7 +193,8 @@ def sample_element(
     The k-th sample is ``sig(k / sample_rate + d)`` where ``d`` is the clock
     delay: a delayed clock advances the evaluation instant, so an element
     whose arrival is late by d and whose clock is late by d produces the
-    reference-aligned stream.
+    reference-aligned stream.  The frame has the shape ``sig`` returns:
+    ``(n,)``, or ``(k, n)`` for k tones ``ToneTerm(1.0, freqs[:, None])``.
 
     Parameters
     ----------
@@ -209,8 +206,9 @@ def sample_element(
         unquantized (ideal) clocking.
     noise_rms : float
         Total rms of the additive circular complex white noise per sample.
-    seed : int, SeedSequence or None
-        Noise generator seed; required whenever noise_rms > 0.
+    seed : int, SeedSequence, a list of them, or None
+        Noise seed, required whenever noise_rms > 0; a list holds one seed
+        per tone, so each tone draws the noise it would draw alone.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -220,9 +218,10 @@ def sample_element(
     if noise_rms > 0.0:
         if seed is None:
             raise ValueError("seed is required when noise_rms > 0")
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, 2))
-        samples = samples + noise_rms / np.sqrt(2.0) * (z[:, 0] + 1j * z[:, 1])
+        seeds = seed if isinstance(seed, list) else [seed]
+        z = [np.random.default_rng(s).standard_normal((n, 2)) for s in seeds]
+        z = np.reshape(z, samples.shape + (2,))
+        samples = samples + noise_rms / np.sqrt(2.0) * (z[..., 0] + 1j * z[..., 1])
     return SampleFrame(samples, sample_rate)
 
 
@@ -243,12 +242,9 @@ class ThmMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = np.array(self.rows, dtype=np.int64)
         if rows.shape != (self.n - 1, self.n):
-            raise ValueError(
-                f"rows shape {rows.shape} != ({self.n - 1}, {self.n})"
-            )
-        rows = rows.copy()
+            raise ValueError(f"rows shape {rows.shape} != ({self.n - 1}, {self.n})")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -265,7 +261,7 @@ def truncated_hadamard(n: int) -> ThmMatrix:
 
 
 def _stack_frames(frames, count: int):
-    """Check ``count`` frames share rate and length; return (stacked samples, rate)."""
+    """Check ``count`` frames share rate and shape; return (stack, rate), elements 2nd to last."""
     frames = list(frames)
     if len(frames) != count:
         raise ValueError(f"expected {count} frames, got {len(frames)}")
@@ -273,17 +269,19 @@ def _stack_frames(frames, count: int):
     for fr in frames[1:]:
         if fr.sample_rate != rate:
             raise ValueError("frames have mismatched sample rates")
-        if len(fr) != len(frames[0]):
-            raise ValueError("frames have mismatched lengths")
-    return np.vstack([fr.samples for fr in frames]), rate
+        if fr.samples.shape != frames[0].samples.shape:
+            raise ValueError("frames have mismatched lengths or tone counts")
+    return np.moveaxis(np.stack([fr.samples for fr in frames]), 0, -2), rate
 
 
 def mac_apply(frames, m: ThmMatrix) -> SampleFrame:
     """Apply each matrix row as a sample-wise multiply-accumulate.
 
     Returns one stacked frame whose row r is output_r[k] = sum_i
-    rows[r][i] * frames[i][k].  The hardware's charge-share-then-transfer
-    gain bookkeeping is modeled as net unity weight.
+    rows[r][i] * frames[i][k]: ``(rows, n)`` from ``(n,)`` frames, and
+    ``(k, rows, n)`` from the ``(n_elements, k, n)`` stack of k-tone frames.
+    The hardware's charge-share-then-transfer gain bookkeeping is modeled
+    as net unity weight.
     """
     stack, rate = _stack_frames(frames, m.n)
     return SampleFrame(m.rows @ stack, rate)

@@ -14,18 +14,31 @@ from hypothesis import strategies as st
 
 from spica import experiments
 from spica import (
+    ArrayGeometry,
     ClockConfig,
     ConfigError,
     Experiment,
     ExperimentConfig,
+    MeasurementError,
     Quadrant,
+    Scene,
     SceneMode,
+    SourceSpec,
+    ToneTerm,
+    Waveform,
+    cancellation_depth,
     config_total_delay,
+    conversion_gain_measured,
+    desired_conversion_gain,
+    element_signal,
     load_config,
+    mac_apply,
     plan_delay,
     preset,
     preset_names,
     run_experiment,
+    sample_element,
+    truncated_hadamard,
 )
 from spica.cli import main
 
@@ -249,6 +262,16 @@ class TestValueTypes:
         err = capsys.readouterr().err
         assert "delta_ud_s:" in err and "max_offset" in err
         ExperimentConfig.from_dict({**cfg, "max_offset": 3})  # the advice holds
+
+    def test_integer_past_float_range_exits_1_naming_field(self, tmp_path, capsys):
+        # json.load reads a 401-digit integer; no float holds it
+        cfg = {**TONE_SWEEP, "tone_count": 2, "band_halfwidth_hz": 10**400}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
+        assert "config error: band_halfwidth_hz:" in capsys.readouterr().err
+        largest = int(np.finfo(float).max)
+        ExperimentConfig.from_dict({**cfg, "band_halfwidth_hz": largest})  # type check passes
 
     def test_integer_accepted_for_float_field(self):
         cfg = ExperimentConfig.from_dict(
@@ -525,6 +548,101 @@ class TestRunners:
         a = run_experiment(cfg, output_dir=tmp_path / "a")
         b = run_experiment(cfg, output_dir=tmp_path / "b")
         assert Path(a["csv"]).read_bytes() == Path(b["csv"]).read_bytes()
+
+
+def per_tone_rows(cfg: ExperimentConfig) -> list:
+    """Rows of a BB_DIRECT tone sweep or desired-gain CSV, one tone at a time.
+
+    Each tone gets its own scene and its own sampling, combining and
+    measurement calls; noise seeds follow the runners' documented
+    (seed, delay, tone, [branch,] element) keys.
+    """
+    n, fs, n_samples = cfg.n_elements, cfg.sample_rate_hz, cfg.frame_len
+    geometry = ArrayGeometry(n, cfg.d_over_lambda, cfg.carrier_freq_hz)
+    sweep = cfg.experiment is Experiment.TTD_TONE_SWEEP
+    rows = []
+    for d_idx, delta in enumerate(cfg.delta_ud_s):
+        shift = min(0.0, (n - 1) * delta)
+        ideal = [i * delta - shift for i in range(n)]
+        quant = [config_total_delay(plan_delay(t, cfg.max_offset)) for t in ideal]
+        for f_idx, f in enumerate(np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)):
+            f = float(f)
+            tone = SourceSpec(Waveform(terms=(ToneTerm(1.0, f),)))
+            if sweep:
+                interferer = SourceSpec(tone.waveform, explicit_delay_override=delta)
+                scene = Scene(geometry, SourceSpec(Waveform()), (interferer,))
+            else:
+                scene = Scene(geometry, tone)
+            values = []
+            for branch, delays in enumerate((ideal, quant) if sweep else (ideal,)):
+                key = (cfg.seed or 0, d_idx, f_idx, branch)[: 4 if sweep else 3]
+                frames = []
+                for i in range(1, n + 1):
+                    seed = np.random.SeedSequence([*key, i]) if cfg.noise_rms else None
+                    wave = element_signal(scene, i)
+                    frames.append(
+                        sample_element(wave, delays[i - 1], fs, n_samples, cfg.noise_rms, seed)
+                    )
+                outs = mac_apply(frames, truncated_hadamard(n))
+                if sweep:
+                    band = (f - cfg.band_halfwidth_hz, f + cfg.band_halfwidth_hz)
+                    values.append(cancellation_depth(frames[0], outs, band))
+                else:
+                    gains = [abs(desired_conversion_gain(f, delta, r, n)) for r in range(n - 1)]
+                    values.append([20.0 * math.log10(g) if g else -math.inf for g in gains])
+                    values.append(conversion_gain_measured(outs, frames[0], f))
+            rows += [[f, delta, r, *(v[r] for v in values)] for r in range(n - 1)]
+    return rows
+
+
+# Tone runner configs, each run at tone counts on both sides of the 4-tone
+# chunk edges (99 ends in a 3-tone chunk).
+_TONE_RUNS = {
+    "sweep": dict(experiment="TTD_TONE_SWEEP", delta_ud_s=[1e-9, -2.5e-9], band_halfwidth_hz=1e6),
+    "sweep_noisy": dict(
+        experiment="TTD_TONE_SWEEP",
+        delta_ud_s=[2e-9],
+        band_halfwidth_hz=1e6,
+        noise_rms=1e-3,
+        seed=7,
+    ),
+    "gain": dict(experiment="DESIRED_GAIN", delta_ud_s=[1e-9, 2.5e-9]),
+}
+
+
+@pytest.mark.parametrize("count", [1, 4, 5, 99])
+@pytest.mark.parametrize("name", sorted(_TONE_RUNS))
+def test_tone_runners_match_per_tone_reference(name, count, tmp_path):
+    start, stop = (37e6, 37e6) if count == 1 else (1e6, 99e6)
+    grid = dict(tone_start_hz=start, tone_stop_hz=stop, tone_count=count, frame_len=256)
+    cfg = ExperimentConfig.from_dict({**_TONE_RUNS[name], **grid})
+    _, rows = read_csv(run_experiment(cfg, output_dir=tmp_path)["csv"])
+    expected = per_tone_rows(cfg)
+    assert len(rows) == len(expected) == count * len(cfg.delta_ud_s) * 3
+    for got, want in zip(rows, expected):
+        assert [float(v) for v in got] == want
+
+
+def test_below_floor_tone_inside_a_chunk_is_named(tmp_path):
+    # at 5 ns per element row 0 nulls 50 MHz, the third tone of the first
+    # chunk, and leaves only noise there
+    cfg = ExperimentConfig.from_dict(
+        {
+            "experiment": "DESIRED_GAIN",
+            "delta_ud_s": [5e-9],
+            "tone_start_hz": 40e6,
+            "tone_stop_hz": 60e6,
+            "tone_count": 5,
+            "noise_rms": 1e-3,
+            "seed": 1,
+            "frame_len": 256,
+        }
+    )
+    with pytest.raises(MeasurementError, match=r"tone at 5e\+07 Hz is below the all-input") as err:
+        run_experiment(cfg, output_dir=tmp_path)
+    with pytest.raises(MeasurementError) as reference:
+        per_tone_rows(cfg)
+    assert str(err.value) == str(reference.value)
 
 
 # Field text csv.writer never quotes: no comma, quote or line break.

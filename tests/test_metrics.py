@@ -269,6 +269,79 @@ class TestConversionGainMeasured:
             conversion_gain_measured(a, b, 10e6)
 
 
+class TestToneChunkMeasurement:
+    """Measuring a chunk of tones at once equals one call per tone."""
+
+    FREQS = np.array([10e6, 35e6, 61.3e6, 88e6, -20e6])
+    HALF = 0.5e6
+
+    def elements(self, arrival, clock, noise_rms=0.0):
+        """Frames of the chunk at four elements: i * arrival late, sampled i * clock late."""
+        chunk = Waveform(terms=(ToneTerm(1.0, self.FREQS[:, None]),))
+        return [
+            sample_element(
+                chunk.delayed(i * arrival),
+                i * clock,
+                FS,
+                2048,
+                noise_rms,
+                [np.random.SeedSequence([3, k, i]) for k in range(self.FREQS.size)],
+            )
+            for i in range(4)
+        ]
+
+    def interferer(self):
+        """Reference frames and row outputs; a 3 ps clock skew leaves a finite depth."""
+        frames = self.elements(1e-9, 1e-9 + 3e-12)
+        return frames[0], mac_apply(frames, truncated_hadamard(4))
+
+    def test_depth_per_tone_band_matches_per_tone_calls(self):
+        ref, rows = self.interferer()
+        band = (self.FREQS - self.HALF, self.FREQS + self.HALF)
+        got = cancellation_depth(ref, rows, band)
+        pairs = cancellation_depth(ref, SampleFrame(rows.samples[:, 0], FS), band)
+        assert np.shape(got) == (self.FREQS.size, 3) and len(pairs) == self.FREQS.size
+        for k, f in enumerate(self.FREQS.tolist()):
+            tone_band = (f - self.HALF, f + self.HALF)
+            assert got[k] == cancellation_depth(ref[k], rows[k], tone_band)
+            assert pairs[k] == cancellation_depth(ref[k], rows[k][0], tone_band) == got[k][0]
+            assert all(30.0 < d < 200.0 for d in got[k])
+
+    def test_depth_shares_a_scalar_band(self):
+        ref, rows = self.interferer()
+        got = cancellation_depth(ref, rows, (-100e6, 100e6))
+        for k in range(self.FREQS.size):
+            assert got[k] == cancellation_depth(ref[k], rows[k], (-100e6, 100e6))
+
+    def test_depth_needs_paired_frames(self):
+        ref, rows = self.interferer()
+        with pytest.raises(ValueError, match="do not pair"):
+            cancellation_depth(ref[:2], rows, (0.0, 1e6))
+
+    @pytest.mark.parametrize("noise_rms", [0.0, 1e-4])
+    def test_gain_per_tone_frequency_matches_per_tone_calls(self, noise_rms):
+        # a broadside desired source under clocks delayed by i * 1 ns
+        frames = self.elements(0.0, 1e-9, noise_rms)
+        rows = mac_apply(frames, truncated_hadamard(4))
+        got = conversion_gain_measured(rows, frames[0], self.FREQS)
+        assert np.shape(got) == (self.FREQS.size, 3)
+        for k, f in enumerate(self.FREQS.tolist()):
+            assert got[k] == conversion_gain_measured(rows[k], frames[0][k], f)
+
+    def test_below_floor_tone_inside_a_chunk_is_named(self):
+        freqs = np.array([20e6, 40e6, 60e6, 80e6])
+        chunk = Waveform(terms=(ToneTerm(1.0, freqs[:, None]),))
+        seeds = [np.random.SeedSequence([9, k]) for k in range(freqs.size)]
+        one = sample_element(chunk, 0.0, FS, 2048, 1e-3, seeds)
+        # the third of four tones is absent from the all-input frames
+        all_in = SampleFrame(one.samples * np.array([1.0, 1.0, 0.0, 1.0])[:, None], FS)
+        named = r"tone at 6e\+07 Hz is below the all-input"
+        with pytest.raises(MeasurementError, match=named):
+            conversion_gain_measured(all_in, one, freqs)
+        with pytest.raises(MeasurementError, match=named):
+            conversion_gain_measured(all_in[2], one[2], 60e6)
+
+
 class TestEvmPercent:
     def test_perfect_symbols(self):
         syms = map_qpsk([0, 0, 0, 1, 1, 1, 1, 0])

@@ -217,6 +217,18 @@ class TestCancelStream:
         expected = abs(ps_residual_gain(plan, 1.1, THETA, DOL))
         assert measured == pytest.approx(expected, rel=1e-9)
 
+    def test_tone_chunk_combines_over_elements(self):
+        # four tones at four elements: each tone combines as it would alone
+        freqs = np.array([1e6, 7e6, 13e6, 29e6])
+        plan = PsCancelPlan.for_angle(4, THETA, DOL)
+        chunk = Waveform(terms=(ToneTerm(1.0, freqs[:, None]),))
+        frames = [sample_element(chunk, i * 1e-9, 1e8, 32) for i in range(4)]
+        out = ps_cancel_stream(frames, plan)
+        assert out.samples.shape == (4, 32)
+        for k in range(4):
+            one = ps_cancel_stream([fr[k] for fr in frames], plan)
+            np.testing.assert_array_equal(out.samples[k], one.samples)
+
     def test_frame_count_checked(self):
         plan = PsCancelPlan.for_angle(4, THETA, DOL)
         frame = sample_element(Waveform(), 0.0, 1e8, 16)

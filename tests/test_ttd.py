@@ -210,7 +210,9 @@ class TestSampleFrame:
         with pytest.raises(ValueError, match="sample_rate"):
             SampleFrame(np.zeros(4, complex), 0.0)
         assert len(SampleFrame(np.zeros((2, 3), complex), 1e8)) == 3
-        for bad in (1j, np.zeros((2, 2, 2)), np.zeros(0), np.zeros((2, 0)), np.zeros((0, 4))):
+        # (tones, rows, n): the row outputs of a tone chunk
+        assert len(SampleFrame(np.zeros((2, 3, 5), complex), 1e8)) == 5
+        for bad in (1j, np.zeros((2, 2, 2, 2)), np.zeros(0), np.zeros((2, 0)), np.zeros((0, 4))):
             with pytest.raises(ValueError, match="non-empty frame"):
                 SampleFrame(bad, 1e8)
 
@@ -256,6 +258,43 @@ class TestSampleElement:
     def test_count_validation(self):
         with pytest.raises(ValueError, match="sample count"):
             sample_element(tone(1e6), 0.0, 1e8, 0)
+
+
+class TestToneChunk:
+    """A chunk of tones sampled and combined at once equals one call per tone."""
+
+    FREQS = np.array([3e6, 17.5e6, 42e6, 77.25e6, -91e6])
+
+    def chunk(self):
+        return Waveform(terms=(ToneTerm(1.0, self.FREQS[:, None]),))
+
+    @pytest.mark.parametrize("noise_rms", [0.0, 1e-3])
+    def test_sample_element_matches_per_tone_calls(self, noise_rms):
+        # one seed per tone, keyed like the runners' (..., tone, element) keys
+        seeds = [np.random.SeedSequence([5, k, 1]) for k in range(self.FREQS.size)]
+        got = sample_element(self.chunk(), 1.3e-9, 2e8, 256, noise_rms, seeds)
+        assert got.samples.shape == (self.FREQS.size, 256)
+        for k, f in enumerate(self.FREQS.tolist()):
+            one = sample_element(tone(f), 1.3e-9, 2e8, 256, noise_rms, seeds[k])
+            np.testing.assert_array_equal(got.samples[k], one.samples)
+
+    def test_noise_seed_count_checked(self):
+        with pytest.raises(ValueError):
+            sample_element(self.chunk(), 0.0, 2e8, 16, noise_rms=0.1, seed=[1, 2])
+
+    def test_mac_apply_matches_per_tone_calls(self):
+        m = truncated_hadamard(4)
+        frames = [sample_element(self.chunk(), d, 2e8, 64) for d in (0.0, 1e-9, 2.5e-9, 4e-9)]
+        got = mac_apply(frames, m)
+        assert got.samples.shape == (self.FREQS.size, 3, 64)
+        for k in range(self.FREQS.size):
+            one = mac_apply([fr[k] for fr in frames], m)
+            np.testing.assert_array_equal(got[k].samples, one.samples)
+
+    def test_mac_apply_needs_equal_tone_counts(self):
+        frames = [sample_element(self.chunk(), 0.0, 2e8, 8)] * 3
+        with pytest.raises(ValueError, match="tone counts"):
+            mac_apply([*frames, frames[0][:2]], truncated_hadamard(4))
 
 
 class TestTruncatedHadamard:
