@@ -98,9 +98,10 @@ def welch_power(samples, fs: float, nfft: int):
         raise ValueError(f"frame length {n} < nfft {nfft}")
     win = _hann(nfft)
     starts = range(0, n - nfft + 1, nfft - int(round(nfft * 0.5)))
-    acc = np.zeros(x.shape[:-1] + (nfft,))
-    for s in starts:
-        acc += np.abs(np.fft.fft(x[..., s : s + nfft] * win)) ** 2
+    segments = (np.abs(np.fft.fft(x[..., s : s + nfft] * win)) ** 2 for s in starts)
+    acc = next(segments)
+    for seg in segments:
+        acc += seg
     win_sum = float(np.sum(win))
     pxx = np.fft.fftshift(acc, axes=-1) / (len(starts) * win_sum**2)
     enbw = nfft * float(np.sum(win**2)) / win_sum**2
@@ -188,13 +189,14 @@ def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):
     freqs, p_all, _ = welch_power(all_in.samples, fs, nfft)
     _, p_one, _ = welch_power(one_in.samples, fs, nfft)
     db_all, db_one = 10.0 * np.log10(p_all), 10.0 * np.log10(p_one)
+    med_all, med_one = np.median(db_all, axis=-1), np.median(db_one, axis=-1)
     tones = np.broadcast_to(f, lead)
     gains = np.empty(db_all.shape[:-1])
     for idx in np.ndindex(lead):
         tone = float(tones[idx])
         bin_idx = int(np.argmin(np.abs(freqs - tone)))
-        for db, name in ((db_all[idx], "all-input"), (db_one[idx], "one-input")):
-            peak_db, floor_db = np.atleast_1d(db[..., bin_idx], np.median(db, axis=-1))
+        for db, med, name in ((db_all, med_all, "all-input"), (db_one, med_one, "one-input")):
+            peak_db, floor_db = np.atleast_1d(db[idx][..., bin_idx], med[idx])
             low = np.flatnonzero(peak_db < floor_db + 10.0)
             if low.size:
                 raise MeasurementError(

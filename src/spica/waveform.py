@@ -70,26 +70,30 @@ def rrc_pulse(t, symbol_rate: float, rolloff: float, span_symbols: int | None = 
     return _scalar_like(t, out.reshape(np.shape(t)))
 
 
-def _rrc_shape(x, sin_a, cos_b, b: float, span_symbols: int | None, scale: float):
+def _rrc_shape(x, sin_a, cos_b, b: float, span: int | None, scale: float, reach=(0, np.inf)):
     """RRC pulse at normalized times ``x`` (an ndarray, in symbol periods).
 
     ``sin_a`` and ``cos_b`` are sin(pi*(1-b)*x) and cos(pi*(1+b)*x), however
     the caller computed them.  The generic formula is used away from its two
     removable singularities: x = 0 takes its limit, and near |4*b*x| = 1,
-    where the formula cancels, ``_rrc_edge`` evaluates it.  Past
-    ``span_symbols`` the pulse is zero; the cutoff is slightly tolerant so
+    where the formula cancels, ``_rrc_edge`` evaluates it.  Past ``span``
+    symbol periods the pulse is zero; the cutoff is slightly tolerant so
     instants exactly on the boundary are kept whatever their rounding.
+    ``reach`` bounds |x|; each fix-up is skipped where no |x| in it can need it.
     """
+    lo, hi = reach
     y = 4.0 * b * x
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (sin_a + y * cos_b) / (np.pi * x * (1.0 - y**2)) * scale
-    ax = np.abs(x)
-    out[ax < _SINGULARITY_TOL] = scale * (1.0 - b + 4.0 * b / np.pi)
-    edge = np.abs(np.abs(y) - 1.0) < _EDGE_WINDOW
-    if edge.any():
-        out[edge] = _rrc_edge(ax[edge], b) * scale
-    if span_symbols is not None:
-        out[ax > float(span_symbols) + 1e-9] = 0.0
+    if lo < _SINGULARITY_TOL:
+        out[np.abs(x) < _SINGULARITY_TOL] = scale * (1.0 - b + 4.0 * b / np.pi)
+    if b > 0.0 and 4.0 * b * hi - 1.0 > -_EDGE_WINDOW and 4.0 * b * lo - 1.0 < _EDGE_WINDOW:
+        edge = np.abs(np.abs(y) - 1.0) < _EDGE_WINDOW
+        if edge.any():
+            out[edge] = _rrc_edge(np.abs(x[edge]), b) * scale
+    cutoff = np.inf if span is None else float(span) + 1e-9
+    if hi > cutoff:
+        out[np.abs(x) > cutoff] = 0.0
     return out
 
 
@@ -146,8 +150,10 @@ class ToneTerm:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
 
     def eval(self, t) -> np.ndarray:
-        t_arr = np.asarray(t, dtype=float)
-        return self.amplitude * np.exp(1j * (2.0 * np.pi * self.frequency * t_arr + self.phase))
+        # Adding a zero phase or scaling by a unit amplitude changes no value.
+        arg = 2.0 * np.pi * self.frequency * np.asarray(t, dtype=float)
+        out = np.exp(1j * (arg + self.phase if self.phase != 0.0 else arg))
+        return self.amplitude * out if self.amplitude != 1.0 else out
 
 
 @dataclass(frozen=True)
@@ -222,17 +228,25 @@ class StreamTerm:
         sin_lo, cos_lo = np.sin(lo * f), np.cos(lo * f)
         sin_hi, cos_hi = np.sin(hi * f), np.cos(hi * f)
         # Symbol k is padded[k + 1]; clipped indices past either end read 0.
+        # Real and imaginary parts are gathered and summed apart: a complex
+        # symbol times a real pulse is exactly these two real products.
         padded = np.concatenate(([0j], self.symbols, [0j]))
+        sym_re, sym_im = padded.real.copy(), padded.imag.copy()
         first = k0.astype(np.int64) + 1
         root_rate = np.sqrt(self.symbol_rate)
-        acc = np.zeros(t_arr.shape, dtype=complex)
+        acc = np.zeros((2,) + t_arr.shape)
         for off in range(-span, span + 1):
             # sin(lo*x) and cos(hi*x) by angle addition: trig on scalars only.
             sin_a = sin_lo * np.cos(lo * off) - cos_lo * np.sin(lo * off)
             cos_b = cos_hi * np.cos(hi * off) + sin_hi * np.sin(hi * off)
-            pulse = _rrc_shape(f - off, sin_a, cos_b, b, span, root_rate)
-            acc += np.take(padded, first + off, mode="clip") * pulse
-        return acc
+            reach = (abs(off) - 0.5, abs(off) + 0.5)
+            pulse = _rrc_shape(f - off, sin_a, cos_b, b, span, root_rate, reach)
+            idx = first + off
+            acc[0] += np.take(sym_re, idx, mode="clip") * pulse
+            acc[1] += np.take(sym_im, idx, mode="clip") * pulse
+        out = np.empty(t_arr.shape, dtype=complex)
+        out.real, out.imag = acc
+        return out
 
 
 @dataclass(frozen=True)
@@ -253,12 +267,16 @@ class Waveform:
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def eval(self, t) -> np.ndarray:
+        # A zero accumulator, delay or unit scale changes no value, so each is
+        # skipped; [()] keeps a scalar instant on numpy's scalar arithmetic.
         t_arr = np.asarray(t, dtype=float)
-        shifted = t_arr - self.delay
-        acc = np.zeros(t_arr.shape, dtype=complex)
-        for term in self.terms:
+        if not self.terms:
+            return _scalar_like(t, np.zeros(t_arr.shape, dtype=complex))
+        shifted = t_arr - self.delay if self.delay != 0.0 else t_arr
+        acc = np.asarray(self.terms[0].eval(shifted), dtype=complex)[()]
+        for term in self.terms[1:]:
             acc = acc + term.eval(shifted)
-        return _scalar_like(t, self.scale * acc)
+        return _scalar_like(t, self.scale * acc if self.scale != 1.0 else acc)
 
     def __call__(self, t):
         return self.eval(t)

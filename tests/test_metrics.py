@@ -341,6 +341,38 @@ class TestToneChunkMeasurement:
         with pytest.raises(MeasurementError, match=named):
             conversion_gain_measured(all_in[2], one[2], 60e6)
 
+    @pytest.mark.parametrize(
+        "all_gone,one_gone,named",
+        [
+            # tones 1 and 3 below the floor in the rows: the first is named
+            ([1, 3], [], r"tone at 4e\+07 Hz is below the all-input"),
+            # tone 1 below in both frames: all-input is checked first
+            ([1, 3], [1], r"tone at 4e\+07 Hz is below the all-input"),
+            # tone 1 below only in the reference, tone 3 only in the rows
+            ([3], [1], r"tone at 4e\+07 Hz is below the one-input"),
+        ],
+    )
+    def test_first_tone_below_floor_is_named_in_index_order(self, all_gone, one_gone, named):
+        freqs = np.array([20e6, 40e6, 60e6, 80e6])
+        chunk = Waveform(terms=(ToneTerm(1.0, freqs[:, None]),))
+        silent = Waveform(terms=(ToneTerm(0.0, freqs[:, None]),))
+        seeds = [np.random.SeedSequence([9, k]) for k in range(freqs.size)]
+        tones = sample_element(chunk, 0.0, FS, 2048, 1e-3, seeds).samples
+        noise = sample_element(silent, 0.0, FS, 2048, 1e-3, seeds).samples
+
+        def without(gone):
+            return np.where(np.isin(np.arange(freqs.size), gone)[:, None], noise, tones)
+
+        one = SampleFrame(without(one_gone), FS)
+        kept = without(all_gone)
+        all_in = SampleFrame(np.stack([kept, 2.0 * kept], axis=1), FS)
+        with pytest.raises(MeasurementError, match=named) as stacked:
+            conversion_gain_measured(all_in, one, freqs)
+        # the message, dB figures included, is the one tone's own
+        with pytest.raises(MeasurementError) as single:
+            conversion_gain_measured(all_in[1], one[1], 40e6)
+        assert str(stacked.value) == str(single.value)
+
 
 class TestEvmPercent:
     def test_perfect_symbols(self):

@@ -93,6 +93,78 @@ def streams_and_instants(draw):
     return StreamTerm(symbols, rate, rolloff, span), np.array(positions) / rate
 
 
+def tone_by_formula(tone, t):
+    """``tone`` at ``t`` by its full formula: phase always added, amplitude always applied."""
+    arg = 2.0 * np.pi * tone.frequency * np.asarray(t, dtype=float)
+    return tone.amplitude * np.exp(1j * (arg + tone.phase))
+
+
+def eval_from_zeros(node, t):
+    """``node`` at ``t`` summed into a zero accumulator, then delayed and scaled unconditionally."""
+    if isinstance(node, ToneTerm):
+        return tone_by_formula(node, t)
+    if isinstance(node, StreamTerm):
+        return node.eval(t)
+    t_arr = np.asarray(t, dtype=float)
+    shifted = t_arr - node.delay
+    acc = np.zeros(t_arr.shape, dtype=complex)
+    for term in node.terms:
+        acc = acc + eval_from_zeros(term, shifted)
+    return node.scale * acc
+
+
+def stream_by_ungated_loop(stream, t):
+    """``stream``'s baseband sum with every fix-up of the pulse formula run at every offset."""
+    b, span, rate = stream.rolloff, stream.span_symbols, stream.symbol_rate
+    pos = t * rate
+    k0 = np.rint(pos)
+    f = pos - k0
+    lo, hi = np.pi * (1.0 - b), np.pi * (1.0 + b)
+    padded = np.concatenate(([0j], stream.symbols, [0j]))
+    first = k0.astype(np.int64) + 1
+    acc = np.zeros(t.shape, dtype=complex)
+    for off in range(-span, span + 1):
+        sin_a = np.sin(lo * f) * np.cos(lo * off) - np.cos(lo * f) * np.sin(lo * off)
+        cos_b = np.cos(hi * f) * np.cos(hi * off) + np.sin(hi * f) * np.sin(hi * off)
+        pulse = waveform._rrc_shape(f - off, sin_a, cos_b, b, span, np.sqrt(rate))
+        acc += np.take(padded, first + off, mode="clip") * pulse
+    return acc
+
+
+_tones = st.builds(
+    ToneTerm,
+    amplitude=st.just(1.0) | st.floats(0.0, 4.0),
+    frequency=st.floats(-1e8, 1e8),
+    phase=st.just(0.0) | st.floats(-7.0, 7.0),
+)
+
+
+@st.composite
+def _short_streams(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_sym = draw(st.integers(1, 6))
+    return StreamTerm(
+        rng.standard_normal(n_sym) + 1j * rng.standard_normal(n_sym),
+        draw(st.floats(1e6, 1e8)),
+        draw(st.sampled_from([0.0, 0.25, 1.0])),
+        draw(st.integers(1, 3)),
+        draw(st.just(0.0) | st.floats(-5e7, 5e7)),
+    )
+
+
+def _waveforms_of(children):
+    return st.builds(
+        Waveform,
+        terms=st.lists(children, max_size=3),
+        scale=st.just(1.0 + 0.0j)
+        | st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+        delay=st.just(0.0) | st.floats(-1e-6, 1e-6),
+    )
+
+
+waveform_trees = _waveforms_of(st.recursive(_tones | _short_streams(), _waveforms_of, max_leaves=6))
+
+
 class TestRrcPulse:
     @pytest.mark.parametrize("rate,rolloff", [(1.0, 0.25), (64e6, 0.25), (2e6, 0.5), (1e6, 1.0)])
     def test_peak_matches_quadrature_oracle(self, rate, rolloff):
@@ -219,6 +291,36 @@ class TestWaveformEval:
         expected = a * w1.eval(t) + w2.eval(t)
         assert combined.eval(t) == pytest.approx(expected, abs=1e-9)
 
+    @given(
+        w=waveform_trees,
+        t=st.floats(-2e-6, 2e-6)
+        | st.lists(st.floats(-2e-6, 2e-6), max_size=8).map(lambda v: np.array(v, dtype=float)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_zero_accumulator_bit_for_bit(self, w, t):
+        # Skipping the zero accumulator, a zero delay or phase and a unit scale
+        # or amplitude must change no value, for scalar and array instants.
+        got = w.eval(t)
+        assert np.array_equal(got, eval_from_zeros(w, t))
+        if np.ndim(t) == 0:
+            assert type(got) is complex
+        else:
+            assert got.shape == t.shape
+
+    def test_scalar_instant_through_every_shortcut(self):
+        # A single term with no delay and unit scale returns the term's own
+        # output, which for a scalar instant must still come back as a complex.
+        # A scaled scalar must take numpy's scalar product, which on hosts with
+        # fused multiply-add differs in the last bit from its array loop.
+        plain = Waveform(terms=(ToneTerm(1.0, 3e6),))
+        scaled = Waveform(terms=(ToneTerm(1.0, 0.0, 1.0),), scale=3.0 + 1.0j)
+        stream = Waveform(terms=(StreamTerm([1.0], 1e6),))
+        nested = [Waveform(terms=(w,)) for w in (plain, scaled)]
+        for w in (plain, scaled, stream, Waveform(), *nested):
+            got = w.eval(2.5e-7)
+            assert type(got) is complex
+            assert got == eval_from_zeros(w, 2.5e-7)
+
     @pytest.mark.parametrize("freq", [1e6, 37e6, -50e6])
     def test_tone_time_shift_exactness(self, freq):
         w = Waveform(terms=(ToneTerm(1.0, freq, 0.3),))
@@ -289,6 +391,25 @@ class TestStreamTerm:
         one = stream.eval(float(t[0]))
         assert type(one) is complex
         assert abs(one - expected[0]) <= tol
+
+    @pytest.mark.parametrize("span", [1, 2, 16])
+    @pytest.mark.parametrize("rolloff", [0.0, 1e-3, 0.25, 0.5, 1.0])
+    def test_gated_fixups_match_ungated_loop(self, rolloff, span):
+        # Instants exactly on symbols (x = 0), on |4bx| = 1 and on the span
+        # cutoff; a power-of-two rate keeps every offset exact.
+        rate = 2.0**21
+        syms = map_qpsk(np.random.default_rng(8).integers(0, 2, 2 * 24))
+        stream = StreamTerm(syms, rate, rolloff, span)
+        k = np.arange(0, 24, 5.0)
+        positions = [k, k + 0.37, k - span, k + span]
+        if rolloff > 0.0:
+            edge = 0.25 / rolloff
+            positions += [k + edge, k - edge, k + span - edge, k - span + edge]
+        t = np.concatenate(positions) / rate
+        with np.errstate(divide="raise", invalid="raise"):
+            got = stream.eval(t)
+            expected = stream_by_ungated_loop(stream, t)
+        np.testing.assert_array_equal(got, expected)
 
     def test_blocks_match_one_pass(self, monkeypatch):
         syms = map_qpsk(np.random.default_rng(2).integers(0, 2, 400))
