@@ -92,7 +92,6 @@ class ExperimentConfig:
     tone_count: int = 99
     delta_ud_s: tuple[float, ...] = ()
     # modulated interferer
-    interferer: bool = True
     symbol_rate_hz: float = 64e6
     rolloff: float = 0.25
     span_symbols: int = 16
@@ -102,7 +101,6 @@ class ExperimentConfig:
     desired_center_hz: float = 50e6
     desired_n_symbols: int = 400
     interferer_excess_db: float = 12.0
-    eq_eps: float | None = None
     # clock planning
     plan_targets_s: tuple[float, ...] = ()
     max_offset: int = 2
@@ -152,11 +150,13 @@ class ExperimentConfig:
             _fail("output", "must be a bare file stem, not a path")
         if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
             _fail("seed", f"must be a non-negative integer, got {self.seed!r}")
-        _check_min(self, "noise_rms", 0)
+        for name, (low, high, low_allowed) in _BOUNDS.items():
+            value = getattr(self, name)
+            if not ((low <= value if low_allowed else low < value) and value <= high):
+                rule = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+                _fail(name, f"must be {rule if low_allowed else 'positive'}, got {value}")
         if self.noise_rms > 0 and self.seed is None:
             _fail("seed", "required whenever noise_rms > 0")
-        for name in ("sample_rate_hz", "d_over_lambda", "carrier_freq_hz", "band_halfwidth_hz"):
-            _check_positive(self, name)
         _check_power_of_two("frame_len", self.frame_len, 16)
         _check_power_of_two("n_elements", self.n_elements, 2)
         checks, _ = _KINDS[self.experiment]
@@ -202,14 +202,17 @@ def _fail(field_name: str, msg: str):
     raise ConfigError(f"{field_name}: {msg}")
 
 
-def _check_positive(cfg: ExperimentConfig, name: str) -> None:
-    if getattr(cfg, name) <= 0:
-        _fail(name, f"must be positive, got {getattr(cfg, name)}")
-
-
-def _check_min(cfg: ExperimentConfig, name: str, least: int) -> None:
-    if getattr(cfg, name) < least:
-        _fail(name, f"must be >= {least}, got {getattr(cfg, name)}")
+# Single-field bounds that every kind checks: field -> (low, high, whether low itself is allowed).
+_POSITIVE = (0, math.inf, False)
+_BOUNDS = {
+    **dict.fromkeys(("noise_rms", "max_offset"), (0, math.inf, True)),
+    **dict.fromkeys(("sample_rate_hz", "d_over_lambda", "carrier_freq_hz"), _POSITIVE),
+    **dict.fromkeys(("band_halfwidth_hz", "symbol_rate_hz", "desired_symbol_rate_hz"), _POSITIVE),
+    **dict.fromkeys(("fnorm_count", "tone_count", "span_symbols"), (1, math.inf, True)),
+    "desired_n_symbols": (8, math.inf, True),
+    "theta_ud_deg": (-90, 90, True),
+    "rolloff": (0, 1, True),
+}
 
 
 def _check_power_of_two(name: str, n: int, least: int, what: str = "must be") -> None:
@@ -226,16 +229,12 @@ def _check_ps_leakage(cfg: ExperimentConfig) -> None:
         _fail("ps_n_elements", "must list at least one element count")
     for n in cfg.ps_n_elements:
         _check_power_of_two("ps_n_elements", n, 2, what="entries must be")
-    if not -90.0 <= cfg.theta_ud_deg <= 90.0:
-        _fail("theta_ud_deg", f"must be in [-90, 90], got {cfg.theta_ud_deg}")
-    _check_min(cfg, "fnorm_count", 1)
     if cfg.fnorm_stop < cfg.fnorm_start:
         _fail("fnorm_stop", "must be >= fnorm_start")
 
 
 def _check_tone_grid(cfg: ExperimentConfig) -> None:
     nyquist = cfg.sample_rate_hz / 2.0
-    _check_min(cfg, "tone_count", 1)
     if cfg.tone_stop_hz < cfg.tone_start_hz:
         _fail("tone_stop_hz", "must be >= tone_start_hz")
     if abs(cfg.tone_start_hz) >= nyquist or abs(cfg.tone_stop_hz) >= nyquist:
@@ -286,25 +285,18 @@ def _check_band(cfg: ExperimentConfig, name: str, center: float, symbol_rate: fl
 def _check_stream(cfg: ExperimentConfig) -> None:
     if len(cfg.delta_ud_s) != 1:
         _fail("delta_ud_s", "must list exactly one inter-element delay")
-    _check_positive(cfg, "symbol_rate_hz")
-    if not 0.0 <= cfg.rolloff <= 1.0:
-        _fail("rolloff", f"must be in [0, 1], got {cfg.rolloff}")
-    _check_min(cfg, "span_symbols", 1)
     _check_band(cfg, "center_freq_hz", cfg.center_freq_hz, cfg.symbol_rate_hz)
-    if cfg.interferer and cfg.seed is None:
+    if cfg.seed is None:
         _fail("seed", "required to draw interferer symbols")
 
 
 def _check_stream_bins(cfg: ExperimentConfig) -> None:
     """TTD_MODULATED measures depth over the interferer's occupied band."""
-    if cfg.interferer:
-        half = _half_occupied(cfg, cfg.symbol_rate_hz)
-        _check_bins(cfg, "symbol_rate_hz", cfg.center_freq_hz, half)
+    half = _half_occupied(cfg, cfg.symbol_rate_hz)
+    _check_bins(cfg, "symbol_rate_hz", cfg.center_freq_hz, half)
 
 
 def _check_qpsk(cfg: ExperimentConfig) -> None:
-    _check_positive(cfg, "desired_symbol_rate_hz")
-    _check_min(cfg, "desired_n_symbols", 8)
     _check_band(cfg, "desired_center_hz", cfg.desired_center_hz, cfg.desired_symbol_rate_hz)
     samples_per_symbol = cfg.sample_rate_hz / cfg.desired_symbol_rate_hz
     if abs(samples_per_symbol - round(samples_per_symbol)) > 1e-9:
@@ -312,10 +304,6 @@ def _check_qpsk(cfg: ExperimentConfig) -> None:
             "desired_symbol_rate_hz",
             "sample_rate_hz must be an integer multiple of the symbol rate",
         )
-    if cfg.eq_eps is not None and cfg.eq_eps <= 0:
-        _fail("eq_eps", f"must be positive, got {cfg.eq_eps}")
-    if cfg.seed is None:
-        _fail("seed", "required to draw symbol bits")
     n_needed = cfg.desired_n_symbols + cfg.span_symbols
     last_needed = _genie_timing(cfg) + n_needed / cfg.desired_symbol_rate_hz
     if last_needed > cfg.frame_len / cfg.sample_rate_hz:
@@ -333,7 +321,6 @@ def _check_qpsk(cfg: ExperimentConfig) -> None:
 def _check_plan_clock(cfg: ExperimentConfig) -> None:
     if not cfg.plan_targets_s:
         _fail("plan_targets_s", "must list at least one target delay")
-    _check_min(cfg, "max_offset", 0)
     plan_range = _plan_range(cfg)
     for t in cfg.plan_targets_s:
         if not 0.0 <= t <= plan_range:
@@ -529,8 +516,6 @@ def _interferer_stream(cfg: ExperimentConfig) -> StreamTerm:
 
 def _run_ttd_modulated(cfg: ExperimentConfig):
     header = ["row", "band_lo_hz", "band_hi_hz", "depth_db"]
-    if not cfg.interferer:
-        return {"": (header, [])}, {"result": "no_interferer"}
     delta = cfg.delta_ud_s[0]
     stream = _interferer_stream(cfg)
     scale = 1.0 / math.sqrt(cfg.symbol_rate_hz)  # unit mean power
@@ -566,12 +551,8 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
         scale=1.0 / math.sqrt(cfg.desired_symbol_rate_hz),
         delay=genie,
     )
-
-    interferer = None
-    if cfg.interferer:
-        stream = _interferer_stream(cfg)
-        power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
-        interferer = Waveform(terms=(stream,), scale=math.sqrt(power))
+    power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
+    interferer = Waveform(terms=(_interferer_stream(cfg),), scale=math.sqrt(power))
     scene = _scene(cfg, desired_wave, interferer, delta)
     quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
     outs, _ = _sample_scene(cfg, scene, quant, [(cfg.seed, 2)])
@@ -579,8 +560,10 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     evms = []
     constellation = []
     ref = desired_stream.symbols
+    # In RF_DERIVED, lo_align's phasors rotate the desired signal too: its gain is G_r(f + f_c).
+    offset = cfg.carrier_freq_hz if cfg.mode is SceneMode.RF_DERIVED else 0.0
     for r, out in enumerate(outs):
-        eq = equalize(out, row=r, delta=delta, n=cfg.n_elements, eps=cfg.eq_eps)
+        eq = equalize(out, row=r, delta=delta, n=cfg.n_elements, offset_hz=offset)
         recovered = recover_symbols(eq, desired_stream, genie_timing=genie)
         evms.append(evm_percent(recovered, ref))
         # Export the fitted constellation alongside the reference points.

@@ -117,24 +117,29 @@ def welch_psd(frame: SampleFrame, nfft: int = 4096) -> PsdEstimate:
     return PsdEstimate(freqs=freqs, power_db=10.0 * np.log10(pxx), enbw_bins=enbw)
 
 
-def _band_sum(freqs, pxx, enbw: float, f_lo, f_hi, lead=()):
-    """Linear power over [f_lo, f_hi] (inclusive) per frame; edges broadcast to ``lead``."""
+def _band_sum(freqs, enbw: float, f_lo, f_hi, lead, *spectra):
+    """Linear power over [f_lo, f_hi] (inclusive) per frame of each spectrum.
+
+    The edges broadcast to ``lead``; each leading index's bin mask is built
+    once and serves every spectrum.  Returns one array per spectrum.
+    """
     lo, hi = np.broadcast_to(f_lo, lead), np.broadcast_to(f_hi, lead)
-    out = np.empty(pxx.shape[:-1])
+    outs = [np.empty(pxx.shape[:-1]) for pxx in spectra]
     for idx in np.ndindex(lead):
         if hi[idx] < lo[idx]:
             raise ValueError("band upper edge below lower edge")
         mask = (freqs >= lo[idx]) & (freqs <= hi[idx])
         if not np.any(mask):
             raise ValueError(f"band [{lo[idx]}, {hi[idx]}] Hz contains no PSD bins")
-        out[idx] = np.sum(pxx[idx][..., mask], axis=-1) / enbw
-    return out
+        for out, pxx in zip(outs, spectra):
+            out[idx] = np.sum(pxx[idx][..., mask], axis=-1) / enbw
+    return outs
 
 
 def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
     """Linear power integrated over [f_lo, f_hi] (inclusive)."""
     linear = 10.0 ** (psd.power_db / 10.0)
-    return float(_band_sum(psd.freqs, linear, psd.enbw_bins, f_lo, f_hi))
+    return float(_band_sum(psd.freqs, psd.enbw_bins, f_lo, f_hi, (), linear)[0])
 
 
 def _leading(one: SampleFrame, many: SampleFrame):
@@ -160,8 +165,9 @@ def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
     """
     lead, rows = _leading(ref, canc)
     nfft, fs = min(4096, len(ref), len(canc)), ref.sample_rate
-    p_ref = _band_sum(*welch_power(ref.samples, fs, nfft), *band, lead)
-    p_canc = _band_sum(*welch_power(canc.samples, fs, nfft), *band, lead)
+    freqs, pxx_ref, enbw = welch_power(ref.samples, fs, nfft)
+    pxx_canc = welch_power(canc.samples, fs, nfft)[1]
+    p_ref, p_canc = _band_sum(freqs, enbw, *band, lead, pxx_ref, pxx_canc)
     ratio = (p_ref[..., None] if rows else p_ref) / p_canc
     # The all-zero frame hits the PSD floor rather than true zero; treat
     # anything at the floor as perfect cancellation.

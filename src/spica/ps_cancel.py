@@ -3,8 +3,9 @@
 Aligns elements with per-element carrier-frequency phase shifts and sums
 them with even elements subtracted from odd ones.  The alignment is exact
 at one frequency only, so a wideband interferer leaks back in away from
-the carrier; this module provides the closed-form leakage (residual gain)
-and the sample-domain combiner used to cross-check it.
+the carrier; this module provides the plan and its closed-form leakage
+(residual gain).  The tests cross-check that leakage with a sample-domain
+combiner of their own.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ttd import SampleFrame, _stack_frames
 from .waveform import _scalar_like
 
 __all__ = [
     "PsCancelPlan",
     "ps_residual_gain",
-    "ps_cancel_stream",
 ]
 
 
@@ -70,13 +69,3 @@ def ps_residual_gain(plan: PsCancelPlan, f_norm, theta_ud_deg: float, d_over_lam
         res += sign
     return _scalar_like(f_norm, res)
 
-
-def ps_cancel_stream(frames, plan: PsCancelPlan) -> SampleFrame:
-    """Sample-wise phase-aligned combination under the plan's sign pattern.
-
-    output[k] = sum_i signs[i] * exp(j*i*align_phase) * frames[i][k]
-    """
-    stack, rate = _stack_frames(frames, plan.n_elements)
-    idx = np.arange(plan.n_elements)
-    weights = np.asarray(plan.signs, dtype=complex) * np.exp(1j * idx * plan.align_phase)
-    return SampleFrame(weights @ stack, rate)

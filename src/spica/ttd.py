@@ -225,15 +225,6 @@ def sample_element(
     return SampleFrame(samples, sample_rate)
 
 
-@functools.lru_cache(maxsize=None)
-def _sylvester(n: int) -> np.ndarray:
-    h = np.array([[1]], dtype=np.int64)
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
-
-
 @dataclass(frozen=True)
 class ThmMatrix:
     """(n-1) x n matrix of +/-1 rows, each a balanced zero-sum combination."""
@@ -249,29 +240,20 @@ class ThmMatrix:
         object.__setattr__(self, "rows", rows)
 
 
+@functools.lru_cache(maxsize=None)
 def truncated_hadamard(n: int) -> ThmMatrix:
     """Sylvester Hadamard matrix of order ``n`` with the all-ones row removed.
 
     Every remaining row sums to zero (it rejects a common-mode input) and
     the rows are mutually orthogonal.  ``n`` must be a power of 2, >= 2.
+    Each order is built once and shared (frozen, with read-only rows).
     """
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"order must be a power of 2 and >= 2, got {n}")
-    return ThmMatrix(n=n, rows=_sylvester(n)[1:])
-
-
-def _stack_frames(frames, count: int):
-    """Check ``count`` frames share rate and shape; return (stack, rate), elements 2nd to last."""
-    frames = list(frames)
-    if len(frames) != count:
-        raise ValueError(f"expected {count} frames, got {len(frames)}")
-    rate = frames[0].sample_rate
-    for fr in frames[1:]:
-        if fr.sample_rate != rate:
-            raise ValueError("frames have mismatched sample rates")
-        if fr.samples.shape != frames[0].samples.shape:
-            raise ValueError("frames have mismatched lengths or tone counts")
-    return np.moveaxis(np.stack([fr.samples for fr in frames]), 0, -2), rate
+    h = np.array([[1]], dtype=np.int64)
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return ThmMatrix(n=n, rows=h[1:])
 
 
 def mac_apply(frames, m: ThmMatrix) -> SampleFrame:
@@ -281,9 +263,18 @@ def mac_apply(frames, m: ThmMatrix) -> SampleFrame:
     rows[r][i] * frames[i][k]: ``(rows, n)`` from ``(n,)`` frames, and
     ``(k, rows, n)`` from the ``(n_elements, k, n)`` stack of k-tone frames.
     The hardware's charge-share-then-transfer gain bookkeeping is modeled
-    as net unity weight.
+    as net unity weight.  The frames must share sample rate and shape.
     """
-    stack, rate = _stack_frames(frames, m.n)
+    frames = list(frames)
+    if len(frames) != m.n:
+        raise ValueError(f"expected {m.n} frames, got {len(frames)}")
+    rate = frames[0].sample_rate
+    for fr in frames[1:]:
+        if fr.sample_rate != rate:
+            raise ValueError("frames have mismatched sample rates")
+        if fr.samples.shape != frames[0].samples.shape:
+            raise ValueError("frames have mismatched lengths or tone counts")
+    stack = np.moveaxis(np.stack([fr.samples for fr in frames]), 0, -2)
     return SampleFrame(m.rows @ stack, rate)
 
 
@@ -313,22 +304,22 @@ def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
 
 
 def equalize(
-    frame: SampleFrame, row: int, delta: float, n: int = 4, eps: float | None = None
+    frame: SampleFrame, row: int, delta: float, n: int = 4, offset_hz: float = 0.0
 ) -> SampleFrame:
     """Undo one row's desired-signal conversion gain by zero-forcing.
 
-    FFT the frame, divide each bin at frequency f by G(f) where
-    |G| >= eps, zero the bin otherwise, inverse FFT.  ``eps`` floors the
-    inversion so bins near a null (always including the structural DC
-    null) are zeroed instead of amplified.  Default eps is 0.05 * max |G|
-    over the frame's FFT bins.
+    FFT the frame, divide the bin at frequency f by G(f + offset_hz) where
+    |G| >= eps = 0.05 * max |G| over the frame's bins and zero it otherwise
+    (bins near a null are zeroed instead of amplified), inverse FFT.
+    ``offset_hz`` is the carrier frequency when LO phasors rotate the
+    desired signal too (RF_DERIVED), else 0.  Raises ValueError if G is
+    zero at every bin.
     """
     freqs = np.fft.fftfreq(len(frame), d=1.0 / frame.sample_rate)
-    g = desired_conversion_gain(freqs, delta, row, n)
-    if eps is None:
-        eps = 0.05 * float(np.max(np.abs(g)))
+    g = desired_conversion_gain(freqs + offset_hz, delta, row, n)
+    eps = 0.05 * float(np.max(np.abs(g)))
     if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise ValueError(f"row {row}'s gain is zero at every bin; nothing to equalize")
     keep = np.abs(g) >= eps
     y = np.where(keep, np.fft.fft(frame.samples) / np.where(keep, g, 1.0), 0.0)
     return SampleFrame(np.fft.ifft(y), frame.sample_rate)

@@ -31,6 +31,7 @@ from spica import (
     conversion_gain_measured,
     desired_conversion_gain,
     element_signal,
+    lo_align,
     load_config,
     mac_apply,
     plan_delay,
@@ -118,11 +119,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="center_freq_hz: occupied band"):
             cfg.validate()
 
-    def test_qpsk_needs_seed(self):
-        cfg = ExperimentConfig(Experiment.QPSK_EVM, delta_ud_s=(2e-9,), interferer=False)
-        with pytest.raises(ConfigError, match="seed: required to draw symbol bits"):
-            cfg.validate()
-
     def test_qpsk_symbol_rate_must_divide_sample_rate(self):
         cfg = ExperimentConfig(
             Experiment.QPSK_EVM, delta_ud_s=(2e-9,), seed=1, desired_symbol_rate_hz=3e6
@@ -166,7 +162,6 @@ BAD_TYPES = [
     ("max_offset", 2.5),
     ("ps_n_elements", 4),
     ("output", 3),
-    ("interferer", 1),
     ("delta_ud_s", ["1e-9"]),
 ]
 
@@ -196,7 +191,6 @@ BAD_VALUES = [
     pytest.param(TONE_SWEEP, "tone_stop_hz", 0.5e6, "tone_stop_hz", id="tone_stop_hz-below-start"),
     pytest.param(MODULATED, "delta_ud_s", [1e-9, 2e-9], "delta_ud_s", id="modulated-two-delays"),
     pytest.param(MODULATED, "rolloff", 1.5, "rolloff", id="rolloff-past-1"),
-    pytest.param(QPSK, "eq_eps", 0, "eq_eps", id="eq_eps-zero"),
     # zero delay: G_r(f) is 0 everywhere, nothing to equalize
     pytest.param(QPSK, "delta_ud_s", [0.0], "delta_ud_s", id="qpsk-zero-delta_ud_s"),
     # negative delay: genie timing does not include the common clock offset
@@ -210,6 +204,15 @@ BAD_VALUES = [
     pytest.param(TOP_TONE, "band_halfwidth_hz", 1e3, "band_halfwidth_hz", id="tone-band-above-last-bin"),
     # 1.25 kHz occupied band between bins 48.8 kHz apart
     pytest.param(MODULATED, "symbol_rate_hz", 1e3, "symbol_rate_hz", id="modulated-band-symbol_rate_hz"),
+    # every kind checks every field's single-field bounds, read or not
+    pytest.param(PLAN, "rolloff", 1.5, "rolloff", id="plan-rolloff-past-1"),
+    pytest.param(LEAKAGE, "span_symbols", 0, "span_symbols", id="leakage-span_symbols-zero"),
+    pytest.param(LEAKAGE, "tone_count", 0, "tone_count", id="leakage-tone_count-zero"),
+    pytest.param(TONE_SWEEP, "desired_n_symbols", 7, "desired_n_symbols", id="tone-desired_n_symbols-7"),
+    pytest.param(TONE_SWEEP, "max_offset", -1, "max_offset", id="tone-max_offset-negative"),
+    pytest.param(MODULATED, "theta_ud_deg", -91.0, "theta_ud_deg", id="modulated-theta_ud_deg"),
+    pytest.param(QPSK, "fnorm_count", 0, "fnorm_count", id="qpsk-fnorm_count-zero"),
+    pytest.param(PLAN, "desired_symbol_rate_hz", 0, "desired_symbol_rate_hz", id="plan-desired_symbol_rate_hz-zero"),
 ]
 
 
@@ -278,6 +281,15 @@ class TestValueTypes:
             {"experiment": "TTD_TONE_SWEEP", "delta_ud_s": [1e-9], "tone_start_hz": 1000000}
         )
         assert cfg.tone_start_hz == 1e6
+
+    @pytest.mark.parametrize("field,value", [("interferer", True), ("eq_eps", None)])
+    def test_removed_field_exits_1_naming_it(self, tmp_path, capsys, field, value):
+        # a manifest written before these fields were removed still names them
+        config = {**preset("fig19").to_dict(), field: value}
+        path = tmp_path / "fig19_manifest.json"
+        path.write_text(json.dumps({"config": config}))
+        assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 1
+        assert f"unknown config field(s): {field}" in capsys.readouterr().err
 
     def test_every_preset_manifest_loads(self, tmp_path):
         for name in preset_names():
@@ -418,21 +430,6 @@ class TestRunners:
             assert float(r[3]) >= 200.0  # ideal clocking nulls to numeric noise
             assert float(r[4]) >= 40.0  # quantized clocking leaves the PI residual
 
-    def test_modulated_without_interferer_is_structured(self, tmp_path):
-        cfg = ExperimentConfig(
-            Experiment.TTD_MODULATED,
-            output="mod_none",
-            delta_ud_s=(2e-9,),
-            seed=5,
-            interferer=False,
-        )
-        result = run_experiment(cfg, output_dir=tmp_path)
-        assert result["rows"] == 0
-        assert result["derived"] == {"result": "no_interferer"}
-        header, rows = read_csv(result["csv"])
-        assert header == ["row", "band_lo_hz", "band_hi_hz", "depth_db"]
-        assert rows == []
-
     def test_short_modulated_frame_runs(self, tmp_path):
         # a frame shorter than the 4096-point Welch segment uses the whole frame
         cfg = {"experiment": "TTD_MODULATED", "delta_ud_s": [2.347e-9], "seed": 1}
@@ -497,6 +494,42 @@ class TestRunners:
             _, rows = read_csv(run_experiment(config, output_dir=tmp_path)["csv"])
             values[mode] = np.array(rows, dtype=float)
         np.testing.assert_allclose(values["RF_DERIVED"], values["BB_DIRECT"], rtol=0, atol=1e-9)
+
+    def test_rf_derived_desired_gain_is_shifted_by_the_carrier(self):
+        # oracle for the RF_DERIVED equalizer: lo_align's phasors, which align
+        # the interferer, put exp(j2*pi*f_c*i*delta) on the broadside desired
+        # tone too, so row r measures G_r(f + f_c), not G_r(f)
+        n, fs, fc, delta, f = 4, 2e8, 10e9, 2.347e-9, 37e6
+        geometry = ArrayGeometry(n, 0.5, fc)
+        desired = SourceSpec(Waveform(terms=(ToneTerm(1.0, f),)))
+        interferer = SourceSpec(
+            Waveform(terms=(ToneTerm(1.0, 60e6),)), explicit_delay_override=delta
+        )
+        scene = Scene(geometry, desired, (interferer,), mode=SceneMode.RF_DERIVED)
+        phasors = lo_align(scene)
+        frames = [
+            sample_element(element_signal(scene, i + 1) * phasors[i], i * delta, fs, 2048)
+            for i in range(n)
+        ]
+        # the desired tone alone through element 1: the single-input reference
+        ref = sample_element(Waveform(terms=(ToneTerm(1.0, f),)), 0.0, fs, 2048)
+        measured = conversion_gain_measured(mac_apply(frames, truncated_hadamard(n)), ref, f)
+        for r, got in enumerate(measured):
+            shifted = 20.0 * math.log10(abs(desired_conversion_gain(f + fc, delta, r, n)))
+            baseband = 20.0 * math.log10(abs(desired_conversion_gain(f, delta, r, n)))
+            assert abs(got - shifted) <= 0.05, r
+            assert abs(got - baseband) > 0.05, r
+
+    def test_rf_derived_qpsk_evm_matches_bb_direct(self, tmp_path):
+        # fig19 reads the same EVM in both modes once each row is equalized
+        # with the gain its desired signal actually sees
+        evm = {}
+        for mode in ("BB_DIRECT", "RF_DERIVED"):
+            config = dataclasses.replace(preset("fig19"), mode=SceneMode(mode), output=mode)
+            _, rows = read_csv(run_experiment(config, output_dir=tmp_path)["csv"])
+            evm[mode] = np.array([float(r[2]) for r in rows])
+        assert evm["RF_DERIVED"].size == 3
+        np.testing.assert_allclose(evm["RF_DERIVED"], evm["BB_DIRECT"], rtol=0, atol=0.1)
 
     def test_qpsk_evm_small(self, tmp_path):
         cfg = ExperimentConfig(
@@ -712,7 +745,7 @@ class TestWriteCsv:
             experiments._write_csv(tmp_path / "bad.csv", ["a", "b"], [([0], [0]), block])
 
 
-# A small config of each kind; the no-interferer one writes zero rows in zero blocks.
+# A small config of each kind.
 _SMALL_CONFIGS = {
     "ps_leakage": dict(experiment="PS_LEAKAGE", ps_n_elements=[4, 16], fnorm_count=5),
     "tone_sweep": dict(
@@ -727,9 +760,6 @@ _SMALL_CONFIGS = {
         experiment="DESIRED_GAIN", delta_ud_s=[1e-9, 2.5e-9], tone_count=2, frame_len=256
     ),
     "modulated": dict(experiment="TTD_MODULATED", delta_ud_s=[2.347e-9], seed=1, frame_len=2048),
-    "modulated_no_interferer": dict(
-        experiment="TTD_MODULATED", delta_ud_s=[2e-9], seed=5, interferer=False
-    ),
     "qpsk_evm": dict(
         experiment="QPSK_EVM", delta_ud_s=[2.5e-9], seed=11, desired_n_symbols=8, frame_len=8192
     ),
@@ -744,8 +774,6 @@ def test_rows_count_data_lines_of_main_csv(name, tmp_path):
     lines = Path(result["csv"]).read_bytes().split(b"\r\n")
     assert lines[-1] == b""
     assert result["rows"] == len(lines) - 2
-    if name == "modulated_no_interferer":
-        assert result["rows"] == 0
 
 
 class TestCli:

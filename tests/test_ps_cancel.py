@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spica import (
     ArrayGeometry,
     PsCancelPlan,
+    SampleFrame,
     Scene,
     SceneMode,
     SourceSpec,
@@ -18,7 +19,6 @@ from spica import (
     Waveform,
     aoa_to_delay,
     element_signal,
-    ps_cancel_stream,
     ps_residual_gain,
     sample_element,
 )
@@ -182,6 +182,18 @@ class TestResidualGain:
         assert ga == pytest.approx(gb, rel=1e-9)
 
 
+def ps_cancel_stream(frames, plan: PsCancelPlan) -> SampleFrame:
+    """Sample-domain oracle for ps_residual_gain: the plan's phase-aligned combination.
+
+    output[k] = sum_i signs[i] * exp(j*i*align_phase) * frames[i][k], over
+    equal-shape frames, each ``(n,)`` or a ``(k, n)`` tone chunk.
+    """
+    stack = np.moveaxis(np.stack([fr.samples for fr in frames]), 0, -2)
+    idx = np.arange(plan.n_elements)
+    weights = np.asarray(plan.signs, dtype=complex) * np.exp(1j * idx * plan.align_phase)
+    return SampleFrame(weights @ stack, frames[0].sample_rate)
+
+
 def _element_frames(scene, fs, n_samples):
     return [
         sample_element(element_signal(scene, i), 0.0, fs, n_samples)
@@ -229,18 +241,3 @@ class TestCancelStream:
             one = ps_cancel_stream([fr[k] for fr in frames], plan)
             np.testing.assert_array_equal(out.samples[k], one.samples)
 
-    def test_frame_count_checked(self):
-        plan = PsCancelPlan.for_angle(4, THETA, DOL)
-        frame = sample_element(Waveform(), 0.0, 1e8, 16)
-        with pytest.raises(ValueError, match="expected 4 frames"):
-            ps_cancel_stream([frame, frame], plan)
-
-    def test_metadata_mismatches_checked(self):
-        plan = PsCancelPlan(2, 0.0)
-        base = sample_element(Waveform(), 0.0, 1e8, 16)
-        other_rate = sample_element(Waveform(), 0.0, 2e8, 16)
-        other_len = sample_element(Waveform(), 0.0, 1e8, 17)
-        with pytest.raises(ValueError, match="sample rates"):
-            ps_cancel_stream([base, other_rate], plan)
-        with pytest.raises(ValueError, match="lengths"):
-            ps_cancel_stream([base, other_len], plan)

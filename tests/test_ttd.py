@@ -456,15 +456,13 @@ class TestEqualize:
         flat = lambda f, *_: np.full(np.shape(f), 2.0 + 0j)  # noqa: E731
         monkeypatch.setattr(ttd, "desired_conversion_gain", flat)
         fr = sample_element(tone(12.5e6), 0.0, 1e8, 64)
-        out = equalize(fr, 0, 1e-9, eps=0.1)
+        out = equalize(fr, 0, 1e-9)
         np.testing.assert_allclose(out.samples, fr.samples / 2.0, atol=1e-12)
 
-    def test_eps_must_be_positive(self):
+    def test_gain_zero_at_every_bin_raises(self):
+        # at zero delay G_r(f) is 0 at every bin, so the floor eps is 0 too
         fr = sample_element(tone(1e6), 0.0, 1e8, 16)
-        with pytest.raises(ValueError, match="eps"):
-            equalize(fr, 0, 1e-9, eps=0.0)
-        # at zero delay G_r(f) is 0 at every bin, so the default eps is 0 too
-        with pytest.raises(ValueError, match="eps"):
+        with pytest.raises(ValueError, match="zero at every bin"):
             equalize(fr, 0, 0.0)
 
     def test_gain_computed_once(self, monkeypatch):
@@ -492,6 +490,21 @@ class TestEqualize:
         ref = sample_element(tone(f), 0.0, fs, nsamp)
         assert np.max(np.abs(recovered.samples - ref.samples)) <= 1e-6
 
+    def test_carrier_offset_roundtrip(self):
+        # a phase ramp at f + f_c, as LO phasors leave on the desired signal,
+        # is undone with the gain at f + f_c, and not with the gain at f
+        fs, nsamp, delta, row, fc = 2e8, 1024, 2.347e-9, 0, 10e9
+        f = 96 * fs / nsamp
+        frames = [
+            sample_element(tone(f) * np.exp(2j * np.pi * (f + fc) * i * delta), 0.0, fs, nsamp)
+            for i in range(4)
+        ]
+        distorted = mac_apply(frames, truncated_hadamard(4))[row]
+        ref = sample_element(tone(f), 0.0, fs, nsamp)
+        recovered = equalize(distorted, row, delta, offset_hz=fc)
+        assert np.max(np.abs(recovered.samples - ref.samples)) <= 1e-6
+        assert np.max(np.abs(equalize(distorted, row, delta).samples - ref.samples)) > 0.1
+
     def test_low_gain_bins_are_zeroed(self):
         # a tone parked on the structural DC null must come out as zero,
         # not as a divide-by-tiny blowup
@@ -500,13 +513,3 @@ class TestEqualize:
         out = equalize(fr, 0, 1e-9)
         assert np.max(np.abs(out.samples)) <= 1e-12
 
-    def test_explicit_eps_overrides_default(self):
-        fs, nsamp, delta, row = 2e8, 512, 1e-9, 0
-        f = 48 * fs / nsamp
-        fr = sample_element(tone(f), 0.0, fs, nsamp)
-        g = abs(desired_conversion_gain(f, delta, row))
-        assert g > 0.1
-        kept = equalize(fr, row, delta, eps=0.9 * g)
-        zeroed = equalize(fr, row, delta, eps=1.1 * g)
-        assert np.max(np.abs(zeroed.samples)) <= 1e-12
-        assert np.max(np.abs(kept.samples)) > 0.1
