@@ -26,6 +26,7 @@ from .metrics import (
 from .ps_cancel import PsCancelPlan, ps_residual_gain
 from .ttd import (
     INTERLEAVE_STEP,
+    PI_STEP,
     Quadrant,
     _total_delay,
     desired_conversion_gain,
@@ -304,18 +305,16 @@ def _check_qpsk(cfg: ExperimentConfig) -> None:
             "desired_symbol_rate_hz",
             "sample_rate_hz must be an integer multiple of the symbol rate",
         )
+    # The last element lags element 1 by up to (n - 1) * -delta, plus a PI step of planner error.
+    lag = (cfg.n_elements - 1) * max(0.0, -cfg.delta_ud_s[0]) + PI_STEP
     n_needed = cfg.desired_n_symbols + cfg.span_symbols
-    last_needed = _genie_timing(cfg) + n_needed / cfg.desired_symbol_rate_hz
+    last_needed = _genie_timing(cfg) + lag + n_needed / cfg.desired_symbol_rate_hz
     if last_needed > cfg.frame_len / cfg.sample_rate_hz:
         _fail("frame_len", "too short for desired_n_symbols plus matched-filter span")
     # With no delay difference every row's gain G_r(f) is zero at every f,
     # so there is nothing to equalize.
     if cfg.delta_ud_s[0] == 0:
         _fail("delta_ud_s", "must be nonzero: at zero delay every row nulls the desired signal")
-    # A negative delay shifts every clock by a common offset (see
-    # _clock_targets) that genie timing does not include.
-    if cfg.delta_ud_s[0] < 0:
-        _fail("delta_ud_s", "must be positive: genie timing assumes element 1's clock is undelayed")
 
 
 def _check_plan_clock(cfg: ExperimentConfig) -> None:
@@ -472,8 +471,8 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
             for branch, delays in enumerate((ideal, quant)):
                 keys = [(cfg.seed or 0, d_idx, c + j, branch) for j in range(chunk.size)]
                 outs, ref = _sample_scene(cfg, scene, delays, keys)
-                depths[branch].extend(sum(cancellation_depth(ref, outs, band), []))
-        blocks.append(_sweep_block(freqs, delta, n_rows, *depths))
+                depths[branch].append(cancellation_depth(ref, outs, band).ravel())
+        blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, depths)))
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
     return {"": (header, blocks)}, derived
 
@@ -490,12 +489,12 @@ def _run_desired_gain(cfg: ExperimentConfig):
             scene = _scene(cfg, Waveform(terms=(ToneTerm(1.0, chunk[:, None]),)))
             keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
             outs, ref = _sample_scene(cfg, scene, delays, keys)
-            measured += sum(conversion_gain_measured(outs, ref, chunk), [])
+            measured.append(conversion_gain_measured(outs, ref, chunk).ravel())
             for freq in chunk.tolist():
                 for r in range(n - 1):
                     theory = desired_conversion_gain(freq, delta, r, n)
                     theory_db.append(20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf)
-        blocks.append(_sweep_block(freqs, delta, n - 1, theory_db, measured))
+        blocks.append(_sweep_block(freqs, delta, n - 1, theory_db, np.concatenate(measured)))
     header = ["freq_hz", "delta_s", "row", "gain_db_theory", "gain_db_measured"]
     return {"": (header, blocks)}, {}
 
@@ -542,19 +541,20 @@ def _genie_timing(cfg: ExperimentConfig) -> float:
 
 def _run_qpsk_evm(cfg: ExperimentConfig):
     delta = cfg.delta_ud_s[0]
+    quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
     desired_stream = _qpsk_stream(
         cfg, 0, cfg.desired_n_symbols, cfg.desired_symbol_rate_hz, cfg.desired_center_hz
     )
     genie = _genie_timing(cfg)
+    # Element 1's clock is late by quant[0] (0 unless delta < 0): delay the stream as much.
     desired_wave = Waveform(
         terms=(desired_stream,),
         scale=1.0 / math.sqrt(cfg.desired_symbol_rate_hz),
-        delay=genie,
+        delay=genie + quant[0],
     )
     power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
     interferer = Waveform(terms=(_interferer_stream(cfg),), scale=math.sqrt(power))
     scene = _scene(cfg, desired_wave, interferer, delta)
-    quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
     outs, _ = _sample_scene(cfg, scene, quant, [(cfg.seed, 2)])
 
     evms = []

@@ -161,7 +161,7 @@ def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
     (``mac_apply``'s rows), each row measured against the one reference.
     Leading axes of ``ref``, such as k tones ``(k, n)`` against ``canc`` of
     ``(k, rows, n)``, carry one band edge each (or share scalar edges).
-    The result has ``canc``'s leading shape: a float, or a nested list.
+    Returns an ndarray of ``canc``'s leading shape (0-d for one frame).
     """
     lead, rows = _leading(ref, canc)
     nfft, fs = min(4096, len(ref), len(canc)), ref.sample_rate
@@ -175,7 +175,7 @@ def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
         math.inf if p <= _DB_FLOOR * nfft else 10.0 * math.log10(r)
         for p, r in zip(p_canc.flat, ratio.flat)
     ]
-    return np.reshape(depths, p_canc.shape).tolist()
+    return np.reshape(depths, p_canc.shape)
 
 
 def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):
@@ -188,7 +188,7 @@ def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):
     ``mac_apply``'s rows), each row read against the one reference.
     Leading axes of ``one_in``, such as k tones ``(k, n)`` against
     ``all_in`` of ``(k, rows, n)``, carry one frequency each (or share a
-    scalar ``f``).  The result has ``all_in``'s leading shape, as above.
+    scalar ``f``).  Returns an ndarray of ``all_in``'s leading shape, as above.
     """
     lead, _ = _leading(one_in, all_in)
     nfft, fs = min(4096, len(all_in), len(one_in)), one_in.sample_rate
@@ -210,7 +210,7 @@ def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):
                     f"({peak_db[low[0]]:.1f} dB vs median {floor_db[low[0]]:.1f} dB)"
                 )
         gains[idx] = db_all[idx][..., bin_idx] - db_one[idx][bin_idx]
-    return gains.tolist()
+    return gains
 
 
 def evm_percent(rx_symbols, ref_symbols) -> float:
@@ -249,9 +249,9 @@ def recover_symbols(frame: SampleFrame, stream: StreamTerm, genie_timing: float)
     """
     fs = frame.sample_rate
     rate = stream.symbol_rate
-    t = frame.times()
     base = frame.samples
     if stream.center_freq != 0.0:
+        t = np.arange(len(frame)) / fs
         base = base * np.exp(-2j * np.pi * stream.center_freq * (t - genie_timing))
 
     half = int(np.ceil(stream.span_symbols * fs / rate))

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waveform import _scalar_like
-
 __all__ = [
     "PsCancelPlan",
     "ps_residual_gain",
@@ -55,7 +53,7 @@ def ps_residual_gain(plan: PsCancelPlan, f_norm, theta_ud_deg: float, d_over_lam
     with i = 0..n-1.  When the plan's align_phase matches the interferer
     direction, the exponent collapses to a pure function of (1 - f_norm),
     zero at the carrier and growing away from it.  ``f_norm`` may be a
-    scalar or ndarray.
+    scalar or ndarray; the result has its shape (0-d for a scalar).
 
     The sum is evaluated by Horner's rule, ((s[n-1]*z + s[n-2])*z + ...)*z
     + s[0]: one ``exp`` per frequency and n-1 in-place multiply-adds, so
@@ -67,5 +65,5 @@ def ps_residual_gain(plan: PsCancelPlan, f_norm, theta_ud_deg: float, d_over_lam
     for sign in reversed(plan.signs[:-1]):
         res *= z
         res += sign
-    return _scalar_like(f_norm, res)
+    return res
 

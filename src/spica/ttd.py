@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waveform import _scalar_like
-
 __all__ = [
     "PI_STEP",
     "QUADRANT_STEP",
@@ -172,10 +170,6 @@ class SampleFrame:
     def __getitem__(self, row) -> "SampleFrame":
         return SampleFrame(self.samples[row], self.sample_rate)
 
-    def times(self) -> np.ndarray:
-        """Nominal sample instants on the shared output grid."""
-        return np.arange(len(self)) / self.sample_rate
-
     def scaled(self, factor) -> "SampleFrame":
         return SampleFrame(self.samples * factor, self.sample_rate)
 
@@ -290,7 +284,8 @@ def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
     with i = 0..n-1.  G_r(0) = 0 for every row (the rows are zero-sum), so
     any cancellation stage also notches DC.
 
-    ``f`` may be a scalar or ndarray of baseband frequencies in Hz.
+    ``f`` may be a scalar or ndarray of baseband frequencies in Hz; the
+    result has its shape (a numpy complex scalar for a scalar ``f``).
     """
     m = truncated_hadamard(n)
     if not 0 <= row < n - 1:
@@ -299,8 +294,7 @@ def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
     f_arr = np.asarray(f, dtype=float)
     idx = np.arange(n)
     phases = np.exp(2j * np.pi * np.multiply.outer(f_arr, idx * delta))
-    g = phases @ signs.astype(complex)
-    return _scalar_like(f, g)
+    return phases @ signs.astype(complex)
 
 
 def equalize(

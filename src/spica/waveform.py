@@ -30,12 +30,7 @@ _EDGE_WINDOW = 1e-2
 _BLOCK = 8192
 
 
-def _scalar_like(x, out):
-    """``out`` as a Python scalar when the input ``x`` was a scalar, else unchanged."""
-    return out.item() if np.ndim(x) == 0 else out
-
-
-def rrc_pulse(t, symbol_rate: float, rolloff: float, span_symbols: int | None = 16):
+def rrc_pulse(t, symbol_rate: float, rolloff: float, span_symbols: int = 16):
     """Unit-energy root-raised-cosine pulse evaluated at time ``t``.
 
     Parameters
@@ -47,15 +42,13 @@ def rrc_pulse(t, symbol_rate: float, rolloff: float, span_symbols: int | None = 
         integral is 1.
     rolloff : float
         Excess-bandwidth factor in [0, 1].
-    span_symbols : int or None
-        Truncate the pulse to this many symbol periods on each side of the
-        peak.  ``None`` evaluates the untruncated formula (used by the
-        spectral-integral oracle in the tests).
+    span_symbols : int
+        Truncate the pulse to this many symbol periods on each side of the peak.
 
     Returns
     -------
-    float or ndarray
-        Pulse amplitude; zero outside the truncation span.
+    ndarray
+        Pulse amplitude shaped like ``t`` (0-d for a scalar); zero outside the span.
     """
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError(f"rolloff must be in [0, 1], got {rolloff}")
@@ -67,10 +60,10 @@ def rrc_pulse(t, symbol_rate: float, rolloff: float, span_symbols: int | None = 
     sin_a = np.sin(np.pi * x * (1.0 - b))
     cos_b = np.cos(np.pi * x * (1.0 + b))
     out = _rrc_shape(x, sin_a, cos_b, b, span_symbols, np.sqrt(symbol_rate))
-    return _scalar_like(t, out.reshape(np.shape(t)))
+    return out.reshape(np.shape(t))
 
 
-def _rrc_shape(x, sin_a, cos_b, b: float, span: int | None, scale: float, reach=(0, np.inf)):
+def _rrc_shape(x, sin_a, cos_b, b: float, span: int, scale: float, reach=(0, np.inf)):
     """RRC pulse at normalized times ``x`` (an ndarray, in symbol periods).
 
     ``sin_a`` and ``cos_b`` are sin(pi*(1-b)*x) and cos(pi*(1+b)*x), however
@@ -91,7 +84,7 @@ def _rrc_shape(x, sin_a, cos_b, b: float, span: int | None, scale: float, reach=
         edge = np.abs(np.abs(y) - 1.0) < _EDGE_WINDOW
         if edge.any():
             out[edge] = _rrc_edge(np.abs(x[edge]), b) * scale
-    cutoff = np.inf if span is None else float(span) + 1e-9
+    cutoff = float(span) + 1e-9
     if hi > cutoff:
         out[np.abs(x) > cutoff] = 0.0
     return out
@@ -196,7 +189,7 @@ class StreamTerm:
         object.__setattr__(self, "span_symbols", int(self.span_symbols))
 
     def eval(self, t) -> np.ndarray:
-        """Sum of shaped symbol pulses at time ``t`` (scalar or ndarray)."""
+        """Sum of shaped symbol pulses at time ``t``, shaped like ``t`` (0-d for a scalar)."""
         t_flat = np.asarray(t, dtype=float).ravel()
         acc = np.zeros(t_flat.shape, dtype=complex)
         # A pulse reaches only instants whose nearest symbol (k0 in _pulse_sum)
@@ -211,7 +204,7 @@ class StreamTerm:
             acc[idx] = self._pulse_sum(t_flat[idx])
         if self.center_freq != 0.0:
             acc *= np.exp(2j * np.pi * self.center_freq * t_flat)
-        return _scalar_like(t, acc.reshape(np.shape(t)))
+        return acc.reshape(np.shape(t))
 
     def _pulse_sum(self, t_arr: np.ndarray) -> np.ndarray:
         """Baseband sum of shaped symbol pulses at the 1-D instants ``t_arr``."""
@@ -256,7 +249,8 @@ class Waveform:
     Evaluation is ``scale * sum(term.eval(t - delay))``.  Terms may be
     ToneTerm, StreamTerm, or nested Waveform instances, so sums and delayed
     or scaled copies compose without re-deriving the underlying signals.
-    An empty term list evaluates to zero everywhere.
+    An empty term list evaluates to zero everywhere.  The result has the
+    shape of the instants (numpy's shape-() value for a scalar instant).
     """
 
     terms: tuple = field(default_factory=tuple)
@@ -267,16 +261,15 @@ class Waveform:
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def eval(self, t) -> np.ndarray:
-        # A zero accumulator, delay or unit scale changes no value, so each is
-        # skipped; [()] keeps a scalar instant on numpy's scalar arithmetic.
+        # A zero accumulator, delay or unit scale changes no value, so each is skipped.
         t_arr = np.asarray(t, dtype=float)
         if not self.terms:
-            return _scalar_like(t, np.zeros(t_arr.shape, dtype=complex))
+            return np.zeros(t_arr.shape, dtype=complex)
         shifted = t_arr - self.delay if self.delay != 0.0 else t_arr
-        acc = np.asarray(self.terms[0].eval(shifted), dtype=complex)[()]
+        acc = self.terms[0].eval(shifted)
         for term in self.terms[1:]:
             acc = acc + term.eval(shifted)
-        return _scalar_like(t, self.scale * acc if self.scale != 1.0 else acc)
+        return self.scale * acc if self.scale != 1.0 else acc
 
     def __call__(self, t):
         return self.eval(t)

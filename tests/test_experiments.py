@@ -193,8 +193,6 @@ BAD_VALUES = [
     pytest.param(MODULATED, "rolloff", 1.5, "rolloff", id="rolloff-past-1"),
     # zero delay: G_r(f) is 0 everywhere, nothing to equalize
     pytest.param(QPSK, "delta_ud_s", [0.0], "delta_ud_s", id="qpsk-zero-delta_ud_s"),
-    # negative delay: genie timing does not include the common clock offset
-    pytest.param(QPSK, "delta_ud_s", [-2.5e-9], "delta_ud_s", id="qpsk-negative-delta_ud_s"),
     # shorter than the desired symbols plus matched-filter span
     pytest.param(QPSK, "frame_len", 2048, "frame_len", id="qpsk-frame_len"),
     # bins 12.5 MHz and 1.5625 MHz apart: the 1 MHz band around a tone can miss them all
@@ -530,6 +528,21 @@ class TestRunners:
             evm[mode] = np.array([float(r[2]) for r in rows])
         assert evm["RF_DERIVED"].size == 3
         np.testing.assert_allclose(evm["RF_DERIVED"], evm["BB_DIRECT"], rtol=0, atol=0.1)
+
+    def test_negative_delay_qpsk_runs(self, tmp_path):
+        # an interferer at a negative angle: element 1's clock carries the
+        # common offset, and fig19 reads the EVM of the mirrored positive delay
+        for mode in ("BB_DIRECT", "RF_DERIVED"):
+            evm = []
+            for delta in (2.347e-9, -2.347e-9):
+                cfg = dict(preset("fig19").to_dict(), mode=mode, delta_ud_s=[delta], output="q")
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(cfg))
+                assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
+                _, rows = read_csv(tmp_path / "q.csv")
+                evm.append(np.array([float(r[2]) for r in rows]))
+            assert evm[1].size == 3
+            np.testing.assert_allclose(evm[1], evm[0], rtol=0, atol=0.1)
 
     def test_qpsk_evm_small(self, tmp_path):
         cfg = ExperimentConfig(

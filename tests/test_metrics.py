@@ -192,7 +192,7 @@ class TestCancellationDepth:
         canc = SampleFrame(np.stack(rows), FS)
         stacked = cancellation_depth(ref, canc, self.BAND)
         singles = [cancellation_depth(ref, SampleFrame(r, FS), self.BAND) for r in rows]
-        assert isinstance(stacked, list) and len(stacked) == 3
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (3,)
         assert stacked[2] == singles[2] == np.inf
         np.testing.assert_allclose(stacked[:2], singles[:2], rtol=0.0, atol=1e-12)
 
@@ -300,10 +300,10 @@ class TestToneChunkMeasurement:
         band = (self.FREQS - self.HALF, self.FREQS + self.HALF)
         got = cancellation_depth(ref, rows, band)
         pairs = cancellation_depth(ref, SampleFrame(rows.samples[:, 0], FS), band)
-        assert np.shape(got) == (self.FREQS.size, 3) and len(pairs) == self.FREQS.size
+        assert got.shape == (self.FREQS.size, 3) and pairs.shape == (self.FREQS.size,)
         for k, f in enumerate(self.FREQS.tolist()):
             tone_band = (f - self.HALF, f + self.HALF)
-            assert got[k] == cancellation_depth(ref[k], rows[k], tone_band)
+            np.testing.assert_array_equal(got[k], cancellation_depth(ref[k], rows[k], tone_band))
             assert pairs[k] == cancellation_depth(ref[k], rows[k][0], tone_band) == got[k][0]
             assert all(30.0 < d < 200.0 for d in got[k])
 
@@ -311,7 +311,9 @@ class TestToneChunkMeasurement:
         ref, rows = self.interferer()
         got = cancellation_depth(ref, rows, (-100e6, 100e6))
         for k in range(self.FREQS.size):
-            assert got[k] == cancellation_depth(ref[k], rows[k], (-100e6, 100e6))
+            np.testing.assert_array_equal(
+                got[k], cancellation_depth(ref[k], rows[k], (-100e6, 100e6))
+            )
 
     def test_depth_needs_paired_frames(self):
         ref, rows = self.interferer()
@@ -324,9 +326,10 @@ class TestToneChunkMeasurement:
         frames = self.elements(0.0, 1e-9, noise_rms)
         rows = mac_apply(frames, truncated_hadamard(4))
         got = conversion_gain_measured(rows, frames[0], self.FREQS)
-        assert np.shape(got) == (self.FREQS.size, 3)
+        assert got.shape == (self.FREQS.size, 3)
         for k, f in enumerate(self.FREQS.tolist()):
-            assert got[k] == conversion_gain_measured(rows[k], frames[0][k], f)
+            single = conversion_gain_measured(rows[k], frames[0][k], f)
+            np.testing.assert_array_equal(got[k], single)
 
     def test_below_floor_tone_inside_a_chunk_is_named(self):
         freqs = np.array([20e6, 40e6, 60e6, 80e6])

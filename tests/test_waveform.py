@@ -113,6 +113,16 @@ def eval_from_zeros(node, t):
     return node.scale * acc
 
 
+def magnitude_bound(node):
+    """An upper bound on ``node``'s magnitude at any instant."""
+    if isinstance(node, ToneTerm):
+        return node.amplitude
+    if isinstance(node, StreamTerm):
+        # Every pulse peaks at x = 0, at 1 - b + 4b/pi <= 4/pi times sqrt(rate).
+        return 1.3 * np.sqrt(node.symbol_rate) * np.sum(np.abs(node.symbols))
+    return abs(node.scale) * sum(map(magnitude_bound, node.terms))
+
+
 def stream_by_ungated_loop(stream, t):
     """``stream``'s baseband sum with every fix-up of the pulse formula run at every offset."""
     b, span, rate = stream.rolloff, stream.span_symbols, stream.symbol_rate
@@ -197,14 +207,15 @@ class TestRrcPulse:
         with mpmath.workdps(40):
             expected = float(rrc_by_mpmath(mpmath.mpf(x), mpmath.mpf(b)))
         peak = 1.0 - b + 4.0 * b / np.pi
-        assert abs(rrc_pulse(x, 1.0, b, span_symbols=None) - expected) <= 1e-12 * peak
+        # |x| reaches 0.25 / 1e-6 = 2.5e5 symbol periods; the span reaches past it.
+        assert abs(rrc_pulse(x, 1.0, b, span_symbols=10**6) - expected) <= 1e-12 * peak
 
     def test_beyond_span_is_zero(self):
         assert rrc_pulse(16.5, 1.0, 0.25) == 0.0
         assert rrc_pulse(-1e6, 1.0, 0.25) == 0.0
         assert rrc_pulse(17.0, 1.0, 0.25, span_symbols=16) == 0.0
-        # untruncated evaluation keeps the tail
-        assert rrc_pulse(17.0, 1.0, 0.25, span_symbols=None) != 0.0
+        # a longer span keeps the tail
+        assert rrc_pulse(17.0, 1.0, 0.25, span_symbols=18) != 0.0
 
     def test_rolloff_zero_is_sinc_with_symbol_period_zeros(self):
         for k in (1, 2, 3, 7):
@@ -230,7 +241,7 @@ class TestRrcPulse:
         rate = 1.0
         dt = 1.0 / 64
         t = np.arange(-200.0, 200.0, dt)
-        p = rrc_pulse(t, rate, 0.25, span_symbols=None)
+        p = rrc_pulse(t, rate, 0.25, span_symbols=201)
         assert np.sum(p**2) * dt == pytest.approx(1.0, rel=1e-6)
 
     def test_validation(self):
@@ -299,27 +310,17 @@ class TestWaveformEval:
     @settings(max_examples=200, deadline=None)
     def test_matches_zero_accumulator_bit_for_bit(self, w, t):
         # Skipping the zero accumulator, a zero delay or phase and a unit scale
-        # or amplitude must change no value, for scalar and array instants.
+        # or amplitude must change no value for array instants.  A scalar
+        # instant gives a shape-() value; there numpy may use its scalar or its
+        # array product, which differ in the last bit on hosts with fused
+        # multiply-add, so it is compared within rounding of the tree's size.
         got = w.eval(t)
-        assert np.array_equal(got, eval_from_zeros(w, t))
+        expected = eval_from_zeros(w, t)
+        assert np.shape(got) == np.shape(t)
         if np.ndim(t) == 0:
-            assert type(got) is complex
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * magnitude_bound(w))
         else:
-            assert got.shape == t.shape
-
-    def test_scalar_instant_through_every_shortcut(self):
-        # A single term with no delay and unit scale returns the term's own
-        # output, which for a scalar instant must still come back as a complex.
-        # A scaled scalar must take numpy's scalar product, which on hosts with
-        # fused multiply-add differs in the last bit from its array loop.
-        plain = Waveform(terms=(ToneTerm(1.0, 3e6),))
-        scaled = Waveform(terms=(ToneTerm(1.0, 0.0, 1.0),), scale=3.0 + 1.0j)
-        stream = Waveform(terms=(StreamTerm([1.0], 1e6),))
-        nested = [Waveform(terms=(w,)) for w in (plain, scaled)]
-        for w in (plain, scaled, stream, Waveform(), *nested):
-            got = w.eval(2.5e-7)
-            assert type(got) is complex
-            assert got == eval_from_zeros(w, 2.5e-7)
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("freq", [1e6, 37e6, -50e6])
     def test_tone_time_shift_exactness(self, freq):
@@ -389,7 +390,7 @@ class TestStreamTerm:
         assert got.shape == grid.shape
         np.testing.assert_allclose(got, [expected, expected[::-1]], rtol=0, atol=tol)
         one = stream.eval(float(t[0]))
-        assert type(one) is complex
+        assert np.shape(one) == ()
         assert abs(one - expected[0]) <= tol
 
     @pytest.mark.parametrize("span", [1, 2, 16])
