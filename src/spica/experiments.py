@@ -361,7 +361,9 @@ def preset(name: str) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # runners: each returns ({csv suffix: (header, blocks)}, derived); suffix "" is the main CSV.
-# A block is a tuple of equal-length columns; _write_csv writes one at a time.
+# A block is a tuple of equal-length columns; _write_csv writes one at a time,
+# _CSV_ROWS rows per % format (a bound on the text held at once).
+_CSV_ROWS = 4096
 
 
 def _scene(cfg: ExperimentConfig, desired: Waveform, undesired=None, delta=0.0) -> Scene:
@@ -633,9 +635,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         "derived": derived,
     }
     manifest_path = out_dir / f"{cfg.output}_manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # Compact JSON: only indent=None reaches the C encoder.
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
 
     return {
         "csv": str(out_dir / outputs["csv"]),
@@ -649,18 +650,24 @@ def _write_csv(path, header, blocks):
     """Write ``header``, then each block of a column-block table in turn.
 
     A block is a tuple of equal-length columns (numpy arrays or sequences),
-    one per field; writing block by block keeps one block's text alive at a
-    time.  Each column goes through one ``map(str, ...)`` (arrays after
-    ``.tolist()``) and each line is one format call.  The bytes equal
-    csv.writer's: str gives float.__repr__ for floats and np.float64, and no
-    field written here holds a comma, quote or newline.
+    one per field.  Each chunk of ``_CSV_ROWS`` rows is one ``%`` format
+    over its cells, interleaved row-major by one slice assignment per column
+    (arrays after ``.tolist()``), so no Python call runs per row or field.
+    The bytes equal csv.writer's: ``%s`` is str, which gives float.__repr__
+    for floats and np.float64, and no field here holds a comma, quote or newline.
     """
-    line = ",".join(["{}"] * len(header)) + "\r\n"
+    k = len(header)
+    row = ",".join(["%s"] * k) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(line.format(*header))
+        fh.write(row % tuple(header))
         for block in blocks:
             lengths = [len(column) for column in block]
-            if len(block) != len(header) or len(set(lengths)) > 1:
-                raise ValueError(f"block column lengths {lengths} do not fit {len(header)} fields")
-            texts = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in block]
-            fh.writelines(map(line.format, *texts))
+            if len(block) != k or len(set(lengths)) > 1:
+                raise ValueError(f"block column lengths {lengths} do not fit {k} fields")
+            for lo in range(0, max(lengths, default=0), _CSV_ROWS):
+                n = min(_CSV_ROWS, lengths[0] - lo)
+                cells = [None] * (k * n)
+                for i, c in enumerate(block):
+                    c = c[lo : lo + n]
+                    cells[i::k] = c.tolist() if isinstance(c, np.ndarray) else c
+                fh.write(row * n % tuple(cells))

@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,6 +310,13 @@ class TestLoadConfig:
         result = run_experiment(cfg, output_dir=tmp_path)
         again = load_config(result["manifest"])
         assert again == cfg
+
+    def test_preset_manifest_is_one_line_and_reruns_byte_identically(self, tmp_path):
+        paths = [run_experiment(preset("fig10"), output_dir=tmp_path / d)["manifest"] for d in "ab"]
+        a, b = (Path(p).read_bytes() for p in paths)
+        assert a == b
+        assert a.endswith(b"\n") and a.count(b"\n") == 1
+        assert load_config(paths[0]) == preset("fig10")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -740,13 +748,28 @@ class TestWriteCsv:
     @settings(max_examples=200, deadline=None)
     def test_blocks_match_csv_writer_rows(self, table):
         # Rows of the numpy columns hold numpy scalars, so this also pins
-        # str(x) of .tolist() to str of np.float64 and np.int64.
+        # str(x) of .tolist() to str of np.float64 and np.int64.  Chunks of
+        # 1 and 3 rows let the at most 12 drawn rows cross chunk boundaries.
         columns, blocks = table
         header = [f"c{i}" for i in range(len(columns))]
-        with tempfile.TemporaryDirectory() as out:
-            experiments._write_csv(Path(out, "blocks.csv"), header, blocks)
-            write_with_csv_writer(Path(out, "rows.csv"), header, zip(*columns))
-            assert Path(out, "blocks.csv").read_bytes() == Path(out, "rows.csv").read_bytes()
+        for chunk_rows in (1, 3, experiments._CSV_ROWS):
+            with (
+                mock.patch.object(experiments, "_CSV_ROWS", chunk_rows),
+                tempfile.TemporaryDirectory() as out,
+            ):
+                experiments._write_csv(Path(out, "blocks.csv"), header, blocks)
+                write_with_csv_writer(Path(out, "rows.csv"), header, zip(*columns))
+                assert Path(out, "blocks.csv").read_bytes() == Path(out, "rows.csv").read_bytes()
+
+    def test_block_longer_than_two_chunks_matches_csv_writer(self, tmp_path):
+        n = 2 * experiments._CSV_ROWS + 1
+        floats = np.resize([-0.0, math.inf, 5e-324, 0.1, -1.5e-300], n)
+        columns = [range(n), [f"Q{i % 4}" for i in range(n)], np.arange(-n, n, 2), floats]
+        header = ["row", "label", "int64", "float64"]
+        empty = tuple(c[:0] for c in columns)
+        experiments._write_csv(tmp_path / "chunks.csv", header, [empty, tuple(columns), empty])
+        write_with_csv_writer(tmp_path / "rows.csv", header, zip(*columns))
+        assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "block",
