@@ -1,0 +1,81 @@
+"""Every preset's CSVs against the committed golden outputs, under the output contract."""
+
+from pathlib import Path
+
+import pytest
+
+from output_contract import compare_csv
+from spica import preset, preset_names, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_matches_golden_output(name, tmp_path):
+    run_experiment(preset(name), output_dir=tmp_path)
+    written = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert written == sorted(p.name for p in GOLDEN.glob(f"{name}*.csv"))
+    for csv_name in written:
+        golden = (GOLDEN / csv_name).read_text()
+        _, violations = compare_csv(golden, (tmp_path / csv_name).read_text())
+        assert not violations, f"{csv_name}: {violations[:5]}"
+
+
+def _edited(csv_name: str, column: str, edit, rows=None):
+    """A golden CSV's text with ``edit`` applied to ``column`` in ``rows`` (default all)."""
+    lines = [line.split(",") for line in (GOLDEN / csv_name).read_text().splitlines()]
+    j = lines[0].index(column)
+    for i in range(1, len(lines)) if rows is None else rows:
+        lines[i][j] = edit(lines[i][j])
+    return "\r\n".join(",".join(cells) for cells in lines) + "\r\n"
+
+
+def _violations(csv_name, column, edit, rows=None):
+    return compare_csv((GOLDEN / csv_name).read_text(), _edited(csv_name, column, edit, rows))[1]
+
+
+class TestComparator:
+    def test_unchanged_table_passes_byte_identical(self):
+        text = (GOLDEN / "fig17.csv").read_text()
+        summary, violations = compare_csv(text, _edited("fig17.csv", "row", str))
+        assert violations == []
+        assert all(line.endswith("byte-identical") for line in summary)
+
+    def test_measured_gain_off_by_a_micro_db_fails(self):
+        bad = _violations("fig17.csv", "gain_db_measured", lambda v: repr(float(v) + 1e-6), [5])
+        assert len(bad) == 1 and "gain_db_measured row 4" in bad[0]
+
+    def test_rounding_sized_move_passes(self):
+        assert _violations("fig17.csv", "gain_db_theory", lambda v: repr(float(v) + 1e-11)) == []
+
+    def test_ideal_depths_at_infinity_pass(self):
+        assert _violations("fig16.csv", "depth_db_ideal", lambda v: "inf") == []
+
+    def test_value_crossing_150_db_fails(self):
+        # fig16 row 1 reads 357 dB, fig18 row 1 57 dB and fig17 row 1 -44 dB
+        assert len(_violations("fig16.csv", "depth_db_ideal", lambda v: "149.0", [1])) == 1
+        assert len(_violations("fig16.csv", "depth_db_ideal", lambda v: "-200.0", [1])) == 1
+        assert len(_violations("fig18.csv", "depth_db", lambda v: "150.5", [1])) == 1
+        assert len(_violations("fig17.csv", "gain_db_theory", lambda v: "-inf", [1])) == 1
+
+    def test_freq_cell_byte_change_fails(self):
+        # 1000000.0 and 1e6 are the same float but not the same bytes
+        bad = _violations("fig17.csv", "freq_hz", lambda v: "1e6", [1])
+        assert len(bad) == 1 and "must keep its bytes" in bad[0]
+
+    def test_evm_and_constellation_tolerances(self):
+        def scaled(k):
+            return lambda v: repr(float(v) * k)
+
+        assert _violations("fig19.csv", "evm_percent", scaled(1 + 5e-10)) == []
+        assert len(_violations("fig19.csv", "evm_percent", scaled(1 + 2e-9), [2])) == 1
+        shift = lambda d: lambda v: repr(float(v) + d)  # noqa: E731
+        assert _violations("fig19_constellation.csv", "rx_im", shift(5e-10)) == []
+        assert len(_violations("fig19_constellation.csv", "rx_re", shift(2e-9), [3])) == 1
+        assert len(_violations("fig19_constellation.csv", "ref_re", shift(0.0), [3])) == 0
+        assert len(_violations("fig19_constellation.csv", "ref_re", lambda v: v + "0", [3])) == 1
+
+    def test_header_and_row_count_must_match(self):
+        text = (GOLDEN / "fig18.csv").read_text()
+        assert compare_csv(text, text.replace("depth_db", "depth"))[1]
+        assert compare_csv(text, "".join(text.splitlines(keepends=True)[:-1]))[1]
