@@ -485,17 +485,17 @@ def _run_desired_gain(cfg: ExperimentConfig):
     blocks = []
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         delays = [i * delta for i in range(n)]
-        theory_db, measured = [], []
+        measured = []
         for c in range(0, freqs.size, _TONE_CHUNK):
             chunk = freqs[c : c + _TONE_CHUNK]
             scene = _scene(cfg, Waveform(terms=(ToneTerm(1.0, chunk[:, None]),)))
             keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
             outs, ref = _sample_scene(cfg, scene, delays, keys)
             measured.append(conversion_gain_measured(outs, ref, chunk).ravel())
-            for freq in chunk.tolist():
-                for r in range(n - 1):
-                    theory = desired_conversion_gain(freq, delta, r, n)
-                    theory_db.append(20.0 * math.log10(abs(theory)) if theory != 0 else -math.inf)
+        # (tone, row) order, as _sweep_block lays the rows out; a null reads -inf.
+        theory = np.stack([desired_conversion_gain(freqs, delta, r, n) for r in range(n - 1)], -1)
+        with np.errstate(divide="ignore"):
+            theory_db = 20.0 * np.log10(np.abs(theory)).ravel()
         blocks.append(_sweep_block(freqs, delta, n - 1, theory_db, np.concatenate(measured)))
     header = ["freq_hz", "delta_s", "row", "gain_db_theory", "gain_db_measured"]
     return {"": (header, blocks)}, {}

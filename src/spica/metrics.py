@@ -171,11 +171,7 @@ def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
     ratio = (p_ref[..., None] if rows else p_ref) / p_canc
     # The all-zero frame hits the PSD floor rather than true zero; treat
     # anything at the floor as perfect cancellation.
-    depths = [
-        math.inf if p <= _DB_FLOOR * nfft else 10.0 * math.log10(r)
-        for p, r in zip(p_canc.flat, ratio.flat)
-    ]
-    return np.reshape(depths, p_canc.shape)
+    return np.where(p_canc <= _DB_FLOOR * nfft, np.inf, 10.0 * np.log10(ratio))
 
 
 def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):

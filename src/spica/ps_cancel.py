@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ttd import _signed_power_sum
+
 __all__ = [
     "PsCancelPlan",
     "ps_residual_gain",
@@ -55,15 +57,8 @@ def ps_residual_gain(plan: PsCancelPlan, f_norm, theta_ud_deg: float, d_over_lam
     zero at the carrier and growing away from it.  ``f_norm`` may be a
     scalar or ndarray; the result has its shape (0-d for a scalar).
 
-    The sum is evaluated by Horner's rule, ((s[n-1]*z + s[n-2])*z + ...)*z
-    + s[0]: one ``exp`` per frequency and n-1 in-place multiply-adds, so
-    memory is O(points) for any sign pattern and array size.
+    Horner's rule sums it with one ``exp`` per frequency in O(points) memory.
     """
     arrival = 2.0 * np.pi * d_over_lambda * np.sin(np.radians(theta_ud_deg))
     z = np.exp(1j * (plan.align_phase - np.asarray(f_norm, dtype=float) * arrival))
-    res = np.full(z.shape, complex(plan.signs[-1]))
-    for sign in reversed(plan.signs[:-1]):
-        res *= z
-        res += sign
-    return res
-
+    return _signed_power_sum(plan.signs, z)

@@ -272,6 +272,18 @@ def mac_apply(frames, m: ThmMatrix) -> SampleFrame:
     return SampleFrame(m.rows @ stack, rate)
 
 
+def _signed_power_sum(signs, z):
+    """sum_i signs[i] * z**i by Horner's rule, ((s[n-1]*z + s[n-2])*z + ...)*z + s[0].
+
+    One complex array shaped like ``z`` (0-d for a scalar): O(z.size) memory for any n.
+    """
+    res = np.full(np.shape(z), complex(signs[-1]))
+    for sign in reversed(signs[:-1]):
+        res *= z
+        res += sign
+    return res
+
+
 def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
     """Closed-form conversion gain of one matrix row for the desired signal.
 
@@ -279,22 +291,19 @@ def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
     delay differs from the desired signal's by ``delta``, the desired
     component acquires a per-element phase ramp and the row output becomes
 
-        G_r(f) = sum_i rows[r][i] * exp(j * 2 * pi * f * i * delta)
+        G_r(f) = sum_i rows[r][i] * z**i,  z = exp(j * 2 * pi * f * delta)
 
-    with i = 0..n-1.  G_r(0) = 0 for every row (the rows are zero-sum), so
-    any cancellation stage also notches DC.
+    with i = 0..n-1, summed by Horner's rule.  G_r(0) = 0 for every row (the
+    rows are zero-sum), so any cancellation stage also notches DC.
 
     ``f`` may be a scalar or ndarray of baseband frequencies in Hz; the
-    result has its shape (a numpy complex scalar for a scalar ``f``).
+    result is a complex ndarray of its shape (0-d for a scalar ``f``).
     """
     m = truncated_hadamard(n)
     if not 0 <= row < n - 1:
         raise ValueError(f"row must be in 0..{n - 2}, got {row}")
-    signs = m.rows[row]
-    f_arr = np.asarray(f, dtype=float)
-    idx = np.arange(n)
-    phases = np.exp(2j * np.pi * np.multiply.outer(f_arr, idx * delta))
-    return phases @ signs.astype(complex)
+    z = np.exp(2j * np.pi * delta * np.asarray(f, dtype=float))
+    return _signed_power_sum(m.rows[row], z)
 
 
 def equalize(

@@ -8,7 +8,7 @@ directories from the repository root with
 
     python tests/output_contract.py OLD_DIR NEW_DIR
 
-which prints one line per CSV column and exits 1 if any value breaks the
+which prints, per CSV, the columns that moved and by how much, and exits 1 if any value breaks the
 contract.
 """
 
@@ -77,10 +77,15 @@ def check_column(name: str, old_cells, new_cells):
         for i, a, b in values
         if not _allowed(kind, a, b)
     ]
-    inside = [abs(b - a) for _, a, b in values if not (kind == "db" and _beyond(a))]
-    parts = [f"{name}: {len(moved)} values moved"]
+    inside = [
+        abs(b - a) / (abs(a) if kind == "relative" else 1.0)
+        for _, a, b in values
+        if not (kind == "db" and _beyond(a))
+    ]
+    parts = [f"{name}: {len(moved)} of {len(old_cells)} moved"]
     if inside:
-        parts.append(f"max |diff| {max(inside):.2g}" + (" under 150 dB" if kind == "db" else ""))
+        what = {"db": " under 150 dB", "relative": " relative"}.get(kind, "")
+        parts.append(f"max |diff| {max(inside):.2g}{what}")
     if len(inside) < len(values):
         far = [(a, b) for _, a, b in values if _beyond(a)]
         finite = [abs(b - a) for a, b in far if math.isfinite(a) and math.isfinite(b)]

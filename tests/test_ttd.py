@@ -1,5 +1,6 @@
 """Clock planning, sampling, matrix combining and equalization tests."""
 
+import cmath
 import math
 
 import numpy as np
@@ -440,6 +441,27 @@ class TestDesiredConversionGain:
         vec = desired_conversion_gain(f, 2e-9, 2, 4)
         scl = np.array([desired_conversion_gain(float(x), 2e-9, 2, 4) for x in f])
         np.testing.assert_allclose(vec, scl, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_n=st.integers(1, 8),
+        row_frac=st.floats(0.0, 1.0, exclude_max=True),
+        freqs=st.lists(st.floats(-11e9, 11e9), min_size=1, max_size=6),
+        delay_frac=st.floats(-1.0, 1.0),
+    )
+    def test_horner_sum_matches_exp_term_loop(self, log_n, row_frac, freqs, delay_frac):
+        # frequencies up to an RF carrier plus baseband, per-element delays
+        # over the planner's 15 ns range
+        n = 2**log_n
+        row = int(row_frac * (n - 1))
+        delta = delay_frac * 15e-9 / (n - 1)
+        signs = hadamard(n)[row + 1].tolist()
+        got = desired_conversion_gain(np.array(freqs), delta, row, n)
+        for f, g in zip(freqs, got.tolist()):
+            want = sum(s * cmath.exp(2j * math.pi * f * i * delta) for i, s in enumerate(signs))
+            # each term has magnitude 1, so the bound scales with sum |s_i| = n;
+            # near a null a relative bound means nothing
+            assert abs(g - want) <= 1e-12 * sum(map(abs, signs))
 
     def test_row_range_checked(self):
         with pytest.raises(ValueError, match="row"):
