@@ -45,15 +45,21 @@ def _beyond(v: float) -> int:
     return (v > DB_LIMIT) - (v < -DB_LIMIT)
 
 
+def _diff(kind: str, old: float, new: float) -> float:
+    """How far a value moved: relative to the old value for EVM, absolute otherwise."""
+    if kind == "relative":
+        return abs(new - old) / abs(old) if old else math.inf
+    return abs(new - old)
+
+
 def _allowed(kind: str, old: float, new: float) -> bool:
     if kind == "db":
         side = _beyond(old)
         if side:
             return _beyond(new) == side
-        return not _beyond(new) and abs(new - old) <= DB_TOL
-    if kind == "relative":
-        return abs(new - old) <= EVM_RTOL * abs(old)
-    return abs(new - old) <= CONSTELLATION_ATOL
+        return not _beyond(new) and _diff(kind, old, new) <= DB_TOL
+    tol = EVM_RTOL if kind == "relative" else CONSTELLATION_ATOL
+    return _diff(kind, old, new) <= tol
 
 
 def check_column(name: str, old_cells, new_cells):
@@ -77,11 +83,7 @@ def check_column(name: str, old_cells, new_cells):
         for i, a, b in values
         if not _allowed(kind, a, b)
     ]
-    inside = [
-        abs(b - a) / (abs(a) if kind == "relative" else 1.0)
-        for _, a, b in values
-        if not (kind == "db" and _beyond(a))
-    ]
+    inside = [_diff(kind, a, b) for _, a, b in values if not (kind == "db" and _beyond(a))]
     parts = [f"{name}: {len(moved)} of {len(old_cells)} moved"]
     if inside:
         what = {"db": " under 150 dB", "relative": " relative"}.get(kind, "")
