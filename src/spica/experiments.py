@@ -366,32 +366,23 @@ def preset(name: str) -> ExperimentConfig:
 _CSV_ROWS = 4096
 
 
-def _scene(cfg: ExperimentConfig, desired: Waveform, undesired=None, delta=0.0) -> Scene:
-    """Desired source at broadside plus an optional interferer at inter-element delay delta."""
-    interferers = ()
-    if undesired is not None:
-        interferers = (SourceSpec(waveform=undesired, explicit_delay_override=delta),)
-    return Scene(
-        geometry=ArrayGeometry(cfg.n_elements, cfg.d_over_lambda, cfg.carrier_freq_hz),
-        desired=SourceSpec(waveform=desired, aoa_deg=0.0),
-        undesired=interferers,
-        mode=cfg.mode,
-    )
-
-
-def _sample_scene(cfg: ExperimentConfig, scene, delays, keys):
+def _sample_scene(cfg: ExperimentConfig, desired, delays, keys, interferer=None, delta=0.0):
     """Row outputs and the single-input reference for one sweep point or tone chunk.
 
-    Column 0 of the truncated Hadamard matrix is all +1, so with only
-    element 1 driven every row outputs element 1's frame: that frame is
-    each row's no-cancellation reference.  Noise seeds are keyed by sweep
-    point, not run order: ``keys`` has one key per tone of a chunk, or a single key.
+    ``desired`` arrives at broadside and ``interferer``, if any, at inter-element delay
+    ``delta``; element i is clocked at ``delays[i - 1]``.  Column 0 of the truncated
+    Hadamard matrix is all +1, so with only element 1 driven every row outputs element 1's
+    frame: that frame is each row's no-cancellation reference.  Noise seeds are keyed by
+    sweep point, not run order: ``keys`` has one key per tone of a chunk, or a single key.
     """
-    phasors = None
-    if scene.mode is SceneMode.RF_DERIVED and scene.undesired:
-        phasors = lo_align(scene)
+    interferers = ()
+    if interferer is not None:
+        interferers = (SourceSpec(waveform=interferer, explicit_delay_override=delta),)
+    geometry = ArrayGeometry(cfg.n_elements, cfg.d_over_lambda, cfg.carrier_freq_hz)
+    scene = Scene(geometry, SourceSpec(desired, aoa_deg=0.0), interferers, mode=cfg.mode)
+    phasors = lo_align(scene) if cfg.mode is SceneMode.RF_DERIVED and interferers else None
     frames = []
-    for i in range(1, scene.geometry.n_elements + 1):
+    for i in range(1, cfg.n_elements + 1):
         wave = element_signal(scene, i)
         if phasors is not None:
             wave = wave * phasors[i - 1]
@@ -399,16 +390,6 @@ def _sample_scene(cfg: ExperimentConfig, scene, delays, keys):
         fs, n, noise = cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms
         frames.append(sample_element(wave, delays[i - 1], fs, n, noise, seed))
     return mac_apply(frames, truncated_hadamard(cfg.n_elements)), frames[0]
-
-
-def _clock_targets(cfg: ExperimentConfig, delta: float) -> list:
-    """Per-element clock delays ``i * delta`` shifted so that none is negative.
-
-    Only relative delays align the interferer, so a negative ``delta`` is
-    planned with a common offset; for ``delta >= 0`` the offset is zero.
-    """
-    shift = min(0.0, (cfg.n_elements - 1) * delta)
-    return [i * delta - shift for i in range(cfg.n_elements)]
 
 
 _QUADRANT_NAMES = [q.name for q in Quadrant]
@@ -421,10 +402,16 @@ def _plan_clocks(cfg: ExperimentConfig, targets):
     return _total_delay(pi_code, quadrant, offset), (pi_code.tolist(), names, offset.tolist())
 
 
-def _plan_rows(cfg: ExperimentConfig, targets):
-    """Planned clock delays for ``targets`` and the manifest's [pi_code, quadrant, offset] rows."""
-    total, columns = _plan_clocks(cfg, targets)
-    return total, [list(c) for c in zip(*columns)]
+def _element_clocks(cfg: ExperimentConfig, delta: float):
+    """Ideal clocks ``i * delta`` shifted so none is negative, their planned delays, plan rows.
+
+    Only relative delays align the interferer, so a negative ``delta`` is planned with a
+    common offset (zero for ``delta >= 0``).  A plan row is ``[pi_code, quadrant, offset]``.
+    """
+    shift = min(0.0, (cfg.n_elements - 1) * delta)
+    ideal = [i * delta - shift for i in range(cfg.n_elements)]
+    total, columns = _plan_clocks(cfg, ideal)
+    return ideal, total, [list(c) for c in zip(*columns)]
 
 
 def _run_ps_leakage(cfg: ExperimentConfig):
@@ -462,17 +449,16 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     blocks = []
     derived = {"planned_configs": {}}
     for d_idx, delta in enumerate(cfg.delta_ud_s):
-        ideal = _clock_targets(cfg, delta)
-        quant, planned = _plan_rows(cfg, ideal)
+        ideal, quant, planned = _element_clocks(cfg, delta)
         derived["planned_configs"][f"{delta!r}"] = planned
         depths = ([], [])
         for c in range(0, freqs.size, _TONE_CHUNK):
             chunk = freqs[c : c + _TONE_CHUNK]
-            scene = _scene(cfg, Waveform(), Waveform(terms=(ToneTerm(1.0, chunk[:, None]),)), delta)
+            tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
             band = (chunk - cfg.band_halfwidth_hz, chunk + cfg.band_halfwidth_hz)
             for branch, delays in enumerate((ideal, quant)):
                 keys = [(cfg.seed or 0, d_idx, c + j, branch) for j in range(chunk.size)]
-                outs, ref = _sample_scene(cfg, scene, delays, keys)
+                outs, ref = _sample_scene(cfg, Waveform(), delays, keys, tones, delta)
                 depths[branch].append(cancellation_depth(ref, outs, band).ravel())
         blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, depths)))
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
@@ -488,9 +474,9 @@ def _run_desired_gain(cfg: ExperimentConfig):
         measured = []
         for c in range(0, freqs.size, _TONE_CHUNK):
             chunk = freqs[c : c + _TONE_CHUNK]
-            scene = _scene(cfg, Waveform(terms=(ToneTerm(1.0, chunk[:, None]),)))
+            tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
             keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
-            outs, ref = _sample_scene(cfg, scene, delays, keys)
+            outs, ref = _sample_scene(cfg, tones, delays, keys)
             measured.append(conversion_gain_measured(outs, ref, chunk).ravel())
         # (tone, row) order, as _sweep_block lays the rows out; a null reads -inf.
         theory = np.stack([desired_conversion_gain(freqs, delta, r, n) for r in range(n - 1)], -1)
@@ -520,9 +506,9 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     delta = cfg.delta_ud_s[0]
     stream = _interferer_stream(cfg)
     scale = 1.0 / math.sqrt(cfg.symbol_rate_hz)  # unit mean power
-    scene = _scene(cfg, Waveform(), Waveform(terms=(stream,), scale=scale), delta)
-    quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
-    outs, ref = _sample_scene(cfg, scene, quant, [(cfg.seed, 2)])
+    interferer = Waveform(terms=(stream,), scale=scale)
+    _, quant, planned = _element_clocks(cfg, delta)
+    outs, ref = _sample_scene(cfg, Waveform(), quant, [(cfg.seed, 2)], interferer, delta)
     half = _half_occupied(cfg, cfg.symbol_rate_hz)
     band = (cfg.center_freq_hz - half, cfg.center_freq_hz + half)
     depths = cancellation_depth(ref, outs, band)
@@ -543,7 +529,7 @@ def _genie_timing(cfg: ExperimentConfig) -> float:
 
 def _run_qpsk_evm(cfg: ExperimentConfig):
     delta = cfg.delta_ud_s[0]
-    quant, planned = _plan_rows(cfg, _clock_targets(cfg, delta))
+    _, quant, planned = _element_clocks(cfg, delta)
     desired_stream = _qpsk_stream(
         cfg, 0, cfg.desired_n_symbols, cfg.desired_symbol_rate_hz, cfg.desired_center_hz
     )
@@ -556,8 +542,7 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     )
     power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
     interferer = Waveform(terms=(_interferer_stream(cfg),), scale=math.sqrt(power))
-    scene = _scene(cfg, desired_wave, interferer, delta)
-    outs, _ = _sample_scene(cfg, scene, quant, [(cfg.seed, 2)])
+    outs, _ = _sample_scene(cfg, desired_wave, quant, [(cfg.seed, 2)], interferer, delta)
 
     evms = []
     constellation = []

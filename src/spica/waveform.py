@@ -132,10 +132,14 @@ def map_qpsk(bits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToneTerm:
-    """Single complex exponential: amplitude * exp(j*(2*pi*frequency*t + phase))."""
+    """Complex exponential: amplitude * exp(j*(2*pi*frequency*t + phase)).
+
+    ``frequency`` is one tone's, or a ``(k, 1)`` array of k tones evaluated at
+    once: over n instants the term then returns ``(k, n)``, one row per tone.
+    """
 
     amplitude: float
-    frequency: float
+    frequency: float | np.ndarray
     phase: float = 0.0
 
     def __post_init__(self):

@@ -8,8 +8,9 @@ directories from the repository root with
 
     python tests/output_contract.py OLD_DIR NEW_DIR
 
-which prints, per CSV, the columns that moved and by how much, and exits 1 if any value breaks the
-contract.
+which prints, per CSV, the columns that moved and by how much.  It exits 1
+if any value breaks the contract, if a CSV is in only one of the two
+directories, or if OLD_DIR holds no CSV.
 """
 
 from __future__ import annotations
@@ -115,11 +116,20 @@ def compare_csv(old_text: str, new_text: str):
 
 def main(argv) -> int:
     old_dir, new_dir = map(Path, argv)
+    old_names, new_names = ({p.name for p in d.glob("*.csv")} for d in (old_dir, new_dir))
+    if not old_names:
+        print(f"{old_dir}: no CSV to compare against")
+        return 1
     failed = False
-    for old in sorted(old_dir.glob("*.csv")):
-        summary, violations = compare_csv(old.read_text(), (new_dir / old.name).read_text())
+    for name in sorted(old_names | new_names):
+        if name not in old_names or name not in new_names:
+            print(f"{name}: only in {old_dir if name in old_names else new_dir}")
+            failed = True
+            continue
+        old_text, new_text = ((d / name).read_text() for d in (old_dir, new_dir))
+        summary, violations = compare_csv(old_text, new_text)
         moved = [line for line in summary if not line.endswith("byte-identical")]
-        print(f"{old.name}: " + ("; ".join(moved + violations[:5]) or "byte-identical"))
+        print(f"{name}: " + ("; ".join(moved + violations[:5]) or "byte-identical"))
         failed = failed or bool(violations)
     return int(failed)
 

@@ -606,11 +606,12 @@ class TestRunners:
 
 
 def per_tone_rows(cfg: ExperimentConfig) -> list:
-    """Rows of a BB_DIRECT tone sweep or desired-gain CSV, one tone at a time.
+    """Rows of a tone sweep or desired-gain CSV, one tone at a time.
 
     Each tone gets its own scene and its own sampling, combining and
     measurement calls; noise seeds follow the runners' documented
-    (seed, delay, tone, [branch,] element) keys.
+    (seed, delay, tone, [branch,] element) keys.  In RF_DERIVED each
+    element of a sweep is de-rotated by its ``lo_align`` phasor.
     """
     n, fs, n_samples = cfg.n_elements, cfg.sample_rate_hz, cfg.frame_len
     geometry = ArrayGeometry(n, cfg.d_over_lambda, cfg.carrier_freq_hz)
@@ -625,9 +626,10 @@ def per_tone_rows(cfg: ExperimentConfig) -> list:
             tone = SourceSpec(Waveform(terms=(ToneTerm(1.0, f),)))
             if sweep:
                 interferer = SourceSpec(tone.waveform, explicit_delay_override=delta)
-                scene = Scene(geometry, SourceSpec(Waveform()), (interferer,))
+                scene = Scene(geometry, SourceSpec(Waveform()), (interferer,), mode=cfg.mode)
             else:
-                scene = Scene(geometry, tone)
+                scene = Scene(geometry, tone, mode=cfg.mode)
+            phasors = lo_align(scene) if sweep and cfg.mode is SceneMode.RF_DERIVED else None
             values = []
             for branch, delays in enumerate((ideal, quant) if sweep else (ideal,)):
                 key = (cfg.seed or 0, d_idx, f_idx, branch)[: 4 if sweep else 3]
@@ -635,6 +637,8 @@ def per_tone_rows(cfg: ExperimentConfig) -> list:
                 for i in range(1, n + 1):
                     seed = np.random.SeedSequence([*key, i]) if cfg.noise_rms else None
                     wave = element_signal(scene, i)
+                    if phasors is not None:
+                        wave = wave * phasors[i - 1]
                     frames.append(
                         sample_element(wave, delays[i - 1], fs, n_samples, cfg.noise_rms, seed)
                     )
@@ -657,6 +661,14 @@ _TONE_RUNS = {
     "sweep_noisy": dict(
         experiment="TTD_TONE_SWEEP",
         delta_ud_s=[2e-9],
+        band_halfwidth_hz=1e6,
+        noise_rms=1e-3,
+        seed=7,
+    ),
+    "sweep_rf_noisy": dict(
+        experiment="TTD_TONE_SWEEP",
+        mode="RF_DERIVED",
+        delta_ud_s=[2e-9, -1.3e-9],
         band_halfwidth_hz=1e6,
         noise_rms=1e-3,
         seed=7,

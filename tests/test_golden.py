@@ -1,10 +1,11 @@
 """Every preset's CSVs against the committed golden outputs, under the output contract."""
 
+import shutil
 from pathlib import Path
 
 import pytest
 
-from output_contract import compare_csv
+from output_contract import compare_csv, main
 from spica import preset, preset_names, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,3 +80,35 @@ class TestComparator:
         text = (GOLDEN / "fig18.csv").read_text()
         assert compare_csv(text, text.replace("depth_db", "depth"))[1]
         assert compare_csv(text, "".join(text.splitlines(keepends=True)[:-1]))[1]
+
+
+class TestCheckerScript:
+    """``output_contract.main``, the ``OLD_DIR NEW_DIR`` script mode, on copies of golden CSVs."""
+
+    @pytest.fixture
+    def dirs(self, tmp_path):
+        pair = [tmp_path / "old", tmp_path / "new"]
+        for d in pair:
+            d.mkdir()
+            for name in ("fig10.csv", "fig18.csv"):
+                shutil.copy(GOLDEN / name, d)
+        return pair
+
+    def test_identical_dirs_pass(self, dirs, capsys):
+        assert main(map(str, dirs)) == 0
+        assert capsys.readouterr().out.count("byte-identical") == 2
+
+    def test_csv_missing_from_new_dir_fails_and_the_rest_is_reported(self, dirs, capsys):
+        (dirs[1] / "fig10.csv").unlink()
+        assert main(map(str, dirs)) == 1
+        out = capsys.readouterr().out
+        assert f"fig10.csv: only in {dirs[0]}" in out and "fig18.csv: byte-identical" in out
+
+    def test_csv_only_in_new_dir_fails(self, dirs, capsys):
+        shutil.copy(GOLDEN / "fig19.csv", dirs[1])
+        assert main(map(str, dirs)) == 1
+        assert f"fig19.csv: only in {dirs[1]}" in capsys.readouterr().out
+
+    def test_old_dir_without_csv_fails(self, dirs, capsys):
+        assert main([str(dirs[0] / "typo"), str(dirs[1])]) == 1
+        assert "no CSV" in capsys.readouterr().out
