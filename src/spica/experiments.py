@@ -28,6 +28,7 @@ from .ttd import (
     INTERLEAVE_STEP,
     PI_STEP,
     Quadrant,
+    _noisy_frame,
     _total_delay,
     desired_conversion_gain,
     equalize,
@@ -366,30 +367,43 @@ def preset(name: str) -> ExperimentConfig:
 _CSV_ROWS = 4096
 
 
-def _sample_scene(cfg: ExperimentConfig, desired, delays, keys, interferer=None, delta=0.0):
-    """Row outputs and the single-input reference for one sweep point or tone chunk.
-
-    ``desired`` arrives at broadside and ``interferer``, if any, at inter-element delay
-    ``delta``; element i is clocked at ``delays[i - 1]``.  Column 0 of the truncated
-    Hadamard matrix is all +1, so with only element 1 driven every row outputs element 1's
-    frame: that frame is each row's no-cancellation reference.  Noise seeds are keyed by
-    sweep point, not run order: ``keys`` has one key per tone of a chunk, or a single key.
+def _sample_scene(cfg: ExperimentConfig, desired, branches, interferer=None, delta=0.0):
+    """Yield each branch's row outputs and reference, element 1's frame: column 0 of the
+    truncated Hadamard matrix is all +1, so that frame is every row's no-cancellation reference.
+    ``desired`` arrives at broadside and ``interferer``, if any, at inter-element delay ``delta``.
     """
     interferers = ()
     if interferer is not None:
         interferers = (SourceSpec(waveform=interferer, explicit_delay_override=delta),)
     geometry = ArrayGeometry(cfg.n_elements, cfg.d_over_lambda, cfg.carrier_freq_hz)
     scene = Scene(geometry, SourceSpec(desired, aoa_deg=0.0), interferers, mode=cfg.mode)
-    phasors = lo_align(scene) if cfg.mode is SceneMode.RF_DERIVED and interferers else None
-    frames = []
-    for i in range(1, cfg.n_elements + 1):
-        wave = element_signal(scene, i)
-        if phasors is not None:
-            wave = wave * phasors[i - 1]
-        seed = [np.random.SeedSequence([*key, i]) for key in keys] if cfg.noise_rms else None
-        fs, n, noise = cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms
-        frames.append(sample_element(wave, delays[i - 1], fs, n, noise, seed))
-    return mac_apply(frames, truncated_hadamard(cfg.n_elements)), frames[0]
+    frames = _scene_frames(scene, branches, cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms)
+    return ((mac_apply(f, truncated_hadamard(cfg.n_elements)), f[0]) for f in frames)
+
+
+def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 0.0):
+    """Yield the element frames of each branch ``(delays, keys)``: element i is clocked at
+    ``delays[i - 1]`` and, in RF_DERIVED, LO-aligned; noise is seeded by sweep point, from one
+    key per tone of a chunk or a single key.  A scene whose only term is a ToneTerm samples a
+    unit tone at its (k, 1) frequencies once on the grid: a tone at t + d is its value at t
+    times exp(j*2*pi*f*d), so each element's frame is that grid frame times its waveform at d.
+    """
+    waves = [element_signal(scene, i) for i in range(1, scene.geometry.n_elements + 1)]
+    if scene.mode is SceneMode.RF_DERIVED and scene.undesired:
+        waves = [wave * phasor for wave, phasor in zip(waves, lo_align(scene))]
+    terms = [t for src in (scene.desired, *scene.undesired) for t in src.waveform.terms]
+    grid = None
+    if len(terms) == 1 and isinstance(terms[0], ToneTerm):
+        grid = sample_element(ToneTerm(1.0, terms[0].frequency).eval, 0.0, fs, n).samples
+    for delays, keys in branches:
+        frames = []
+        for i, (wave, d) in enumerate(zip(waves, delays), 1):
+            seed = [np.random.SeedSequence([*key, i]) for key in keys] if noise_rms else None
+            if grid is None:
+                frames.append(sample_element(wave, d, fs, n, noise_rms, seed))
+            else:
+                frames.append(_noisy_frame(grid * wave(float(d)), fs, noise_rms, seed))
+        yield frames
 
 
 _QUADRANT_NAMES = [q.name for q in Quadrant]
@@ -456,9 +470,9 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
             chunk = freqs[c : c + _TONE_CHUNK]
             tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
             band = (chunk - cfg.band_halfwidth_hz, chunk + cfg.band_halfwidth_hz)
-            for branch, delays in enumerate((ideal, quant)):
-                keys = [(cfg.seed or 0, d_idx, c + j, branch) for j in range(chunk.size)]
-                outs, ref = _sample_scene(cfg, Waveform(), delays, keys, tones, delta)
+            keys = [[(cfg.seed or 0, d_idx, c + j, b) for j in range(chunk.size)] for b in (0, 1)]
+            sampled = _sample_scene(cfg, Waveform(), zip((ideal, quant), keys), tones, delta)
+            for branch, (outs, ref) in enumerate(sampled):
                 depths[branch].append(cancellation_depth(ref, outs, band).ravel())
         blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, depths)))
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
@@ -476,7 +490,7 @@ def _run_desired_gain(cfg: ExperimentConfig):
             chunk = freqs[c : c + _TONE_CHUNK]
             tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
             keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
-            outs, ref = _sample_scene(cfg, tones, delays, keys)
+            [(outs, ref)] = _sample_scene(cfg, tones, [(delays, keys)])
             measured.append(conversion_gain_measured(outs, ref, chunk).ravel())
         # (tone, row) order, as _sweep_block lays the rows out; a null reads -inf.
         theory = np.stack([desired_conversion_gain(freqs, delta, r, n) for r in range(n - 1)], -1)
@@ -508,7 +522,7 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     scale = 1.0 / math.sqrt(cfg.symbol_rate_hz)  # unit mean power
     interferer = Waveform(terms=(stream,), scale=scale)
     _, quant, planned = _element_clocks(cfg, delta)
-    outs, ref = _sample_scene(cfg, Waveform(), quant, [(cfg.seed, 2)], interferer, delta)
+    [(outs, ref)] = _sample_scene(cfg, Waveform(), [(quant, [(cfg.seed, 2)])], interferer, delta)
     half = _half_occupied(cfg, cfg.symbol_rate_hz)
     band = (cfg.center_freq_hz - half, cfg.center_freq_hz + half)
     depths = cancellation_depth(ref, outs, band)
@@ -542,7 +556,7 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     )
     power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
     interferer = Waveform(terms=(_interferer_stream(cfg),), scale=math.sqrt(power))
-    outs, _ = _sample_scene(cfg, desired_wave, quant, [(cfg.seed, 2)], interferer, delta)
+    [(outs, _)] = _sample_scene(cfg, desired_wave, [(quant, [(cfg.seed, 2)])], interferer, delta)
 
     evms = []
     constellation = []

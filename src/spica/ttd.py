@@ -86,6 +86,10 @@ class ClockConfig:
         if total > max_total * (1.0 + _RANGE_RTOL):
             raise ValueError(f"total delay {total:.6e} s exceeds range {max_total:.6e} s")
 
+    def __float__(self) -> float:
+        """The total delay in seconds, so a clock config stands wherever a delay does."""
+        return config_total_delay(self)
+
 
 def _total_delay(pi_code, quadrant, interleave_offset):
     """Delay in seconds of clock codes; scalars or equal-shape integer arrays."""
@@ -206,14 +210,17 @@ def sample_element(
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    d = config_total_delay(delay) if isinstance(delay, ClockConfig) else float(delay)
-    t = np.arange(n) / sample_rate + d
-    samples = np.asarray(sig(t), dtype=complex)
+    t = np.arange(n) / sample_rate + float(delay)
+    return _noisy_frame(np.asarray(sig(t), dtype=complex), sample_rate, noise_rms, seed)
+
+
+def _noisy_frame(samples: np.ndarray, sample_rate: float, noise_rms: float, seed) -> SampleFrame:
+    """A frame of ``samples`` plus the noise ``sample_element`` documents, one seed per tone."""
     if noise_rms > 0.0:
         if seed is None:
             raise ValueError("seed is required when noise_rms > 0")
         seeds = seed if isinstance(seed, list) else [seed]
-        z = [np.random.default_rng(s).standard_normal((n, 2)) for s in seeds]
+        z = [np.random.default_rng(s).standard_normal((samples.shape[-1], 2)) for s in seeds]
         z = np.reshape(z, samples.shape + (2,))
         samples = samples + noise_rms / np.sqrt(2.0) * (z[..., 0] + 1j * z[..., 1])
     return SampleFrame(samples, sample_rate)

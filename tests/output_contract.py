@@ -102,6 +102,9 @@ def compare_csv(old_text: str, new_text: str):
     """Check a CSV's text against the old one; returns ``(summary lines, violations)``."""
     old = [line.split(",") for line in old_text.splitlines()]
     new = [line.split(",") for line in new_text.splitlines()]
+    empty = [side for side, rows in (("old", old), ("new", new)) if not rows]
+    if empty:
+        return [], [f"{' and '.join(empty)} CSV empty"]
     if old[0] != new[0]:
         return [], [f"header {new[0]} != {old[0]}"]
     if len(old) != len(new):

@@ -683,16 +683,17 @@ def test_tone_runners_match_per_tone_reference(name, count, tmp_path):
     start, stop = (37e6, 37e6) if count == 1 else (1e6, 99e6)
     grid = dict(tone_start_hz=start, tone_stop_hz=stop, tone_count=count, frame_len=256)
     cfg = ExperimentConfig.from_dict({**_TONE_RUNS[name], **grid})
-    _, rows = read_csv(run_experiment(cfg, output_dir=tmp_path)["csv"])
+    header, rows = read_csv(run_experiment(cfg, output_dir=tmp_path)["csv"])
     expected = per_tone_rows(cfg)
     assert len(rows) == len(expected) == count * len(cfg.delta_ud_s) * 3
-    if name == "gain":
-        # The runner sums and logs the theory over arrays, the reference one tone
-        # at a time, so the two round apart: compare that column under the contract.
-        got, want = ([row.pop(3) for row in table] for table in (rows, expected))
-        assert check_column("gain_db_theory", list(map(repr, want)), got)[1] == []
     for got, want in zip(rows, expected):
-        assert [float(v) for v in got] == want
+        assert [float(v) for v in got[:3]] == want[:3]
+    # The runner sums the theory over arrays and rotates each tone's grid samples per
+    # element; the reference takes one tone at a time and samples every element directly.
+    # The two round apart, so the value columns are compared under the contract.
+    for j, column in enumerate(header[3:], 3):
+        want = [repr(float(row[j])) for row in expected]
+        assert check_column(column, want, [row[j] for row in rows])[1] == [], column
 
 
 def test_below_floor_tone_inside_a_chunk_is_named(tmp_path):
@@ -715,6 +716,48 @@ def test_below_floor_tone_inside_a_chunk_is_named(tmp_path):
     with pytest.raises(MeasurementError) as reference:
         per_tone_rows(cfg)
     assert str(err.value) == str(reference.value)
+
+
+# Tone frequencies inside +/- fs/2 at fs = 200 MHz.
+_BELOW_NYQUIST = st.floats(-1e8, 1e8, exclude_min=True, exclude_max=True)
+
+
+@given(
+    freqs=st.lists(_BELOW_NYQUIST, min_size=1, max_size=4),
+    delta=st.floats(-15e-9, 15e-9),
+    planned=st.booleans(),
+    interferer=st.booleans(),
+    aoa=st.floats(-90.0, 90.0),
+    mode=st.sampled_from(list(SceneMode)),
+    gains=st.lists(
+        st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0), min_size=4, max_size=4
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_rotated_tone_frames_match_direct_sampling(
+    freqs, delta, planned, interferer, aoa, mode, gains
+):
+    # oracle: every element sampled directly at its own clock, LO-aligned in RF_DERIVED,
+    # against the runners' grid frame rotated by one (k, 1) phasor per element
+    n, fs, n_samples = 4, 2e8, 64
+    tones = Waveform(terms=(ToneTerm(1.0, np.array(freqs)[:, None]),))
+    geometry = ArrayGeometry(n, 0.5, 10e9)
+    if interferer:
+        sources = (SourceSpec(Waveform(), aoa), (SourceSpec(tones, explicit_delay_override=delta),))
+    else:
+        sources = (SourceSpec(tones, aoa), ())
+    scene = Scene(geometry, *sources, element_mismatch=gains, mode=mode)
+    shift = min(0.0, (n - 1) * delta)
+    delays = [i * delta - shift for i in range(n)]
+    if planned:
+        delays = [plan_delay(d, max_offset=8) for d in delays]
+    [frames] = experiments._scene_frames(scene, [(delays, [()])], fs, n_samples)
+    phasors = np.ones(n)
+    if interferer and mode is SceneMode.RF_DERIVED:
+        phasors = lo_align(scene)
+    for i in range(n):
+        want = sample_element(element_signal(scene, i + 1) * phasors[i], delays[i], fs, n_samples)
+        np.testing.assert_allclose(frames[i].samples, want.samples, rtol=0, atol=1e-11)
 
 
 # Field text csv.writer never quotes: no comma, quote or line break.

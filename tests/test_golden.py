@@ -80,6 +80,7 @@ class TestComparator:
         text = (GOLDEN / "fig18.csv").read_text()
         assert compare_csv(text, text.replace("depth_db", "depth"))[1]
         assert compare_csv(text, "".join(text.splitlines(keepends=True)[:-1]))[1]
+        assert compare_csv(text, "")[1] == ["new CSV empty"]
 
 
 class TestCheckerScript:
@@ -108,6 +109,15 @@ class TestCheckerScript:
         shutil.copy(GOLDEN / "fig19.csv", dirs[1])
         assert main(map(str, dirs)) == 1
         assert f"fig19.csv: only in {dirs[1]}" in capsys.readouterr().out
+
+    def test_empty_csv_fails_and_the_rest_is_reported(self, dirs, capsys):
+        # empty files, as runs killed before their header leave, sort first here
+        for d in dirs:
+            (d / "empty.csv").write_text("")
+        assert main(map(str, dirs)) == 1
+        out = capsys.readouterr().out
+        assert "empty.csv: old and new CSV empty" in out
+        assert "fig10.csv: byte-identical" in out and "fig18.csv: byte-identical" in out
 
     def test_old_dir_without_csv_fails(self, dirs, capsys):
         assert main([str(dirs[0] / "typo"), str(dirs[1])]) == 1
