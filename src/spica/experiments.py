@@ -452,8 +452,8 @@ def _sweep_block(freqs, delta, n_rows, *values):
     return (np.repeat(freqs, n_rows), [delta] * size, [*range(n_rows)] * freqs.size, *values)
 
 
-# Tones sampled and measured together, each chunk before the next; four cut
-# the per-tone Python overhead, and larger chunks ran slower and grew peak RSS.
+# Tones sampled and measured together, each chunk before the next; four cut the per-tone
+# Python overhead, no larger chunk ran faster beyond the noise, and peak RSS grows with it.
 _TONE_CHUNK = 4
 
 
@@ -473,7 +473,7 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
             keys = [[(cfg.seed or 0, d_idx, c + j, b) for j in range(chunk.size)] for b in (0, 1)]
             sampled = _sample_scene(cfg, Waveform(), zip((ideal, quant), keys), tones, delta)
             for branch, (outs, ref) in enumerate(sampled):
-                depths[branch].append(cancellation_depth(ref, outs, band).ravel())
+                depths[branch].append(cancellation_depth(ref, outs, band).T.ravel())
         blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, depths)))
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
     return {"": (header, blocks)}, derived
@@ -491,7 +491,7 @@ def _run_desired_gain(cfg: ExperimentConfig):
             tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
             keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
             [(outs, ref)] = _sample_scene(cfg, tones, [(delays, keys)])
-            measured.append(conversion_gain_measured(outs, ref, chunk).ravel())
+            measured.append(conversion_gain_measured(outs, ref, chunk).T.ravel())
         # (tone, row) order, as _sweep_block lays the rows out; a null reads -inf.
         theory = np.stack([desired_conversion_gain(freqs, delta, r, n) for r in range(n - 1)], -1)
         with np.errstate(divide="ignore"):

@@ -117,39 +117,37 @@ def welch_psd(frame: SampleFrame, nfft: int = 4096) -> PsdEstimate:
     return PsdEstimate(freqs=freqs, power_db=10.0 * np.log10(pxx), enbw_bins=enbw)
 
 
-def _band_sum(freqs, enbw: float, f_lo, f_hi, lead, *spectra):
+def _band_sum(freqs, enbw: float, f_lo, f_hi, *spectra):
     """Linear power over [f_lo, f_hi] (inclusive) per frame of each spectrum.
 
-    The edges broadcast to ``lead``; each leading index's bin mask is built
-    once and serves every spectrum.  Returns one array per spectrum.
+    The edges broadcast against the spectra's leading axes; one bin mask
+    serves every spectrum.  Returns one array per spectrum.
     """
-    lo, hi = np.broadcast_to(f_lo, lead), np.broadcast_to(f_hi, lead)
-    outs = [np.empty(pxx.shape[:-1]) for pxx in spectra]
-    for idx in np.ndindex(lead):
-        if hi[idx] < lo[idx]:
+    lo, hi = np.broadcast_arrays(f_lo, f_hi)
+    mask = (freqs >= lo[..., None]) & (freqs <= hi[..., None])
+    empty = np.flatnonzero(~np.any(mask, axis=-1))
+    if empty.size:
+        lo, hi = lo.flat[empty[0]], hi.flat[empty[0]]
+        if hi < lo:
             raise ValueError("band upper edge below lower edge")
-        mask = (freqs >= lo[idx]) & (freqs <= hi[idx])
-        if not np.any(mask):
-            raise ValueError(f"band [{lo[idx]}, {hi[idx]}] Hz contains no PSD bins")
-        for out, pxx in zip(outs, spectra):
-            out[idx] = np.sum(pxx[idx][..., mask], axis=-1) / enbw
-    return outs
+        raise ValueError(f"band [{lo}, {hi}] Hz contains no PSD bins")
+    return [np.sum(np.where(mask, pxx, 0.0), axis=-1) / enbw for pxx in spectra]
 
 
 def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
     """Linear power integrated over [f_lo, f_hi] (inclusive)."""
     linear = 10.0 ** (psd.power_db / 10.0)
-    return float(_band_sum(psd.freqs, psd.enbw_bins, f_lo, f_hi, (), linear)[0])
+    return float(_band_sum(psd.freqs, psd.enbw_bins, f_lo, f_hi, linear)[0])
 
 
-def _leading(one: SampleFrame, many: SampleFrame):
-    """Leading shape of ``one``, and whether ``many`` adds a row axis after it."""
+def _nfft(one: SampleFrame, many: SampleFrame) -> int:
+    """Welch length for measuring ``many`` against ``one``, whose leading shape ends ``many``'s."""
     if many.sample_rate != one.sample_rate:
         raise ValueError("frames have mismatched sample rates")
-    lead, extra = one.samples.shape[:-1], many.samples.ndim - one.samples.ndim
-    if many.samples.shape[: len(lead)] != lead or extra not in (0, 1):
+    lead, many_lead = one.samples.shape[:-1], many.samples.shape[:-1]
+    if many_lead[len(many_lead) - len(lead) :] != lead:
         raise ValueError(f"frame shapes {many.samples.shape} and {one.samples.shape} do not pair")
-    return lead, extra == 1
+    return min(4096, len(one), len(many))
 
 
 def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
@@ -157,21 +155,18 @@ def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
 
     ``ref`` is the output with a single input applied (no cancellation),
     ``canc`` the output with all inputs applied.  Returns +inf when the
-    cancelled band power is exactly zero.  ``canc`` may add a row axis
-    (``mac_apply``'s rows), each row measured against the one reference.
-    Leading axes of ``ref``, such as k tones ``(k, n)`` against ``canc`` of
-    ``(k, rows, n)``, carry one band edge each (or share scalar edges).
+    cancelled band power is exactly zero.  ``ref``'s leading shape must end
+    ``canc``'s and the band edges broadcast against it, as k tones ``(k, n)``
+    with ``(k,)`` edges pair with ``mac_apply``'s ``(rows, k, n)``.
     Returns an ndarray of ``canc``'s leading shape (0-d for one frame).
     """
-    lead, rows = _leading(ref, canc)
-    nfft, fs = min(4096, len(ref), len(canc)), ref.sample_rate
+    nfft, fs = _nfft(ref, canc), ref.sample_rate
     freqs, pxx_ref, enbw = welch_power(ref.samples, fs, nfft)
     pxx_canc = welch_power(canc.samples, fs, nfft)[1]
-    p_ref, p_canc = _band_sum(freqs, enbw, *band, lead, pxx_ref, pxx_canc)
-    ratio = (p_ref[..., None] if rows else p_ref) / p_canc
+    p_ref, p_canc = _band_sum(freqs, enbw, *band, pxx_ref, pxx_canc)
     # The all-zero frame hits the PSD floor rather than true zero; treat
     # anything at the floor as perfect cancellation.
-    return np.where(p_canc <= _DB_FLOOR * nfft, np.inf, 10.0 * np.log10(ratio))
+    return np.where(p_canc <= _DB_FLOOR * nfft, np.inf, 10.0 * np.log10(p_ref / p_canc))
 
 
 def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):
@@ -180,32 +175,30 @@ def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):
     Ratio of output tone power with all inputs applied to the power with
     one input applied, read at the tone's bin.  Raises MeasurementError,
     naming the tone, if it does not stand above the spectral floor in
-    either frame.  ``all_in`` may add a row axis (such as
-    ``mac_apply``'s rows), each row read against the one reference.
-    Leading axes of ``one_in``, such as k tones ``(k, n)`` against
-    ``all_in`` of ``(k, rows, n)``, carry one frequency each (or share a
-    scalar ``f``).  Returns an ndarray of ``all_in``'s leading shape, as above.
+    either frame.  ``one_in``'s leading shape must end ``all_in``'s and ``f``
+    broadcasts against it, as k tones ``(k, n)`` with ``(k,)`` frequencies
+    pair with ``mac_apply``'s ``(rows, k, n)``.  Returns an ndarray of
+    ``all_in``'s leading shape (0-d for one frame).
     """
-    lead, _ = _leading(one_in, all_in)
-    nfft, fs = min(4096, len(all_in), len(one_in)), one_in.sample_rate
+    nfft, fs = _nfft(one_in, all_in), one_in.sample_rate
     freqs, p_all, _ = welch_power(all_in.samples, fs, nfft)
     _, p_one, _ = welch_power(one_in.samples, fs, nfft)
     db_all, db_one = 10.0 * np.log10(p_all), 10.0 * np.log10(p_one)
     med_all, med_one = np.median(db_all, axis=-1), np.median(db_one, axis=-1)
-    tones = np.broadcast_to(f, lead)
+    tones = np.broadcast_to(f, one_in.samples.shape[:-1])
     gains = np.empty(db_all.shape[:-1])
-    for idx in np.ndindex(lead):
+    for idx in np.ndindex(tones.shape):
         tone = float(tones[idx])
-        bin_idx = int(np.argmin(np.abs(freqs - tone)))
+        at = (..., *idx, int(np.argmin(np.abs(freqs - tone))))
         for db, med, name in ((db_all, med_all, "all-input"), (db_one, med_one, "one-input")):
-            peak_db, floor_db = np.atleast_1d(db[idx][..., bin_idx], med[idx])
+            peak_db, floor_db = db[at], med[(..., *idx)]
             low = np.flatnonzero(peak_db < floor_db + 10.0)
             if low.size:
                 raise MeasurementError(
                     f"tone at {tone:.6g} Hz is below the {name} spectral floor "
-                    f"({peak_db[low[0]]:.1f} dB vs median {floor_db[low[0]]:.1f} dB)"
+                    f"({peak_db.flat[low[0]]:.1f} dB vs median {floor_db.flat[low[0]]:.1f} dB)"
                 )
-        gains[idx] = db_all[idx][..., bin_idx] - db_one[idx][bin_idx]
+        gains[(..., *idx)] = db_all[at] - db_one[at]
     return gains
 
 

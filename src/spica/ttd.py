@@ -152,7 +152,8 @@ class SampleFrame:
     """Uniform-rate complex samples: a frame ``(n,)`` or a stack of frames.
 
     A stack is ``(rows, n)`` (``mac_apply``'s rows), ``(k, n)`` (k tones) or
-    ``(k, rows, n)`` (each tone's rows).  ``len`` is the samples per frame;
+    ``(rows, k, n)`` (each row's tones, rows first so a ``(k, n)`` reference
+    broadcasts against them).  ``len`` is the samples per frame;
     ``frame[i]`` and iteration walk the first axis.  Sample 0 is at time 0.
     """
 
@@ -261,8 +262,8 @@ def mac_apply(frames, m: ThmMatrix) -> SampleFrame:
     """Apply each matrix row as a sample-wise multiply-accumulate.
 
     Returns one stacked frame whose row r is output_r[k] = sum_i
-    rows[r][i] * frames[i][k]: ``(rows, n)`` from ``(n,)`` frames, and
-    ``(k, rows, n)`` from the ``(n_elements, k, n)`` stack of k-tone frames.
+    rows[r][i] * frames[i][k], rows first so an element frame broadcasts against
+    every row: ``(rows, n)`` from ``(n,)`` frames, ``(rows, k, n)`` from ``(k, n)`` ones.
     The hardware's charge-share-then-transfer gain bookkeeping is modeled
     as net unity weight.  The frames must share sample rate and shape.
     """
@@ -275,8 +276,8 @@ def mac_apply(frames, m: ThmMatrix) -> SampleFrame:
             raise ValueError("frames have mismatched sample rates")
         if fr.samples.shape != frames[0].samples.shape:
             raise ValueError("frames have mismatched lengths or tone counts")
-    stack = np.moveaxis(np.stack([fr.samples for fr in frames]), 0, -2)
-    return SampleFrame(m.rows @ stack, rate)
+    stack = np.stack([fr.samples for fr in frames])
+    return SampleFrame((m.rows @ stack.reshape(m.n, -1)).reshape(-1, *stack.shape[1:]), rate)
 
 
 def _signed_power_sum(signs, z):

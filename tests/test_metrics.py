@@ -295,24 +295,30 @@ class TestToneChunkMeasurement:
         frames = self.elements(1e-9, 1e-9 + 3e-12)
         return frames[0], mac_apply(frames, truncated_hadamard(4))
 
+    @staticmethod
+    def tone_rows(rows, k):
+        """Every row's frame of tone ``k``, the stack a one-tone MAC gives."""
+        return SampleFrame(rows.samples[:, k], FS)
+
     def test_depth_per_tone_band_matches_per_tone_calls(self):
         ref, rows = self.interferer()
         band = (self.FREQS - self.HALF, self.FREQS + self.HALF)
         got = cancellation_depth(ref, rows, band)
-        pairs = cancellation_depth(ref, SampleFrame(rows.samples[:, 0], FS), band)
-        assert got.shape == (self.FREQS.size, 3) and pairs.shape == (self.FREQS.size,)
+        pairs = cancellation_depth(ref, rows[0], band)
+        assert got.shape == (3, self.FREQS.size) and pairs.shape == (self.FREQS.size,)
         for k, f in enumerate(self.FREQS.tolist()):
             tone_band = (f - self.HALF, f + self.HALF)
-            np.testing.assert_array_equal(got[k], cancellation_depth(ref[k], rows[k], tone_band))
-            assert pairs[k] == cancellation_depth(ref[k], rows[k][0], tone_band) == got[k][0]
-            assert all(30.0 < d < 200.0 for d in got[k])
+            single = cancellation_depth(ref[k], self.tone_rows(rows, k), tone_band)
+            np.testing.assert_array_equal(got[:, k], single)
+            assert pairs[k] == cancellation_depth(ref[k], rows[0][k], tone_band) == got[0, k]
+            assert all(30.0 < d < 200.0 for d in got[:, k])
 
     def test_depth_shares_a_scalar_band(self):
         ref, rows = self.interferer()
         got = cancellation_depth(ref, rows, (-100e6, 100e6))
         for k in range(self.FREQS.size):
             np.testing.assert_array_equal(
-                got[k], cancellation_depth(ref[k], rows[k], (-100e6, 100e6))
+                got[:, k], cancellation_depth(ref[k], self.tone_rows(rows, k), (-100e6, 100e6))
             )
 
     def test_depth_needs_paired_frames(self):
@@ -326,10 +332,60 @@ class TestToneChunkMeasurement:
         frames = self.elements(0.0, 1e-9, noise_rms)
         rows = mac_apply(frames, truncated_hadamard(4))
         got = conversion_gain_measured(rows, frames[0], self.FREQS)
-        assert got.shape == (self.FREQS.size, 3)
+        assert got.shape == (3, self.FREQS.size)
         for k, f in enumerate(self.FREQS.tolist()):
-            single = conversion_gain_measured(rows[k], frames[0][k], f)
-            np.testing.assert_array_equal(got[k], single)
+            single = conversion_gain_measured(self.tone_rows(rows, k), frames[0][k], f)
+            np.testing.assert_array_equal(got[:, k], single)
+
+    @given(
+        n_rows=st.integers(1, 7),
+        k=st.integers(1, 5),
+        log_n=st.integers(6, 9),
+        per_tone=st.booleans(),
+        noisy=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_first_stack_pairs_by_broadcasting(self, n_rows, k, log_n, per_tone, noisy, seed):
+        # oracle: the single-frame call on ref[j] and canc[r, j], with tone j's band
+        # and frequency; each row holds the tones at its own gains over shared clutter
+        n = 2**log_n
+        rng = np.random.default_rng(seed)
+        freqs = rng.uniform(-0.45, 0.45, k) * FS
+        t = np.arange(n) / FS
+        tones = np.exp(2j * np.pi * freqs[:, None] * t)
+        phases = np.exp(2j * np.pi * rng.random((n_rows, k, 1)))
+        gains = rng.uniform(0.1, 2.0, (n_rows, k, 1)) * phases
+        clutter = 0.01 * np.exp(2j * np.pi * 0.3 * FS * t)
+        ref_x, canc_x = tones, gains * tones + clutter
+        if noisy:
+            ref_x = ref_x + 1e-3 * rng.standard_normal((k, n))
+            canc_x = canc_x + 1e-3 * rng.standard_normal((n_rows, k, n))
+        ref, canc = SampleFrame(ref_x, FS), SampleFrame(canc_x, FS)
+        half = 2.0 * FS / n
+        band = (freqs - half, freqs + half) if per_tone else (-0.25 * FS, 0.25 * FS)
+        depth = cancellation_depth(ref, canc, band)
+        gain = conversion_gain_measured(canc, ref, freqs)
+        assert depth.shape == gain.shape == (n_rows, k)
+        for r, j in np.ndindex(n_rows, k):
+            tone_band = (band[0][j], band[1][j]) if per_tone else band
+            assert depth[r, j] == cancellation_depth(ref[j], canc[r][j], tone_band)
+            assert gain[r, j] == conversion_gain_measured(canc[r][j], ref[j], freqs[j])
+        unpaired = SampleFrame(np.vstack([ref_x, ref_x[:1]]), FS)
+        with pytest.raises(ValueError, match="do not pair"):
+            cancellation_depth(unpaired, canc, band)
+        with pytest.raises(ValueError, match="do not pair"):
+            conversion_gain_measured(canc, unpaired, 0.0)
+
+    def test_first_empty_band_of_a_stack_is_named(self):
+        ref, rows = self.interferer()
+        bin_hz = FS / 2048
+        lo = np.array([10e6, 35e6 + 0.2 * bin_hz, 61e6, 88e6])
+        # the second band lies between two bins; the fourth is reversed
+        hi = lo + np.array([1e6, 0.2 * bin_hz, 1e6, -1e6])
+        ref, rows = ref[:4], SampleFrame(rows.samples[:, :4], FS)
+        with pytest.raises(ValueError, match=rf"band \[{lo[1]}, {hi[1]}\] Hz contains no PSD"):
+            cancellation_depth(ref, rows, (lo, hi))
 
     def test_below_floor_tone_inside_a_chunk_is_named(self):
         freqs = np.array([20e6, 40e6, 60e6, 80e6])
@@ -368,12 +424,12 @@ class TestToneChunkMeasurement:
 
         one = SampleFrame(without(one_gone), FS)
         kept = without(all_gone)
-        all_in = SampleFrame(np.stack([kept, 2.0 * kept], axis=1), FS)
+        all_in = SampleFrame(np.stack([kept, 2.0 * kept]), FS)
         with pytest.raises(MeasurementError, match=named) as stacked:
             conversion_gain_measured(all_in, one, freqs)
         # the message, dB figures included, is the one tone's own
         with pytest.raises(MeasurementError) as single:
-            conversion_gain_measured(all_in[1], one[1], 40e6)
+            conversion_gain_measured(self.tone_rows(all_in, 1), one[1], 40e6)
         assert str(stacked.value) == str(single.value)
 
 

@@ -286,10 +286,10 @@ class TestToneChunk:
         m = truncated_hadamard(4)
         frames = [sample_element(self.chunk(), d, 2e8, 64) for d in (0.0, 1e-9, 2.5e-9, 4e-9)]
         got = mac_apply(frames, m)
-        assert got.samples.shape == (self.FREQS.size, 3, 64)
+        assert got.samples.shape == (3, self.FREQS.size, 64)
         for k in range(self.FREQS.size):
             one = mac_apply([fr[k] for fr in frames], m)
-            np.testing.assert_array_equal(got[k].samples, one.samples)
+            np.testing.assert_array_equal(got.samples[:, k], one.samples)
 
     def test_mac_apply_needs_equal_tone_counts(self):
         frames = [sample_element(self.chunk(), 0.0, 2e8, 8)] * 3
