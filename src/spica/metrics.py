@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +19,7 @@ from .waveform import StreamTerm, rrc_pulse
 
 __all__ = [
     "MeasurementError",
-    "PsdEstimate",
     "welch_power",
-    "welch_psd",
     "band_power",
     "cancellation_depth",
     "conversion_gain_measured",
@@ -35,32 +32,6 @@ _DB_FLOOR = 1e-300
 
 class MeasurementError(RuntimeError):
     """A measurement could not be made from the given frames."""
-
-
-@dataclass(frozen=True)
-class PsdEstimate:
-    """Two-sided Welch estimate with strictly increasing frequencies.
-
-    ``power_db`` is relative to full scale 1.0; ``enbw_bins`` is the
-    window's equivalent noise bandwidth in bins, the divisor that converts
-    a bin sum into band power.
-    """
-
-    freqs: np.ndarray
-    power_db: np.ndarray
-    enbw_bins: float
-
-    def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        power = np.asarray(self.power_db, dtype=float)
-        if freqs.size != power.size:
-            raise ValueError("freqs and power_db lengths differ")
-        if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
-            raise ValueError("freqs must be strictly increasing")
-        freqs.setflags(write=False)
-        power.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "power_db", power)
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,20 +79,20 @@ def welch_power(samples, fs: float, nfft: int):
     return _welch_freqs(nfft, fs), np.maximum(pxx, _DB_FLOOR), enbw
 
 
-def welch_psd(frame: SampleFrame, nfft: int = 4096) -> PsdEstimate:
-    """Hann-windowed, 50%-overlap-averaged two-sided power spectrum of one frame.
+def welch_psd(frame: SampleFrame, nfft: int = 4096):
+    """``welch_power`` of one frame, which spica never calls.
 
-    Raises ValueError if the frame is shorter than ``nfft``.
+    ``bench/tracer.py`` wraps this name until ROADMAP item 1 retargets it.
     """
-    freqs, pxx, enbw = welch_power(frame.samples, frame.sample_rate, nfft)
-    return PsdEstimate(freqs=freqs, power_db=10.0 * np.log10(pxx), enbw_bins=enbw)
+    return welch_power(frame.samples, frame.sample_rate, nfft)
 
 
-def _band_sum(freqs, enbw: float, f_lo, f_hi, *spectra):
+def band_power(freqs, enbw: float, f_lo, f_hi, *spectra):
     """Linear power over [f_lo, f_hi] (inclusive) per frame of each spectrum.
 
-    The edges broadcast against the spectra's leading axes; one bin mask
-    serves every spectrum.  Returns one array per spectrum.
+    ``freqs``, ``enbw`` and each spectrum are as ``welch_power`` returns
+    them.  The edges broadcast against the spectra's leading axes; one bin
+    mask serves every spectrum.  Returns one array per spectrum.
     """
     lo, hi = np.broadcast_arrays(f_lo, f_hi)
     mask = (freqs >= lo[..., None]) & (freqs <= hi[..., None])
@@ -132,12 +103,6 @@ def _band_sum(freqs, enbw: float, f_lo, f_hi, *spectra):
             raise ValueError("band upper edge below lower edge")
         raise ValueError(f"band [{lo}, {hi}] Hz contains no PSD bins")
     return [np.sum(np.where(mask, pxx, 0.0), axis=-1) / enbw for pxx in spectra]
-
-
-def band_power(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
-    """Linear power integrated over [f_lo, f_hi] (inclusive)."""
-    linear = 10.0 ** (psd.power_db / 10.0)
-    return float(_band_sum(psd.freqs, psd.enbw_bins, f_lo, f_hi, linear)[0])
 
 
 def _nfft(one: SampleFrame, many: SampleFrame) -> int:
@@ -163,7 +128,7 @@ def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
     nfft, fs = _nfft(ref, canc), ref.sample_rate
     freqs, pxx_ref, enbw = welch_power(ref.samples, fs, nfft)
     pxx_canc = welch_power(canc.samples, fs, nfft)[1]
-    p_ref, p_canc = _band_sum(freqs, enbw, *band, pxx_ref, pxx_canc)
+    p_ref, p_canc = band_power(freqs, enbw, *band, pxx_ref, pxx_canc)
     # The all-zero frame hits the PSD floor rather than true zero; treat
     # anything at the floor as perfect cancellation.
     return np.where(p_canc <= _DB_FLOOR * nfft, np.inf, 10.0 * np.log10(p_ref / p_canc))

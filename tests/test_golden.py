@@ -1,25 +1,41 @@
-"""Every preset's CSVs against the committed golden outputs, under the output contract."""
+"""Every preset's CSVs against the committed golden outputs, under the output contract.
 
+``golden/rf`` holds the RF_DERIVED outputs of fig6 and fig16-fig19, named
+as the ``{preset}_rf`` configs of the CI workflow write them.
+"""
+
+import dataclasses
 import shutil
 from pathlib import Path
 
 import pytest
 
 from output_contract import compare_csv, main
-from spica import preset, preset_names, run_experiment
+from spica import SceneMode, preset, preset_names, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _assert_matches_golden(cfg, golden_dir, out_dir):
+    run_experiment(cfg, output_dir=out_dir)
+    written = sorted(p.name for p in out_dir.glob("*.csv"))
+    assert written == sorted(p.name for p in golden_dir.glob(f"{cfg.output}*.csv"))
+    for csv_name in written:
+        golden = (golden_dir / csv_name).read_text()
+        _, violations = compare_csv(golden, (out_dir / csv_name).read_text())
+        assert not violations, f"{csv_name}: {violations[:5]}"
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_preset_matches_golden_output(name, tmp_path):
-    run_experiment(preset(name), output_dir=tmp_path)
-    written = sorted(p.name for p in tmp_path.glob("*.csv"))
-    assert written == sorted(p.name for p in GOLDEN.glob(f"{name}*.csv"))
-    for csv_name in written:
-        golden = (GOLDEN / csv_name).read_text()
-        _, violations = compare_csv(golden, (tmp_path / csv_name).read_text())
-        assert not violations, f"{csv_name}: {violations[:5]}"
+    _assert_matches_golden(preset(name), GOLDEN, tmp_path)
+
+
+# fig6 runs fig17's code path on a larger grid, so only CI re-runs it.
+@pytest.mark.parametrize("name", ["fig16", "fig17", "fig18", "fig19"])
+def test_rf_derived_matches_golden_output(name, tmp_path):
+    cfg = dataclasses.replace(preset(name), mode=SceneMode.RF_DERIVED, output=f"{name}_rf")
+    _assert_matches_golden(cfg, GOLDEN / "rf", tmp_path)
 
 
 def _edited(csv_name: str, column: str, edit, rows=None):

@@ -15,7 +15,6 @@ from scipy import signal
 
 from spica import (
     MeasurementError,
-    PsdEstimate,
     SampleFrame,
     StreamTerm,
     ToneTerm,
@@ -31,7 +30,6 @@ from spica import (
     sample_element,
     truncated_hadamard,
     welch_power,
-    welch_psd,
 )
 
 
@@ -42,23 +40,34 @@ def tone(freq, amp=1.0, phase=0.0):
 FS = 200e6
 
 
+def spectrum(frame, nfft=4096):
+    """``welch_power`` of one frame: ``(freqs, pxx, enbw)``."""
+    return welch_power(frame.samples, frame.sample_rate, nfft)
+
+
+def band(spec, f_lo, f_hi):
+    """Band power of one spectrum from ``spectrum``, as a float."""
+    freqs, pxx, enbw = spec
+    return float(band_power(freqs, enbw, f_lo, f_hi, pxx)[0])
+
+
 class TestWelchPsd:
     def test_bin_centered_unit_tone_reads_zero_db(self):
         nfft = 4096
         f = 128 * FS / nfft
         frame = sample_element(tone(f), 0.0, FS, 8192)
-        psd = welch_psd(frame, nfft=nfft)
-        peak = float(np.max(psd.power_db))
+        freqs, pxx, _ = spectrum(frame, nfft=nfft)
+        peak = float(np.max(10 * np.log10(pxx)))
         assert peak == pytest.approx(0.0, abs=1e-9)
-        assert psd.freqs[int(np.argmax(psd.power_db))] == pytest.approx(f)
+        assert freqs[int(np.argmax(pxx))] == pytest.approx(f)
 
     def test_band_power_of_aligned_tone(self):
         nfft = 4096
         f = 512 * FS / nfft
         frame = sample_element(tone(f, amp=0.5), 0.0, FS, 8192)
-        psd = welch_psd(frame, nfft=nfft)
+        spec = spectrum(frame, nfft=nfft)
         bw = 3 * FS / nfft
-        assert band_power(psd, f - bw, f + bw) == pytest.approx(0.25, rel=1e-9)
+        assert band(spec, f - bw, f + bw) == pytest.approx(0.25, rel=1e-9)
 
     def test_band_power_of_offset_tone_over_full_band(self):
         # worst-case half-bin misalignment: scalloping moves power between
@@ -66,43 +75,75 @@ class TestWelchPsd:
         nfft = 1024
         f = (100.5) * FS / nfft
         frame = sample_element(tone(f), 0.0, FS, 8192)
-        psd = welch_psd(frame, nfft=nfft)
-        total = band_power(psd, psd.freqs[0], psd.freqs[-1])
+        spec = spectrum(frame, nfft=nfft)
+        total = band(spec, spec[0][0], spec[0][-1])
         assert total == pytest.approx(1.0, rel=1e-9)
 
     def test_noise_integrates_to_variance(self):
         rms = 0.3
         frame = sample_element(tone(0.0, amp=0.0), 0.0, FS, 16384, noise_rms=rms, seed=17)
-        psd = welch_psd(frame)
-        total = band_power(psd, psd.freqs[0], psd.freqs[-1])
+        spec = spectrum(frame)
+        total = band(spec, spec[0][0], spec[0][-1])
         assert total == pytest.approx(rms**2, rel=0.05)
 
     def test_two_tone_band_separation(self):
         nfft = 4096
         f1, f2 = 64 * FS / nfft, -700 * FS / nfft
         w = Waveform(terms=(ToneTerm(1.0, f1), ToneTerm(0.1, f2)))
-        psd = welch_psd(sample_element(w, 0.0, FS, 8192), nfft=nfft)
+        spec = spectrum(sample_element(w, 0.0, FS, 8192), nfft=nfft)
         bw = 3 * FS / nfft
-        assert band_power(psd, f1 - bw, f1 + bw) == pytest.approx(1.0, rel=1e-6)
-        assert band_power(psd, f2 - bw, f2 + bw) == pytest.approx(0.01, rel=1e-6)
+        assert band(spec, f1 - bw, f1 + bw) == pytest.approx(1.0, rel=1e-6)
+        assert band(spec, f2 - bw, f2 + bw) == pytest.approx(0.01, rel=1e-6)
 
     def test_short_frame_rejected(self):
         frame = sample_element(tone(1e6), 0.0, FS, 1024)
         with pytest.raises(ValueError, match="< nfft"):
-            welch_psd(frame, nfft=4096)
-
-    def test_estimate_validation(self):
-        with pytest.raises(ValueError, match="lengths"):
-            PsdEstimate(np.arange(4.0), np.zeros(3), 1.5)
-        with pytest.raises(ValueError, match="increasing"):
-            PsdEstimate(np.array([0.0, 2.0, 1.0]), np.zeros(3), 1.5)
+            spectrum(frame, nfft=4096)
 
     def test_band_edges_validated(self):
-        psd = welch_psd(sample_element(tone(1e6), 0.0, FS, 4096))
+        spec = spectrum(sample_element(tone(1e6), 0.0, FS, 4096))
         with pytest.raises(ValueError, match="below lower"):
-            band_power(psd, 1e6, 0.0)
+            band(spec, 1e6, 0.0)
         with pytest.raises(ValueError, match="no PSD bins"):
-            band_power(psd, FS, FS + 1e6)
+            band(spec, FS, FS + 1e6)
+
+
+class TestBandPower:
+    @given(
+        log_nfft=st.integers(2, 7),
+        lead=st.sampled_from([(), (3,), (2, 3)]),
+        per_frame=st.booleans(),
+        two=st.booleans(),
+        enbw=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_loop(self, log_nfft, lead, per_frame, two, enbw, seed):
+        # the oracle sums each frame's in-band bins one at a time; every
+        # band holds at least one bin, and quarter-bin offsets put some
+        # edges exactly on a bin, where the band is inclusive
+        rng = np.random.default_rng(seed)
+        nfft = 2**log_nfft
+        freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / FS))
+        df = FS / nfft
+        edge_shape = lead if per_frame else ()
+        i, j = np.sort(rng.integers(0, nfft, (2, *edge_shape)), axis=0)
+        f_lo = freqs[i] - rng.integers(0, 4, edge_shape) * df / 4
+        f_hi = freqs[j] + rng.integers(0, 4, edge_shape) * df / 4
+        spectra = [10.0 ** rng.uniform(-6.0, 0.0, (*lead, nfft)) for _ in range(1 + two)]
+        got = band_power(freqs, enbw, f_lo, f_hi, *spectra)
+        assert len(got) == len(spectra)
+        for pxx, power in zip(spectra, got):
+            assert power.shape == lead
+            for idx in np.ndindex(lead):
+                lo, hi = np.broadcast_to(f_lo, lead)[idx], np.broadcast_to(f_hi, lead)[idx]
+                total = 0.0
+                for b in range(nfft):
+                    if lo <= freqs[b] <= hi:
+                        total += float(pxx[idx][b])
+                assert power[idx] == pytest.approx(total / enbw, rel=1e-12, abs=0.0)
+            (alone,) = band_power(freqs, enbw, f_lo, f_hi, pxx)
+            np.testing.assert_array_equal(alone, power)
 
 
 class TestWelchPower:
@@ -145,10 +186,10 @@ class TestWelchPower:
         _, _, enbw = welch_power(np.ones(64, complex), FS, 64)
         assert enbw == pytest.approx(1.5, rel=1e-12)  # periodic Hann
         frame = sample_element(tone(1e6), 0.0, FS, 64)
-        a = welch_psd(frame, nfft=64)
-        b = welch_psd(frame, nfft=64)
-        assert a.freqs is b.freqs
-        assert not a.freqs.flags.writeable
+        a, _, _ = spectrum(frame, nfft=64)
+        b, _, _ = spectrum(frame, nfft=64)
+        assert a is b
+        assert not a.flags.writeable
 
 
 class TestCancellationDepth:
