@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .waveform import Waveform
+
 __all__ = [
     "PI_STEP",
     "QUADRANT_STEP",
@@ -194,6 +196,7 @@ def sample_element(
     whose arrival is late by d and whose clock is late by d produces the
     reference-aligned stream.  The frame has the shape ``sig`` returns:
     ``(n,)``, or ``(k, n)`` for k tones ``ToneTerm(1.0, freqs[:, None])``.
+    A Waveform is called as ``sig.eval(t, sample_rate)``: its streams see the grid.
 
     Parameters
     ----------
@@ -209,10 +212,11 @@ def sample_element(
         Noise seed, required whenever noise_rms > 0; a list holds one seed
         per tone, so each tone draws the noise it would draw alone.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    if n < 1 or sample_rate <= 0.0:
+        raise ValueError(f"sample count must be >= 1 and sample_rate > 0, got {n}, {sample_rate}")
     t = np.arange(n) / sample_rate + float(delay)
-    return _noisy_frame(np.asarray(sig(t), dtype=complex), sample_rate, noise_rms, seed)
+    samples = sig.eval(t, sample_rate) if isinstance(sig, Waveform) else sig(t)
+    return _noisy_frame(np.asarray(samples, dtype=complex), sample_rate, noise_rms, seed)
 
 
 def _noisy_frame(samples: np.ndarray, sample_rate: float, noise_rms: float, seed) -> SampleFrame:

@@ -259,6 +259,13 @@ class TestSampleElement:
         with pytest.raises(ValueError, match="sample count"):
             sample_element(tone(1e6), 0.0, 1e8, 0)
 
+    @pytest.mark.parametrize("rate", [0.0, -2e6])
+    def test_rate_validation(self, rate):
+        # Checked before sampling: a stream would otherwise divide its rate by it.
+        stream = Waveform(terms=(StreamTerm(map_qpsk([0, 1] * 8), 1e6),))
+        with pytest.raises(ValueError, match="sample_rate > 0"):
+            sample_element(stream, 0.0, rate, 16)
+
 
 class TestToneChunk:
     """A chunk of tones sampled and combined at once equals one call per tone."""

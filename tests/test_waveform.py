@@ -1,5 +1,7 @@
 """Waveform generator tests, including the pulse-shape quadrature oracle."""
 
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,15 +9,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from spica import waveform
+from spica import experiments, waveform
 from spica import (
     SampleFrame,
     StreamTerm,
     ToneTerm,
     Waveform,
     map_qpsk,
+    preset,
     rrc_pulse,
     sample_element,
+    truncated_hadamard,
     welch_power,
 )
 
@@ -52,33 +56,39 @@ def rrc_peak_by_quadrature(symbol_rate, rolloff):
 def rrc_by_mpmath(x, b):
     """Unit-rate RRC pulse at ``x`` symbol periods from the closed form, at mpmath's precision.
 
-    Exactly on a removable singularity the formula is evaluated 1e-25 beside it.
+    On or within rounding of a removable singularity (a denominator under 1e-20),
+    where the formula's two sides cancel, it is evaluated 1e-25 beside it.
     """
     den = mpmath.pi * x * (1 - (4 * b * x) ** 2)
-    if den == 0:
-        return rrc_by_mpmath(x + mpmath.mpf("1e-25"), b)
+    if abs(den) < 1e-20:
+        x += mpmath.mpf("1e-25")
+        den = mpmath.pi * x * (1 - (4 * b * x) ** 2)
     num = mpmath.sin(mpmath.pi * x * (1 - b)) + 4 * b * x * mpmath.cos(mpmath.pi * x * (1 + b))
     return num / den
 
 
 def stream_by_mpmath(stream, t):
-    """40-digit sum of ``stream``'s shaped pulses at the float instant ``t``, taken exactly.
+    """40-digit value of ``stream`` at the instant ``t`` (a float or mpf, in s), taken exactly.
 
-    Returns the value, or None when a symbol sits so close to the span
-    cutoff that rounding decides the double-precision answer.
+    Only the 2*span + 1 symbols nearest ``t`` can reach it.  Returns the value
+    (an mpc, center frequency included), or None when a symbol sits so close to
+    the span cutoff that rounding decides the double-precision answer.
     """
     with mpmath.workdps(40):
+        t = mpmath.mpf(t)
         b = mpmath.mpf(stream.rolloff)
         rate = mpmath.mpf(stream.symbol_rate)
-        cutoff = stream.span_symbols + mpmath.mpf(1e-9)
+        span = stream.span_symbols
+        cutoff = span + mpmath.mpf(1e-9)
+        nearest = int(mpmath.nint(t * rate))
         total = mpmath.mpc(0)
-        for k, sym in enumerate(stream.symbols.tolist()):
-            x = mpmath.mpf(t) * rate - k
+        for k in range(max(nearest - span, 0), min(nearest + span + 1, stream.symbols.size)):
+            x = t * rate - k
             if abs(abs(x) - cutoff) < 1e-11:
                 return None
             if abs(x) <= cutoff:
-                total += mpmath.mpc(sym) * rrc_by_mpmath(x, b)
-        return complex(total * mpmath.sqrt(rate))
+                total += mpmath.mpc(stream.symbols[k]) * rrc_by_mpmath(x, b)
+        return total * mpmath.sqrt(rate) * mpmath.expjpi(2 * stream.center_freq * t)
 
 
 @st.composite
@@ -392,6 +402,7 @@ class TestStreamTerm:
         stream, t = case
         expected = [stream_by_mpmath(stream, ti) for ti in t.tolist()]
         assume(None not in expected)
+        expected = [complex(v) for v in expected]
         # Unit-power symbols and unit-energy pulses: the stream's rms is sqrt(rate).
         tol = 5e-11 * np.sqrt(stream.symbol_rate)
         grid = np.stack([t, t[::-1]])
@@ -421,22 +432,13 @@ class TestStreamTerm:
             expected = stream_by_ungated_loop(stream, t)
         np.testing.assert_array_equal(got, expected)
 
-    def test_blocks_match_one_pass(self, monkeypatch):
-        syms = map_qpsk(np.random.default_rng(2).integers(0, 2, 400))
-        stream = StreamTerm(syms, 64e6, center_freq=20e6)
-        t = np.linspace(-1e-7, 3.3e-6, 1001).reshape(7, 143)
-        whole = stream.eval(t)
-        monkeypatch.setattr(waveform, "_BLOCK", 100)  # ten full blocks and a partial one
-        np.testing.assert_allclose(stream.eval(t), whole, rtol=0, atol=1e-12 * 64e6**0.5)
-
-    def test_instants_no_symbol_reaches_are_exactly_zero(self, monkeypatch):
+    def test_instants_no_symbol_reaches_are_exactly_zero(self):
         rate, span = 4e6, 6
         syms = map_qpsk(np.random.default_rng(4).integers(0, 2, 80))
         stream = StreamTerm(syms, rate, span_symbols=span, center_freq=5e6)
         # 40 symbols; the grid runs 20 symbol periods past both ends, shuffled
         # so the reached instants are not one contiguous run.
         t = np.random.default_rng(6).permutation(np.linspace(-20 / rate, 60 / rate, 3001))
-        monkeypatch.setattr(waveform, "_BLOCK", 256)
         got = stream.eval(t)
         k0 = np.rint(t * rate)
         before, after = k0 < -span, k0 > 39 + span
@@ -474,3 +476,83 @@ class TestStreamTerm:
 
         assert drop_db(128) >= 60.0
         assert drop_db(16) >= 40.0
+
+
+@st.composite
+def grid_streams(draw):
+    """A QPSK stream at p / q of the sample rate (q <= 200), a grid reaching past its end,
+    a clock offset and a waveform delay within 20 ns, and grid indices to check."""
+    q = draw(st.integers(1, 200))
+    p = draw(st.integers(1, q))
+    fs, rate = q * 1e6, p * 1e6  # rate / fs rounds to p / q exactly
+    span = draw(st.integers(1, 16))
+    n = 64 * q + draw(st.integers(0, 63))  # each phase serves 64 instants
+    n_sym = max(1, n * p // q + draw(st.integers(-2 * span - 4, 4)))
+    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, 2 * n_sym)
+    center = fs * draw(st.floats(0.01, 0.45)) * draw(st.sampled_from([-1, 1]))
+    stream = StreamTerm(map_qpsk(bits), rate, draw(st.sampled_from([0.0, 0.25, 1.0])), span, center)
+    clock = draw(st.floats(-20e-9, 20e-9))
+    delay = draw(st.just(0.0) | st.floats(-20e-9, 20e-9))
+    # The first and last instants, the first instant of the last phase and where the
+    # stream's last pulse fades, then random ones.
+    fade = min(n - 1, int((n_sym + span) * q / p))
+    indices = [0, q - 1, n - q, n - 1, fade - 1, fade]
+    indices += draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4))
+    return stream, fs, n, clock, delay, indices
+
+
+class TestGridSampling:
+    @given(case=grid_streams())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exact_grid_oracle(self, case):
+        stream, fs, n, clock, delay, indices = case
+        with mpmath.workdps(40):
+            exact = [
+                stream_by_mpmath(stream, mpmath.mpf(j) / fs + mpmath.mpf(clock) - delay)
+                for j in indices
+            ]
+        assume(None not in exact)
+        with mock.patch.object(StreamTerm, "_pulse_sum", side_effect=AssertionError):
+            frame = sample_element(Waveform(terms=(stream,), delay=delay), clock, fs, n)
+        # The tolerance of test_matches_mpmath_pulse_sum: the stream's rms is sqrt(rate).
+        tol = 5e-11 * np.sqrt(stream.symbol_rate)
+        got = frame.samples[indices]
+        np.testing.assert_allclose(got, [complex(v) for v in exact], rtol=0, atol=tol)
+
+    # 64,000,001 / 200e6 has no p / q with q <= 4096 / 64; 64e6 / 200e6 = 8 / 25 needs n >= 1,600.
+    @pytest.mark.parametrize("rate, n", [(64_000_001.0, 4096), (64e6, 64 * 25 - 1)])
+    def test_fallback_matches_float_instants_bit_for_bit(self, rate, n):
+        bits = np.random.default_rng(3).integers(0, 2, 2 * 1400)
+        stream = StreamTerm(map_qpsk(bits), rate, center_freq=50e6)
+        clock, delay = 7.041e-9, 2.347e-9
+        frame = sample_element(Waveform(terms=(stream,), delay=delay), clock, 200e6, n)
+        expected = stream.eval(np.arange(n) / 200e6 + clock - delay)
+        assert frame.samples.tobytes() == expected.tobytes()
+
+    def test_fig18_rows_match_exact_residuals(self):
+        # fig18's planned clocks at 12 instants mid-frame and 12 at the frame's end: each row
+        # against the 40-digit sum of its elements at the exact instants j / fs + d_i - i*delta.
+        # The rows err by at most 8e-8 of their rms, mostly the center frequency's exponent
+        # at float instants; a last element clocked 1 fs late moves them by 3e-4 to 2e-3.
+        cfg = preset("fig18")
+        delta, n, fs = cfg.delta_ud_s[0], cfg.frame_len, cfg.sample_rate_hz
+        stream = experiments._interferer_stream(cfg)
+        interferer = Waveform(terms=(stream,), scale=cfg.symbol_rate_hz**-0.5)
+        _, clocks, _ = experiments._element_clocks(cfg, delta)
+        indices = [*range(n // 2, n // 2 + 12), *range(n - 12, n)]
+        def element(i, j):  # element i + 1 at grid index j
+            return stream_by_mpmath(stream, mpmath.mpf(j) / fs + clocks[i] - i * mpmath.mpf(delta))
+
+        with mpmath.workdps(40):
+            elements = [[element(i, j) for j in indices] for i in range(cfg.n_elements)]
+            signs = truncated_hadamard(cfg.n_elements).rows
+            exact = (signs @ np.array(elements, dtype=object) * interferer.scale).astype(complex)
+
+        def errors(element_clocks):
+            branch = [(element_clocks, [(cfg.seed, 2)])]
+            [(outs, _)] = experiments._sample_scene(cfg, Waveform(), branch, interferer, delta)
+            rms = np.sqrt(np.mean(np.abs(outs.samples) ** 2, axis=-1))
+            return np.max(np.abs(outs.samples[:, indices] - exact), axis=-1) / rms
+
+        assert np.all(errors(clocks) <= 5e-7)
+        assert np.all(errors([*clocks[:-1], clocks[-1] + 1e-15]) > 5e-7)
