@@ -199,32 +199,32 @@ def recover_symbols(frame: SampleFrame, stream: StreamTerm, genie_timing: float)
     cover every symbol of the stream plus the matched filter's span on each
     side; symbol instants must land on the sample grid.
 
+    The filter is one circular convolution at the frame's length n, read at
+    the symbol indices k.  It equals the downshift and then a "same"-mode
+    linear convolution with the taps h[m], |m| <= half, by two identities:
+
+    - for half <= k <= n - 1 - half, which the coverage check enforces, no
+      tap reaches past either end, so the circular sum is the linear one;
+    - the downshift commutes with the filter once the taps are shifted up:
+      sum_m h[m] x[k-m] e^{-j2 pi f_c (t_{k-m} - g)} =
+      e^{-j2 pi f_c (t_k - g)} sum_m (h[m] e^{j2 pi f_c m / fs}) x[k-m].
+
     Returns one recovered value per transmitted symbol, in order.
     """
     fs = frame.sample_rate
     rate = stream.symbol_rate
-    base = frame.samples
-    if stream.center_freq != 0.0:
-        t = np.arange(len(frame)) / fs
-        base = base * np.exp(-2j * np.pi * stream.center_freq * (t - genie_timing))
-
+    n = len(frame)
     half = int(np.ceil(stream.span_symbols * fs / rate))
-    taps = rrc_pulse(
-        np.arange(-half, half + 1) / fs, rate, stream.rolloff, stream.span_symbols
-    ) / fs
-    # "Same"-mode linear convolution: pad both to a power of two past the
-    # full length, then keep the part centred on the input.
-    n_full = base.size + taps.size - 1
-    n_fft = 1 << (n_full - 1).bit_length()
-    full = np.fft.ifft(np.fft.fft(base, n_fft) * np.fft.fft(taps, n_fft))
-    matched = full[(taps.size - 1) // 2 :][: base.size]
-
-    n_sym = stream.symbols.size
-    sym_times = genie_timing + np.arange(n_sym) / rate
-    idx_float = sym_times * fs
+    idx_float = (genie_timing + np.arange(stream.symbols.size) / rate) * fs
     idx = np.rint(idx_float).astype(np.int64)
     if float(np.max(np.abs(idx_float - idx))) > 1e-3:
         raise ValueError("symbol instants do not land on the sample grid")
-    if idx.min() < half or idx.max() > len(frame) - 1 - half:
+    if idx.min() < half or idx.max() > n - 1 - half:
         raise ValueError("frame does not cover the symbol span plus matched-filter support")
-    return matched[idx]
+
+    m = np.arange(-half, half + 1)
+    taps = rrc_pulse(m / fs, rate, stream.rolloff, stream.span_symbols) / fs
+    h = np.zeros(n, complex)
+    h[m % n] = taps * np.exp(2j * np.pi * stream.center_freq * m / fs)
+    matched = np.fft.ifft(np.fft.fft(frame.samples) * np.fft.fft(h))[idx]
+    return matched * np.exp(-2j * np.pi * stream.center_freq * (idx / fs - genie_timing))

@@ -9,7 +9,7 @@ true power no matter where it falls between bins.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -27,6 +27,7 @@ from spica import (
     mac_apply,
     map_qpsk,
     recover_symbols,
+    rrc_pulse,
     sample_element,
     truncated_hadamard,
     welch_power,
@@ -505,6 +506,48 @@ class TestEvmPercent:
             evm_percent(np.array([]), np.array([]))
 
 
+def recover_symbols_linear(frame, stream, genie_timing):
+    """The frame-wide downshift and zero-padded "same"-mode linear convolution that
+    ``recover_symbols`` replaced by one circular convolution at the frame's length."""
+    fs = frame.sample_rate
+    rate = stream.symbol_rate
+    base = frame.samples
+    if stream.center_freq != 0.0:
+        t = np.arange(len(frame)) / fs
+        base = base * np.exp(-2j * np.pi * stream.center_freq * (t - genie_timing))
+    half = int(np.ceil(stream.span_symbols * fs / rate))
+    taps = rrc_pulse(
+        np.arange(-half, half + 1) / fs, rate, stream.rolloff, stream.span_symbols
+    ) / fs
+    n_full = base.size + taps.size - 1
+    n_fft = 1 << (n_full - 1).bit_length()
+    full = np.fft.ifft(np.fft.fft(base, n_fft) * np.fft.fft(taps, n_fft))
+    matched = full[(taps.size - 1) // 2 :][: base.size]
+    idx = np.rint((genie_timing + np.arange(stream.symbols.size) / rate) * fs).astype(np.int64)
+    return matched[idx]
+
+
+@st.composite
+def receive_cases(draw):
+    """A random frame and a stream whose symbols it covers, down to the tightest coverage:
+    first symbol at index half, last at n - 1 - half, n never a power of two."""
+    sps = draw(st.integers(2, 8))
+    span = draw(st.integers(1, 32))
+    n_sym = draw(st.integers(1, 6))
+    lead, tail = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    half = span * sps
+    n = lead + 2 * half + (n_sym - 1) * sps + 1 + tail
+    assume(n & (n - 1))
+    rate = 1e6
+    fs = sps * rate
+    center = draw(st.sampled_from([0.0, 0.45]) | st.floats(-0.45, 0.45)) * fs
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    syms = map_qpsk(rng.integers(0, 2, 2 * n_sym))
+    stream = StreamTerm(syms, rate, draw(st.floats(0.0, 1.0)), span, center_freq=center)
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return SampleFrame(samples, fs), stream, (half + lead) / fs
+
+
 class TestRecoverSymbols:
     RATE = 1e6
     FS = 4e6
@@ -557,8 +600,24 @@ class TestRecoverSymbols:
         with pytest.raises(ValueError, match="sample grid"):
             recover_symbols(frame, stream, genie + 0.3 / self.FS)
 
+    @given(case=receive_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_linear_convolution_oracle(self, case):
+        frame, stream, genie = case
+        rms = np.sqrt(np.mean(np.abs(frame.samples) ** 2))
+        got = recover_symbols(frame, stream, genie)
+        expected = recover_symbols_linear(frame, stream, genie)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * rms)
+
     def test_uncovered_span_rejected(self):
         frame, stream, genie = self.clean_setup(span=16)
         short = SampleFrame(frame.samples[:200], frame.sample_rate)
         with pytest.raises(ValueError, match="does not cover"):
             recover_symbols(short, stream, genie)
+
+    def test_frame_shorter_than_filter_rejected(self):
+        # 2 * half + 1 = 129 taps would wrap onto each other in a 100-sample frame
+        stream = StreamTerm(map_qpsk([0, 1]), self.RATE, 0.25, 16)
+        frame = SampleFrame(np.ones(100, complex), self.FS)
+        with pytest.raises(ValueError, match="does not cover"):
+            recover_symbols(frame, stream, 16 / self.RATE)

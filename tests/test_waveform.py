@@ -556,3 +556,35 @@ class TestGridSampling:
 
         assert np.all(errors(clocks) <= 5e-7)
         assert np.all(errors([*clocks[:-1], clocks[-1] + 1e-15]) > 5e-7)
+
+    @pytest.mark.parametrize("delta", [2.347e-9, -2.347e-9])
+    def test_fig16_rows_match_exact_residuals(self, delta):
+        # fig16's last tone chunk (97, 98 and 99 MHz) on planned clocks, 12 instants mid-frame
+        # and 12 at the frame's end: each (row, tone) residual against the 40-digit sum of its
+        # elements' tones at the exact instants j / fs + d_i - i*delta.  They err by at most
+        # 2e-9 of their rms (7e-7 to 2.5e-3); a last element clocked 1 fs late moves them by
+        # 2.5e-4 or more.
+        cfg = preset("fig16")
+        n, fs = cfg.frame_len, cfg.sample_rate_hz
+        chunk = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)[96:]
+        tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
+        _, clocks, _ = experiments._element_clocks(cfg, delta)
+        indices = [*range(n // 2, n // 2 + 12), *range(n - 12, n)]
+        def element(i, f, j):  # element i + 1's tone f at grid index j
+            return mpmath.expjpi(2 * f * (mpmath.mpf(j) / fs + clocks[i] - i * mpmath.mpf(delta)))
+
+        with mpmath.workdps(40):
+            grid = [(f, j) for f in chunk.tolist() for j in indices]
+            elements = [[element(i, f, j) for f, j in grid] for i in range(cfg.n_elements)]
+            signs = truncated_hadamard(cfg.n_elements).rows
+            exact = (signs @ np.array(elements, dtype=object)).astype(complex)
+            exact = exact.reshape(-1, chunk.size, len(indices))
+
+        def errors(element_clocks):
+            branch = [(element_clocks, [(0,)] * chunk.size)]
+            [(outs, _)] = experiments._sample_scene(cfg, Waveform(), branch, tones, delta)
+            rms = np.sqrt(np.mean(np.abs(outs.samples) ** 2, axis=-1))
+            return np.max(np.abs(outs.samples[..., indices] - exact), axis=-1) / rms
+
+        assert np.all(errors(clocks) <= 5e-8)
+        assert np.all(errors([*clocks[:-1], clocks[-1] + 1e-15]) > 5e-8)
