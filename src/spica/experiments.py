@@ -394,7 +394,7 @@ def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 
     terms = [t for src in (scene.desired, *scene.undesired) for t in src.waveform.terms]
     grid = None
     if len(terms) == 1 and isinstance(terms[0], ToneTerm):
-        grid = sample_element(ToneTerm(1.0, terms[0].frequency).eval, 0.0, fs, n).samples
+        grid = sample_element(ToneTerm(1.0, terms[0].frequency).eval, 0.0, fs, n)
     for delays, keys in branches:
         frames = []
         for i, (wave, d) in enumerate(zip(waves, delays), 1):
@@ -402,7 +402,7 @@ def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 
             if grid is None:
                 frames.append(sample_element(wave, d, fs, n, noise_rms, seed))
             else:
-                frames.append(_noisy_frame(grid * wave(float(d)), fs, noise_rms, seed))
+                frames.append(_noisy_frame(grid * wave(float(d)), noise_rms, seed))
         yield frames
 
 
@@ -459,7 +459,7 @@ _TONE_CHUNK = 4
 
 def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
-    n_rows = cfg.n_elements - 1
+    fs, n_rows = cfg.sample_rate_hz, cfg.n_elements - 1
     blocks = []
     derived = {"planned_configs": {}}
     for d_idx, delta in enumerate(cfg.delta_ud_s):
@@ -473,14 +473,14 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
             keys = [[(cfg.seed or 0, d_idx, c + j, b) for j in range(chunk.size)] for b in (0, 1)]
             sampled = _sample_scene(cfg, Waveform(), zip((ideal, quant), keys), tones, delta)
             for branch, (outs, ref) in enumerate(sampled):
-                depths[branch].append(cancellation_depth(ref, outs, band).T.ravel())
+                depths[branch].append(cancellation_depth(ref, outs, fs, band).T.ravel())
         blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, depths)))
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
     return {"": (header, blocks)}, derived
 
 
 def _run_desired_gain(cfg: ExperimentConfig):
-    n = cfg.n_elements
+    n, fs = cfg.n_elements, cfg.sample_rate_hz
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
     blocks = []
     for d_idx, delta in enumerate(cfg.delta_ud_s):
@@ -491,7 +491,7 @@ def _run_desired_gain(cfg: ExperimentConfig):
             tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
             keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
             [(outs, ref)] = _sample_scene(cfg, tones, [(delays, keys)])
-            measured.append(conversion_gain_measured(outs, ref, chunk).T.ravel())
+            measured.append(conversion_gain_measured(outs, ref, fs, chunk).T.ravel())
         # (tone, row) order, as _sweep_block lays the rows out; a null reads -inf.
         theory = np.stack([desired_conversion_gain(freqs, delta, r, n) for r in range(n - 1)], -1)
         with np.errstate(divide="ignore"):
@@ -525,7 +525,7 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     [(outs, ref)] = _sample_scene(cfg, Waveform(), [(quant, [(cfg.seed, 2)])], interferer, delta)
     half = _half_occupied(cfg, cfg.symbol_rate_hz)
     band = (cfg.center_freq_hz - half, cfg.center_freq_hz + half)
-    depths = cancellation_depth(ref, outs, band)
+    depths = cancellation_depth(ref, outs, cfg.sample_rate_hz, band)
     n_rows = len(depths)
     block = (range(n_rows), [band[0]] * n_rows, [band[1]] * n_rows, depths)
     derived = {"planned_configs": planned, "occupied_band_hz": list(band)}
@@ -563,9 +563,10 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     ref = desired_stream.symbols
     # In RF_DERIVED, lo_align's phasors rotate the desired signal too: its gain is G_r(f + f_c).
     offset = cfg.carrier_freq_hz if cfg.mode is SceneMode.RF_DERIVED else 0.0
+    fs = cfg.sample_rate_hz
     for r, out in enumerate(outs):
-        eq = equalize(out, row=r, delta=delta, n=cfg.n_elements, offset_hz=offset)
-        recovered = recover_symbols(eq, desired_stream, genie_timing=genie)
+        eq = equalize(out, fs, row=r, delta=delta, n=cfg.n_elements, offset_hz=offset)
+        recovered = recover_symbols(eq, fs, desired_stream, genie_timing=genie)
         evms.append(evm_percent(recovered, ref))
         # Export the fitted constellation alongside the reference points.
         rx = np.vdot(recovered, ref) / np.vdot(recovered, recovered) * recovered

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .ttd import SampleFrame
 from .waveform import StreamTerm, rrc_pulse
 
 __all__ = [
@@ -79,7 +78,7 @@ def welch_power(samples, fs: float, nfft: int):
     return _welch_freqs(nfft, fs), np.maximum(pxx, _DB_FLOOR), enbw
 
 
-def welch_psd(frame: SampleFrame, nfft: int = 4096):
+def welch_psd(frame, nfft: int = 4096):
     """``welch_power`` of one frame, which spica never calls.
 
     ``bench/tracer.py`` wraps this name until ROADMAP item 1 retargets it.
@@ -105,52 +104,51 @@ def band_power(freqs, enbw: float, f_lo, f_hi, *spectra):
     return [np.sum(np.where(mask, pxx, 0.0), axis=-1) / enbw for pxx in spectra]
 
 
-def _nfft(one: SampleFrame, many: SampleFrame) -> int:
+def _nfft(one: np.ndarray, many: np.ndarray) -> int:
     """Welch length for measuring ``many`` against ``one``, whose leading shape ends ``many``'s."""
-    if many.sample_rate != one.sample_rate:
-        raise ValueError("frames have mismatched sample rates")
-    lead, many_lead = one.samples.shape[:-1], many.samples.shape[:-1]
+    lead, many_lead = one.shape[:-1], many.shape[:-1]
     if many_lead[len(many_lead) - len(lead) :] != lead:
-        raise ValueError(f"frame shapes {many.samples.shape} and {one.samples.shape} do not pair")
-    return min(4096, len(one), len(many))
+        raise ValueError(f"frame shapes {many.shape} and {one.shape} do not pair")
+    return min(4096, one.shape[-1], many.shape[-1])
 
 
-def cancellation_depth(ref: SampleFrame, canc: SampleFrame, band: tuple):
+def cancellation_depth(ref: np.ndarray, canc: np.ndarray, fs: float, band: tuple):
     """Band-integrated power ratio ref / canc in dB.
 
     ``ref`` is the output with a single input applied (no cancellation),
-    ``canc`` the output with all inputs applied.  Returns +inf when the
-    cancelled band power is exactly zero.  ``ref``'s leading shape must end
-    ``canc``'s and the band edges broadcast against it, as k tones ``(k, n)``
-    with ``(k,)`` edges pair with ``mac_apply``'s ``(rows, k, n)``.
-    Returns an ndarray of ``canc``'s leading shape (0-d for one frame).
+    ``canc`` the output with all inputs applied, both sampled at ``fs``.
+    Returns +inf when the cancelled band power is exactly zero.  ``ref``'s
+    leading shape must end ``canc``'s and the band edges broadcast against
+    it, as k tones ``(k, n)`` with ``(k,)`` edges pair with ``mac_apply``'s
+    ``(rows, k, n)``.  Returns an ndarray of ``canc``'s leading shape (0-d
+    for one frame).
     """
-    nfft, fs = _nfft(ref, canc), ref.sample_rate
-    freqs, pxx_ref, enbw = welch_power(ref.samples, fs, nfft)
-    pxx_canc = welch_power(canc.samples, fs, nfft)[1]
+    nfft = _nfft(ref, canc)
+    freqs, pxx_ref, enbw = welch_power(ref, fs, nfft)
+    pxx_canc = welch_power(canc, fs, nfft)[1]
     p_ref, p_canc = band_power(freqs, enbw, *band, pxx_ref, pxx_canc)
     # The all-zero frame hits the PSD floor rather than true zero; treat
     # anything at the floor as perfect cancellation.
     return np.where(p_canc <= _DB_FLOOR * nfft, np.inf, 10.0 * np.log10(p_ref / p_canc))
 
 
-def conversion_gain_measured(all_in: SampleFrame, one_in: SampleFrame, f):
+def conversion_gain_measured(all_in: np.ndarray, one_in: np.ndarray, fs: float, f):
     """Measured conversion gain at a tone frequency, in dB.
 
     Ratio of output tone power with all inputs applied to the power with
-    one input applied, read at the tone's bin.  Raises MeasurementError,
-    naming the tone, if it does not stand above the spectral floor in
-    either frame.  ``one_in``'s leading shape must end ``all_in``'s and ``f``
-    broadcasts against it, as k tones ``(k, n)`` with ``(k,)`` frequencies
-    pair with ``mac_apply``'s ``(rows, k, n)``.  Returns an ndarray of
-    ``all_in``'s leading shape (0-d for one frame).
+    one input applied, both sampled at ``fs``, read at the tone's bin.
+    Raises MeasurementError, naming the tone, if it does not stand above
+    the spectral floor in either frame.  ``one_in``'s leading shape must
+    end ``all_in``'s and ``f`` broadcasts against it, as k tones ``(k, n)``
+    with ``(k,)`` frequencies pair with ``mac_apply``'s ``(rows, k, n)``.
+    Returns an ndarray of ``all_in``'s leading shape (0-d for one frame).
     """
-    nfft, fs = _nfft(one_in, all_in), one_in.sample_rate
-    freqs, p_all, _ = welch_power(all_in.samples, fs, nfft)
-    _, p_one, _ = welch_power(one_in.samples, fs, nfft)
+    nfft = _nfft(one_in, all_in)
+    freqs, p_all, _ = welch_power(all_in, fs, nfft)
+    _, p_one, _ = welch_power(one_in, fs, nfft)
     db_all, db_one = 10.0 * np.log10(p_all), 10.0 * np.log10(p_one)
     med_all, med_one = np.median(db_all, axis=-1), np.median(db_one, axis=-1)
-    tones = np.broadcast_to(f, one_in.samples.shape[:-1])
+    tones = np.broadcast_to(f, one_in.shape[:-1])
     gains = np.empty(db_all.shape[:-1])
     for idx in np.ndindex(tones.shape):
         tone = float(tones[idx])
@@ -191,13 +189,15 @@ def evm_percent(rx_symbols, ref_symbols) -> float:
     return 100.0 * math.sqrt(err / ref_power)
 
 
-def recover_symbols(frame: SampleFrame, stream: StreamTerm, genie_timing: float) -> np.ndarray:
+def recover_symbols(
+    frame: np.ndarray, fs: float, stream: StreamTerm, genie_timing: float
+) -> np.ndarray:
     """Matched-filter symbol recovery with genie timing, no blind sync.
 
     ``genie_timing`` is the absolute time of symbol 0 and the phase
     reference of the stream's center-frequency downshift.  The frame must
     cover every symbol of the stream plus the matched filter's span on each
-    side; symbol instants must land on the sample grid.
+    side; symbol instants must land on its sample grid at rate ``fs``.
 
     The filter is one circular convolution at the frame's length n, read at
     the symbol indices k.  It equals the downshift and then a "same"-mode
@@ -211,9 +211,8 @@ def recover_symbols(frame: SampleFrame, stream: StreamTerm, genie_timing: float)
 
     Returns one recovered value per transmitted symbol, in order.
     """
-    fs = frame.sample_rate
     rate = stream.symbol_rate
-    n = len(frame)
+    n = frame.shape[-1]
     half = int(np.ceil(stream.span_symbols * fs / rate))
     idx_float = (genie_timing + np.arange(stream.symbols.size) / rate) * fs
     idx = np.rint(idx_float).astype(np.int64)
@@ -226,5 +225,5 @@ def recover_symbols(frame: SampleFrame, stream: StreamTerm, genie_timing: float)
     taps = rrc_pulse(m / fs, rate, stream.rolloff, stream.span_symbols) / fs
     h = np.zeros(n, complex)
     h[m % n] = taps * np.exp(2j * np.pi * stream.center_freq * m / fs)
-    matched = np.fft.ifft(np.fft.fft(frame.samples) * np.fft.fft(h))[idx]
+    matched = np.fft.ifft(np.fft.fft(frame) * np.fft.fft(h))[idx]
     return matched * np.exp(-2j * np.pi * stream.center_freq * (idx / fs - genie_timing))

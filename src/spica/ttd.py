@@ -31,9 +31,7 @@ __all__ = [
     "config_total_delay",
     "plan_delays",
     "plan_delay",
-    "SampleFrame",
     "sample_element",
-    "ThmMatrix",
     "truncated_hadamard",
     "mac_apply",
     "desired_conversion_gain",
@@ -149,38 +147,6 @@ def plan_delay(target: float, max_offset: int = 2) -> ClockConfig:
     return ClockConfig(int(pi_code), int(quadrant), int(offset), offset_limit=max_offset)
 
 
-@dataclass(frozen=True)
-class SampleFrame:
-    """Uniform-rate complex samples: a frame ``(n,)`` or a stack of frames.
-
-    A stack is ``(rows, n)`` (``mac_apply``'s rows), ``(k, n)`` (k tones) or
-    ``(rows, k, n)`` (each row's tones, rows first so a ``(k, n)`` reference
-    broadcasts against them).  ``len`` is the samples per frame;
-    ``frame[i]`` and iteration walk the first axis.  Sample 0 is at time 0.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        if self.sample_rate <= 0.0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        samples = np.array(self.samples, dtype=complex)
-        if not 1 <= samples.ndim <= 3 or samples.size < 1:
-            raise ValueError("samples must be a non-empty frame (n,) or stack of up to 3 axes")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.shape[-1]
-
-    def __getitem__(self, row) -> "SampleFrame":
-        return SampleFrame(self.samples[row], self.sample_rate)
-
-    def scaled(self, factor) -> "SampleFrame":
-        return SampleFrame(self.samples * factor, self.sample_rate)
-
-
 def sample_element(
     sig,
     delay,
@@ -188,14 +154,15 @@ def sample_element(
     n: int,
     noise_rms: float = 0.0,
     seed=None,
-) -> SampleFrame:
+) -> np.ndarray:
     """Sample an analytic signal with a delayed clock.
 
     The k-th sample is ``sig(k / sample_rate + d)`` where ``d`` is the clock
     delay: a delayed clock advances the evaluation instant, so an element
     whose arrival is late by d and whose clock is late by d produces the
-    reference-aligned stream.  The frame has the shape ``sig`` returns:
-    ``(n,)``, or ``(k, n)`` for k tones ``ToneTerm(1.0, freqs[:, None])``.
+    reference-aligned stream.  The frame is a complex ndarray of the shape
+    ``sig`` returns: ``(n,)``, or ``(k, n)`` for k tones
+    ``ToneTerm(1.0, freqs[:, None])``.
     A Waveform is called as ``sig.eval(t, sample_rate)``: its streams see the grid.
 
     Parameters
@@ -216,10 +183,10 @@ def sample_element(
         raise ValueError(f"sample count must be >= 1 and sample_rate > 0, got {n}, {sample_rate}")
     t = np.arange(n) / sample_rate + float(delay)
     samples = sig.eval(t, sample_rate) if isinstance(sig, Waveform) else sig(t)
-    return _noisy_frame(np.asarray(samples, dtype=complex), sample_rate, noise_rms, seed)
+    return _noisy_frame(np.asarray(samples, dtype=complex), noise_rms, seed)
 
 
-def _noisy_frame(samples: np.ndarray, sample_rate: float, noise_rms: float, seed) -> SampleFrame:
+def _noisy_frame(samples: np.ndarray, noise_rms: float, seed) -> np.ndarray:
     """A frame of ``samples`` plus the noise ``sample_element`` documents, one seed per tone."""
     if noise_rms > 0.0:
         if seed is None:
@@ -228,60 +195,43 @@ def _noisy_frame(samples: np.ndarray, sample_rate: float, noise_rms: float, seed
         z = [np.random.default_rng(s).standard_normal((samples.shape[-1], 2)) for s in seeds]
         z = np.reshape(z, samples.shape + (2,))
         samples = samples + noise_rms / np.sqrt(2.0) * (z[..., 0] + 1j * z[..., 1])
-    return SampleFrame(samples, sample_rate)
-
-
-@dataclass(frozen=True)
-class ThmMatrix:
-    """(n-1) x n matrix of +/-1 rows, each a balanced zero-sum combination."""
-
-    n: int
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.int64)
-        if rows.shape != (self.n - 1, self.n):
-            raise ValueError(f"rows shape {rows.shape} != ({self.n - 1}, {self.n})")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+    return samples
 
 
 @functools.lru_cache(maxsize=None)
-def truncated_hadamard(n: int) -> ThmMatrix:
+def truncated_hadamard(n: int) -> np.ndarray:
     """Sylvester Hadamard matrix of order ``n`` with the all-ones row removed.
 
-    Every remaining row sums to zero (it rejects a common-mode input) and
-    the rows are mutually orthogonal.  ``n`` must be a power of 2, >= 2.
-    Each order is built once and shared (frozen, with read-only rows).
+    Returns the ``(n - 1, n)`` int64 array of +/-1 rows.  Every row sums to
+    zero (it rejects a common-mode input) and the rows are mutually
+    orthogonal.  ``n`` must be a power of 2, >= 2.  Each order is built once
+    and shared, read-only.
     """
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"order must be a power of 2 and >= 2, got {n}")
     h = np.array([[1]], dtype=np.int64)
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
-    return ThmMatrix(n=n, rows=h[1:])
+    rows = h[1:]
+    rows.setflags(write=False)
+    return rows
 
 
-def mac_apply(frames, m: ThmMatrix) -> SampleFrame:
+def mac_apply(frames, rows: np.ndarray) -> np.ndarray:
     """Apply each matrix row as a sample-wise multiply-accumulate.
 
-    Returns one stacked frame whose row r is output_r[k] = sum_i
-    rows[r][i] * frames[i][k], rows first so an element frame broadcasts against
-    every row: ``(rows, n)`` from ``(n,)`` frames, ``(rows, k, n)`` from ``(k, n)`` ones.
+    ``frames`` holds one equal-shape frame per column of ``rows``.  Returns
+    the stack whose row r is output_r[k] = sum_i rows[r][i] * frames[i][k],
+    rows first so an element frame broadcasts against every row:
+    ``(rows, n)`` from ``(n,)`` frames, ``(rows, k, n)`` from ``(k, n)`` ones.
     The hardware's charge-share-then-transfer gain bookkeeping is modeled
-    as net unity weight.  The frames must share sample rate and shape.
+    as net unity weight.
     """
-    frames = list(frames)
-    if len(frames) != m.n:
-        raise ValueError(f"expected {m.n} frames, got {len(frames)}")
-    rate = frames[0].sample_rate
-    for fr in frames[1:]:
-        if fr.sample_rate != rate:
-            raise ValueError("frames have mismatched sample rates")
-        if fr.samples.shape != frames[0].samples.shape:
-            raise ValueError("frames have mismatched lengths or tone counts")
-    stack = np.stack([fr.samples for fr in frames])
-    return SampleFrame((m.rows @ stack.reshape(m.n, -1)).reshape(-1, *stack.shape[1:]), rate)
+    n = rows.shape[1]
+    if len(frames) != n:
+        raise ValueError(f"expected {n} frames, got {len(frames)}")
+    stack = np.stack(frames)
+    return (rows @ stack.reshape(n, -1)).reshape(-1, *stack.shape[1:])
 
 
 def _signed_power_sum(signs, z):
@@ -311,30 +261,31 @@ def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
     ``f`` may be a scalar or ndarray of baseband frequencies in Hz; the
     result is a complex ndarray of its shape (0-d for a scalar ``f``).
     """
-    m = truncated_hadamard(n)
+    rows = truncated_hadamard(n)
     if not 0 <= row < n - 1:
         raise ValueError(f"row must be in 0..{n - 2}, got {row}")
     z = np.exp(2j * np.pi * delta * np.asarray(f, dtype=float))
-    return _signed_power_sum(m.rows[row], z)
+    return _signed_power_sum(rows[row], z)
 
 
 def equalize(
-    frame: SampleFrame, row: int, delta: float, n: int = 4, offset_hz: float = 0.0
-) -> SampleFrame:
+    frame: np.ndarray, fs: float, row: int, delta: float, n: int = 4, offset_hz: float = 0.0
+) -> np.ndarray:
     """Undo one row's desired-signal conversion gain by zero-forcing.
 
-    FFT the frame, divide the bin at frequency f by G(f + offset_hz) where
-    |G| >= eps = 0.05 * max |G| over the frame's bins and zero it otherwise
-    (bins near a null are zeroed instead of amplified), inverse FFT.
+    FFT the frame, sampled at ``fs``, divide the bin at frequency f by
+    G(f + offset_hz) where |G| >= eps = 0.05 * max |G| over the frame's bins
+    and zero it otherwise (bins near a null are zeroed instead of
+    amplified), inverse FFT.
     ``offset_hz`` is the carrier frequency when LO phasors rotate the
     desired signal too (RF_DERIVED), else 0.  Raises ValueError if G is
     zero at every bin.
     """
-    freqs = np.fft.fftfreq(len(frame), d=1.0 / frame.sample_rate)
+    freqs = np.fft.fftfreq(frame.shape[-1], d=1.0 / fs)
     g = desired_conversion_gain(freqs + offset_hz, delta, row, n)
     eps = 0.05 * float(np.max(np.abs(g)))
     if eps <= 0.0:
         raise ValueError(f"row {row}'s gain is zero at every bin; nothing to equalize")
     keep = np.abs(g) >= eps
-    y = np.where(keep, np.fft.fft(frame.samples) / np.where(keep, g, 1.0), 0.0)
-    return SampleFrame(np.fft.ifft(y), frame.sample_rate)
+    y = np.where(keep, np.fft.fft(frame) / np.where(keep, g, 1.0), 0.0)
+    return np.fft.ifft(y)

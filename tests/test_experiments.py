@@ -520,7 +520,7 @@ class TestRunners:
         ]
         # the desired tone alone through element 1: the single-input reference
         ref = sample_element(Waveform(terms=(ToneTerm(1.0, f),)), 0.0, fs, 2048)
-        measured = conversion_gain_measured(mac_apply(frames, truncated_hadamard(n)), ref, f)
+        measured = conversion_gain_measured(mac_apply(frames, truncated_hadamard(n)), ref, fs, f)
         for r, got in enumerate(measured):
             shifted = 20.0 * math.log10(abs(desired_conversion_gain(f + fc, delta, r, n)))
             baseband = 20.0 * math.log10(abs(desired_conversion_gain(f, delta, r, n)))
@@ -645,11 +645,11 @@ def per_tone_rows(cfg: ExperimentConfig) -> list:
                 outs = mac_apply(frames, truncated_hadamard(n))
                 if sweep:
                     band = (f - cfg.band_halfwidth_hz, f + cfg.band_halfwidth_hz)
-                    values.append(cancellation_depth(frames[0], outs, band))
+                    values.append(cancellation_depth(frames[0], outs, fs, band))
                 else:
                     gains = [abs(desired_conversion_gain(f, delta, r, n)) for r in range(n - 1)]
                     values.append([20.0 * math.log10(g) if g else -math.inf for g in gains])
-                    values.append(conversion_gain_measured(outs, frames[0], f))
+                    values.append(conversion_gain_measured(outs, frames[0], fs, f))
             rows += [[f, delta, r, *(v[r] for v in values)] for r in range(n - 1)]
     return rows
 
@@ -757,7 +757,7 @@ def test_rotated_tone_frames_match_direct_sampling(
         phasors = lo_align(scene)
     for i in range(n):
         want = sample_element(element_signal(scene, i + 1) * phasors[i], delays[i], fs, n_samples)
-        np.testing.assert_allclose(frames[i].samples, want.samples, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(frames[i], want, rtol=0, atol=1e-11)
 
 
 # Field text csv.writer never quotes: no comma, quote or line break.

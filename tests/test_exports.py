@@ -1,13 +1,16 @@
-"""Package exports: each public name is declared once, in its module."""
+"""Package exports: each public name is declared once, in its module, and every annotation
+in the package resolves."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import spica
-from spica import arrays, experiments, metrics, ps_cancel, ttd, waveform
+from spica import arrays, cli, experiments, metrics, ps_cancel, ttd, waveform
 
 MODULES = (arrays, experiments, metrics, ps_cancel, ttd, waveform)
 
@@ -30,6 +33,38 @@ def test_init_names_no_public_symbol_by_hand():
         if isinstance(node, ast.Assign) and node.targets[0].id == "__all__":
             literals = [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
             assert literals == ["__version__"]
+
+
+def _defined(module):
+    """Every function, class and method ``module`` defines, the functions an lru_cache wraps
+    and the methods dataclass generates included."""
+    for obj in vars(module).values():
+        obj = inspect.unwrap(obj) if callable(obj) else obj
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        if obj.__module__ != module.__name__:
+            continue
+        yield obj
+        if inspect.isclass(obj):
+            for attr in vars(obj).values():
+                method = getattr(attr, "__func__", attr)  # classmethods and staticmethods
+                if inspect.isfunction(method) and method.__module__ == module.__name__:
+                    yield method
+
+
+def test_every_annotation_resolves():
+    # Under ``from __future__ import annotations`` an annotation is a string that no import
+    # evaluates, so one naming a deleted or unimported type fails only when it is resolved.
+    for module in (*MODULES, cli):
+        objects = list(_defined(module))
+        tree = ast.parse(Path(module.__file__).read_text())
+        kinds = (ast.FunctionDef, ast.ClassDef)
+        declared = {node.name for node in tree.body if isinstance(node, kinds)}
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            declared |= {f"{cls.name}.{node.name}" for node in cls.body if isinstance(node, kinds)}
+        assert declared <= {obj.__qualname__ for obj in objects}, module.__name__
+        for obj in objects:
+            typing.get_type_hints(obj)
 
 
 def test_import_loads_no_scipy():

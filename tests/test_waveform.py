@@ -11,7 +11,6 @@ from scipy import integrate
 
 from spica import experiments, waveform
 from spica import (
-    SampleFrame,
     StreamTerm,
     ToneTerm,
     Waveform,
@@ -468,7 +467,7 @@ class TestStreamTerm:
             frame = sample_element(
                 Waveform(terms=(stream,), scale=rate**-0.5), 0.0, fs, 8192
             )
-            freqs, pxx, _ = welch_power(frame.samples, fs, 4096)
+            freqs, pxx, _ = welch_power(frame, fs, 4096)
             power_db = 10 * np.log10(pxx)
             inband = power_db[(freqs >= -edge) & (freqs <= edge)].max()
             outband = power_db[np.abs(freqs) > edge + guard].max()
@@ -516,7 +515,7 @@ class TestGridSampling:
             frame = sample_element(Waveform(terms=(stream,), delay=delay), clock, fs, n)
         # The tolerance of test_matches_mpmath_pulse_sum: the stream's rms is sqrt(rate).
         tol = 5e-11 * np.sqrt(stream.symbol_rate)
-        got = frame.samples[indices]
+        got = frame[indices]
         np.testing.assert_allclose(got, [complex(v) for v in exact], rtol=0, atol=tol)
 
     # 64,000,001 / 200e6 has no p / q with q <= 4096 / 64; 64e6 / 200e6 = 8 / 25 needs n >= 1,600.
@@ -527,7 +526,7 @@ class TestGridSampling:
         clock, delay = 7.041e-9, 2.347e-9
         frame = sample_element(Waveform(terms=(stream,), delay=delay), clock, 200e6, n)
         expected = stream.eval(np.arange(n) / 200e6 + clock - delay)
-        assert frame.samples.tobytes() == expected.tobytes()
+        assert frame.tobytes() == expected.tobytes()
 
     def test_fig18_rows_match_exact_residuals(self):
         # fig18's planned clocks at 12 instants mid-frame and 12 at the frame's end: each row
@@ -545,14 +544,14 @@ class TestGridSampling:
 
         with mpmath.workdps(40):
             elements = [[element(i, j) for j in indices] for i in range(cfg.n_elements)]
-            signs = truncated_hadamard(cfg.n_elements).rows
+            signs = truncated_hadamard(cfg.n_elements)
             exact = (signs @ np.array(elements, dtype=object) * interferer.scale).astype(complex)
 
         def errors(element_clocks):
             branch = [(element_clocks, [(cfg.seed, 2)])]
             [(outs, _)] = experiments._sample_scene(cfg, Waveform(), branch, interferer, delta)
-            rms = np.sqrt(np.mean(np.abs(outs.samples) ** 2, axis=-1))
-            return np.max(np.abs(outs.samples[:, indices] - exact), axis=-1) / rms
+            rms = np.sqrt(np.mean(np.abs(outs) ** 2, axis=-1))
+            return np.max(np.abs(outs[:, indices] - exact), axis=-1) / rms
 
         assert np.all(errors(clocks) <= 5e-7)
         assert np.all(errors([*clocks[:-1], clocks[-1] + 1e-15]) > 5e-7)
@@ -576,15 +575,15 @@ class TestGridSampling:
         with mpmath.workdps(40):
             grid = [(f, j) for f in chunk.tolist() for j in indices]
             elements = [[element(i, f, j) for f, j in grid] for i in range(cfg.n_elements)]
-            signs = truncated_hadamard(cfg.n_elements).rows
+            signs = truncated_hadamard(cfg.n_elements)
             exact = (signs @ np.array(elements, dtype=object)).astype(complex)
             exact = exact.reshape(-1, chunk.size, len(indices))
 
         def errors(element_clocks):
             branch = [(element_clocks, [(0,)] * chunk.size)]
             [(outs, _)] = experiments._sample_scene(cfg, Waveform(), branch, tones, delta)
-            rms = np.sqrt(np.mean(np.abs(outs.samples) ** 2, axis=-1))
-            return np.max(np.abs(outs.samples[..., indices] - exact), axis=-1) / rms
+            rms = np.sqrt(np.mean(np.abs(outs) ** 2, axis=-1))
+            return np.max(np.abs(outs[..., indices] - exact), axis=-1) / rms
 
         assert np.all(errors(clocks) <= 5e-8)
         assert np.all(errors([*clocks[:-1], clocks[-1] + 1e-15]) > 5e-8)
