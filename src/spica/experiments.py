@@ -367,7 +367,7 @@ def preset(name: str) -> ExperimentConfig:
 _CSV_ROWS = 4096
 
 
-def _sample_scene(cfg: ExperimentConfig, desired, branches, interferer=None, delta=0.0):
+def _sample_scene(cfg: ExperimentConfig, desired, branches, interferer=None, delta=0.0, grid=None):
     """Yield each branch's row outputs and reference, element 1's frame: column 0 of the
     truncated Hadamard matrix is all +1, so that frame is every row's no-cancellation reference.
     ``desired`` arrives at broadside and ``interferer``, if any, at inter-element delay ``delta``.
@@ -377,32 +377,26 @@ def _sample_scene(cfg: ExperimentConfig, desired, branches, interferer=None, del
         interferers = (SourceSpec(waveform=interferer, explicit_delay_override=delta),)
     geometry = ArrayGeometry(cfg.n_elements, cfg.d_over_lambda, cfg.carrier_freq_hz)
     scene = Scene(geometry, SourceSpec(desired, aoa_deg=0.0), interferers, mode=cfg.mode)
-    frames = _scene_frames(scene, branches, cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms)
+    frames = _scene_frames(scene, branches, cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms, grid)
     return ((mac_apply(f, truncated_hadamard(cfg.n_elements)), f[0]) for f in frames)
 
 
-def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 0.0):
+def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 0.0, grid=None):
     """Yield the element frames of each branch ``(delays, keys)``: element i is clocked at
     ``delays[i - 1]`` and, in RF_DERIVED, LO-aligned; noise is seeded by sweep point, from one
-    key per tone of a chunk or a single key.  A scene whose only term is a ToneTerm samples a
-    unit tone at its (k, 1) frequencies once on the grid: a tone at t + d is its value at t
+    key per tone of a chunk or a single key.  A scene of unit tones at (k, 1) frequencies may
+    pass them sampled on the undelayed grid as ``grid``: a tone at t + d is its value at t
     times exp(j*2*pi*f*d), so each element's frame is that grid frame times its waveform at d.
     """
     waves = [element_signal(scene, i) for i in range(1, scene.geometry.n_elements + 1)]
     if scene.mode is SceneMode.RF_DERIVED and scene.undesired:
         waves = [wave * phasor for wave, phasor in zip(waves, lo_align(scene))]
-    terms = [t for src in (scene.desired, *scene.undesired) for t in src.waveform.terms]
-    grid = None
-    if len(terms) == 1 and isinstance(terms[0], ToneTerm):
-        grid = sample_element(ToneTerm(1.0, terms[0].frequency).eval, 0.0, fs, n)
     for delays, keys in branches:
         frames = []
         for i, (wave, d) in enumerate(zip(waves, delays), 1):
             seed = [np.random.SeedSequence([*key, i]) for key in keys] if noise_rms else None
-            if grid is None:
-                frames.append(sample_element(wave, d, fs, n, noise_rms, seed))
-            else:
-                frames.append(_noisy_frame(grid * wave(float(d)), noise_rms, seed))
+            frame = sample_element(wave, d, fs, n) if grid is None else grid * wave(float(d))
+            frames.append(_noisy_frame(frame, noise_rms, seed))
         yield frames
 
 
@@ -452,51 +446,57 @@ def _sweep_block(freqs, delta, n_rows, *values):
     return (np.repeat(freqs, n_rows), [delta] * size, [*range(n_rows)] * freqs.size, *values)
 
 
-# Tones sampled and measured together, each chunk before the next; four cut the per-tone
+# Tones sampled together, each chunk under every delay before the next; four cut the per-tone
 # Python overhead, no larger chunk ran faster beyond the noise, and peak RSS grows with it.
 _TONE_CHUNK = 4
+
+
+def _tone_chunks(cfg: ExperimentConfig, freqs):
+    """Yield ``(delay index, delay, start, chunk, unit tones, grid frame)``, chunk first and
+    then delay, so each chunk's tones are sampled on the grid once for every delay.
+    """
+    for c in range(0, freqs.size, _TONE_CHUNK):
+        chunk = freqs[c : c + _TONE_CHUNK]
+        tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
+        grid = sample_element(tones.terms[0].eval, 0.0, cfg.sample_rate_hz, cfg.frame_len)
+        for d_idx, delta in enumerate(cfg.delta_ud_s):
+            yield d_idx, delta, c, chunk, tones, grid
 
 
 def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
     fs, n_rows = cfg.sample_rate_hz, cfg.n_elements - 1
-    blocks = []
-    derived = {"planned_configs": {}}
-    for d_idx, delta in enumerate(cfg.delta_ud_s):
-        ideal, quant, planned = _element_clocks(cfg, delta)
-        derived["planned_configs"][f"{delta!r}"] = planned
-        depths = ([], [])
-        for c in range(0, freqs.size, _TONE_CHUNK):
-            chunk = freqs[c : c + _TONE_CHUNK]
-            tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
-            band = (chunk - cfg.band_halfwidth_hz, chunk + cfg.band_halfwidth_hz)
-            keys = [[(cfg.seed or 0, d_idx, c + j, b) for j in range(chunk.size)] for b in (0, 1)]
-            sampled = _sample_scene(cfg, Waveform(), zip((ideal, quant), keys), tones, delta)
-            for branch, (outs, ref) in enumerate(sampled):
-                depths[branch].append(cancellation_depth(ref, outs, fs, band).T.ravel())
-        blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, depths)))
+    clocks = [_element_clocks(cfg, delta) for delta in cfg.delta_ud_s]
+    depths = [([], []) for _ in clocks]
+    for d_idx, delta, c, chunk, tones, grid in _tone_chunks(cfg, freqs):
+        band = (chunk - cfg.band_halfwidth_hz, chunk + cfg.band_halfwidth_hz)
+        keys = [[(cfg.seed or 0, d_idx, c + j, b) for j in range(chunk.size)] for b in (0, 1)]
+        sampled = _sample_scene(cfg, Waveform(), zip(clocks[d_idx][:2], keys), tones, delta, grid)
+        for branch, (outs, ref) in enumerate(sampled):
+            depths[d_idx][branch].append(cancellation_depth(ref, outs, fs, band).T.ravel())
+    blocks, planned = [], {}
+    for delta, (_, _, plan), ds in zip(cfg.delta_ud_s, clocks, depths):
+        blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, ds)))
+        planned[f"{delta!r}"] = plan
     header = ["freq_hz", "delta_ud_s", "row", "depth_db_ideal", "depth_db_quantized"]
-    return {"": (header, blocks)}, derived
+    return {"": (header, blocks)}, {"planned_configs": planned}
 
 
 def _run_desired_gain(cfg: ExperimentConfig):
     n, fs = cfg.n_elements, cfg.sample_rate_hz
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
+    measured = [[] for _ in cfg.delta_ud_s]
+    for d_idx, delta, c, chunk, tones, grid in _tone_chunks(cfg, freqs):
+        keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
+        [(outs, ref)] = _sample_scene(cfg, tones, [(np.arange(n) * delta, keys)], grid=grid)
+        measured[d_idx].append(conversion_gain_measured(outs, ref, fs, chunk).T.ravel())
     blocks = []
-    for d_idx, delta in enumerate(cfg.delta_ud_s):
-        delays = [i * delta for i in range(n)]
-        measured = []
-        for c in range(0, freqs.size, _TONE_CHUNK):
-            chunk = freqs[c : c + _TONE_CHUNK]
-            tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
-            keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
-            [(outs, ref)] = _sample_scene(cfg, tones, [(delays, keys)])
-            measured.append(conversion_gain_measured(outs, ref, fs, chunk).T.ravel())
+    for delta, gains in zip(cfg.delta_ud_s, measured):
         # (tone, row) order, as _sweep_block lays the rows out; a null reads -inf.
         theory = np.stack([desired_conversion_gain(freqs, delta, r, n) for r in range(n - 1)], -1)
         with np.errstate(divide="ignore"):
             theory_db = 20.0 * np.log10(np.abs(theory)).ravel()
-        blocks.append(_sweep_block(freqs, delta, n - 1, theory_db, np.concatenate(measured)))
+        blocks.append(_sweep_block(freqs, delta, n - 1, theory_db, np.concatenate(gains)))
     header = ["freq_hz", "delta_s", "row", "gain_db_theory", "gain_db_measured"]
     return {"": (header, blocks)}, {}
 

@@ -60,10 +60,12 @@ def welch_power(samples, fs: float, nfft: int):
     so memory grows with the number of frames times ``nfft``, not with the
     frame length.
 
-    Raises ValueError if the frames are shorter than ``nfft``.
+    Raises ValueError if ``nfft`` < 2 (a length-1 Hann window is 0) or > the frame length.
     """
     x = np.asarray(samples)
     n = x.shape[-1]
+    if nfft < 2:
+        raise ValueError(f"Welch length {nfft} < 2: its Hann window is all zero")
     if n < nfft:
         raise ValueError(f"frame length {n} < nfft {nfft}")
     win = _hann(nfft)
@@ -73,9 +75,10 @@ def welch_power(samples, fs: float, nfft: int):
     for seg in segments:
         acc += seg
     win_sum = float(np.sum(win))
-    pxx = np.fft.fftshift(acc, axes=-1) / (len(starts) * win_sum**2)
+    h = nfft // 2  # fftshift as two slice copies, in half of np.fft.fftshift's time
+    pxx = np.concatenate((acc[..., -h:], acc[..., :-h]), -1) / (len(starts) * win_sum**2)
     enbw = nfft * float(np.sum(win**2)) / win_sum**2
-    return _welch_freqs(nfft, fs), np.maximum(pxx, _DB_FLOOR), enbw
+    return _welch_freqs(nfft, fs), np.maximum(pxx, _DB_FLOOR, out=pxx), enbw
 
 
 def welch_psd(frame, nfft: int = 4096):
@@ -132,6 +135,16 @@ def cancellation_depth(ref: np.ndarray, canc: np.ndarray, fs: float, band: tuple
     return np.where(p_canc <= _DB_FLOOR * nfft, np.inf, 10.0 * np.log10(p_ref / p_canc))
 
 
+def _median_db(p: np.ndarray) -> np.ndarray:
+    """``np.median(10 * log10(p), axis=-1)`` bit for bit: log10 is monotone, so one partition
+    of linear ``p`` at n // 2 finds both middle values (np.median partitions at two kth).
+    """
+    h = p.shape[-1] // 2
+    part = np.partition(p, h, axis=-1)
+    lower = part[..., :h].max(-1) if p.shape[-1] % 2 == 0 else part[..., h]
+    return np.mean(10.0 * np.log10([lower, part[..., h]]), axis=0)
+
+
 def conversion_gain_measured(all_in: np.ndarray, one_in: np.ndarray, fs: float, f):
     """Measured conversion gain at a tone frequency, in dB.
 
@@ -146,23 +159,20 @@ def conversion_gain_measured(all_in: np.ndarray, one_in: np.ndarray, fs: float, 
     nfft = _nfft(one_in, all_in)
     freqs, p_all, _ = welch_power(all_in, fs, nfft)
     _, p_one, _ = welch_power(one_in, fs, nfft)
-    db_all, db_one = 10.0 * np.log10(p_all), 10.0 * np.log10(p_one)
-    med_all, med_one = np.median(db_all, axis=-1), np.median(db_one, axis=-1)
     tones = np.broadcast_to(f, one_in.shape[:-1])
-    gains = np.empty(db_all.shape[:-1])
+    at = (..., *np.indices(tones.shape), np.argmin(np.abs(freqs - tones[..., None]), axis=-1))
+    db_all, db_one = 10.0 * np.log10(p_all[at]), 10.0 * np.log10(p_one[at])
+    med_all, med_one = _median_db(p_all), _median_db(p_one)
     for idx in np.ndindex(tones.shape):
-        tone = float(tones[idx])
-        at = (..., *idx, int(np.argmin(np.abs(freqs - tone))))
         for db, med, name in ((db_all, med_all, "all-input"), (db_one, med_one, "one-input")):
-            peak_db, floor_db = db[at], med[(..., *idx)]
+            peak_db, floor_db = db[(..., *idx)], med[(..., *idx)]
             low = np.flatnonzero(peak_db < floor_db + 10.0)
             if low.size:
                 raise MeasurementError(
-                    f"tone at {tone:.6g} Hz is below the {name} spectral floor "
+                    f"tone at {float(tones[idx]):.6g} Hz is below the {name} spectral floor "
                     f"({peak_db.flat[low[0]]:.1f} dB vs median {floor_db.flat[low[0]]:.1f} dB)"
                 )
-        gains[(..., *idx)] = db_all[at] - db_one[at]
-    return gains
+    return np.asarray(db_all - db_one)
 
 
 def evm_percent(rx_symbols, ref_symbols) -> float:

@@ -718,6 +718,55 @@ def test_below_floor_tone_inside_a_chunk_is_named(tmp_path):
     assert str(err.value) == str(reference.value)
 
 
+@pytest.mark.parametrize("mode", list(SceneMode))
+@pytest.mark.parametrize("kind", ["TTD_TONE_SWEEP", "DESIRED_GAIN"])
+def test_multi_delay_run_concatenates_one_delay_runs(kind, mode, tmp_path):
+    # The runners go chunk first, then delay, but write one block per delay in delay order:
+    # noise-free, the three-delay CSV is the header and then each one-delay run's rows.
+    # Six tones make a full chunk and a partial one.
+    base = dict(
+        experiment=kind, mode=mode.value, frame_len=256, tone_start_hz=3e6, tone_stop_hz=93e6,
+        tone_count=6, band_halfwidth_hz=1e6,
+    )
+    deltas = [1e-9, -2.347e-9, 4e-9]
+    whole = run_experiment(ExperimentConfig.from_dict({**base, "delta_ud_s": deltas}), tmp_path)
+    singles = [
+        run_experiment(
+            ExperimentConfig.from_dict({**base, "delta_ud_s": [d], "output": f"one{i}"}), tmp_path
+        )
+        for i, d in enumerate(deltas)
+    ]
+    texts = [Path(result["csv"]).read_bytes().split(b"\r\n", 1) for result in singles]
+    header = texts[0][0] + b"\r\n"
+    assert Path(whole["csv"]).read_bytes() == header + b"".join(rows for _, rows in texts)
+    planned = [result["derived"].get("planned_configs", {}) for result in singles]
+    assert whole["derived"].get("planned_configs", {}) == {k: p[k] for p in planned for k in p}
+
+
+def test_first_failure_is_chunk_major(tmp_path):
+    # Two delays each leave one tone under the noise: 3.33 ns nulls row 0 at 75 MHz (second
+    # chunk) and 5 ns at 50 MHz (first chunk).  Each chunk is measured under every delay
+    # before the next is sampled, so the 50 MHz point under the second delay is raised; a
+    # delay-major loop would raise 75 MHz under the first.
+    cfg = ExperimentConfig.from_dict(
+        {
+            "experiment": "DESIRED_GAIN",
+            "delta_ud_s": [1 / 300e6, 5e-9],
+            "tone_start_hz": 40e6,
+            "tone_stop_hz": 80e6,
+            "tone_count": 9,
+            "noise_rms": 1e-3,
+            "seed": 1,
+            "frame_len": 256,
+        }
+    )
+    for deltas, tone in (([1 / 300e6], r"7\.5e\+07"), ([5e-9], r"5e\+07")):
+        with pytest.raises(MeasurementError, match=f"tone at {tone} Hz is below the all-input"):
+            run_experiment(dataclasses.replace(cfg, delta_ud_s=tuple(deltas)), tmp_path)
+    with pytest.raises(MeasurementError, match=r"tone at 5e\+07 Hz is below the all-input"):
+        run_experiment(cfg, output_dir=tmp_path)
+
+
 # Tone frequencies inside +/- fs/2 at fs = 200 MHz.
 _BELOW_NYQUIST = st.floats(-1e8, 1e8, exclude_min=True, exclude_max=True)
 
@@ -751,7 +800,8 @@ def test_rotated_tone_frames_match_direct_sampling(
     delays = [i * delta - shift for i in range(n)]
     if planned:
         delays = [plan_delay(d, max_offset=8) for d in delays]
-    [frames] = experiments._scene_frames(scene, [(delays, [()])], fs, n_samples)
+    grid = sample_element(tones.terms[0].eval, 0.0, fs, n_samples)
+    [frames] = experiments._scene_frames(scene, [(delays, [()])], fs, n_samples, grid=grid)
     phasors = np.ones(n)
     if interferer and mode is SceneMode.RF_DERIVED:
         phasors = lo_align(scene)

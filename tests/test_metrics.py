@@ -32,6 +32,7 @@ from spica import (
     truncated_hadamard,
     welch_power,
 )
+from spica.metrics import _DB_FLOOR, _median_db
 
 
 def tone(freq, amp=1.0, phase=0.0):
@@ -183,6 +184,29 @@ class TestWelchPower:
         assert np.max(np.abs(pxx - p_ref)) <= 1e-12 * np.max(p_ref)
         assert enbw == pytest.approx(nfft * np.sum(win**2) / np.sum(win) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("nfft", [2, 3, 4, 5, 6, 7, 64, 65])
+    def test_centering_matches_fftshift_bit_for_bit(self, nfft):
+        # oracle: the same segment sum centered by np.fft.fftshift, even and odd lengths
+        x = np.random.default_rng(nfft).standard_normal((2, 3, 2 * nfft + 1, 2)) @ [1, 1j]
+        win = np.hanning(nfft + 1)[:-1]
+        starts = range(0, x.shape[-1] - nfft + 1, nfft - int(round(nfft * 0.5)))
+        acc = np.abs(np.fft.fft(x[..., : nfft] * win)) ** 2
+        for s in starts[1:]:
+            acc += np.abs(np.fft.fft(x[..., s : s + nfft] * win)) ** 2
+        want = np.fft.fftshift(acc, axes=-1) / (len(starts) * float(np.sum(win)) ** 2)
+        np.testing.assert_array_equal(welch_power(x, FS, nfft)[1], np.maximum(want, 1e-300))
+
+    def test_one_point_welch_rejected(self):
+        # A periodic Hann window of length 1 is [0.]: its spectrum would divide by zero.
+        one = np.ones(1, complex)
+        for measure in (
+            lambda: welch_power(one, FS, 1),
+            lambda: cancellation_depth(one, one, FS, (-1e6, 1e6)),
+            lambda: conversion_gain_measured(one, one, FS, 0.0),
+        ):
+            with pytest.raises(ValueError, match="Welch length 1 < 2"):
+                measure()
+
     def test_periodic_hann_enbw_and_read_only_bins(self):
         _, _, enbw = welch_power(np.ones(64, complex), FS, 64)
         assert enbw == pytest.approx(1.5, rel=1e-12)  # periodic Hann
@@ -231,6 +255,26 @@ class TestCancellationDepth:
         assert isinstance(stacked, np.ndarray) and stacked.shape == (3,)
         assert stacked[2] == singles[2] == np.inf
         np.testing.assert_allclose(stacked[:2], singles[:2], rtol=0.0, atol=1e-12)
+
+@given(
+    n=st.sampled_from([1, 2]) | st.integers(1, 70) | st.sampled_from([2047, 2048]),
+    lead=st.sampled_from([(), (4,), (3, 4)]),
+    floor_run=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    levels=st.integers(1, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_spectral_floor_is_median_of_db_bit_for_bit(n, lead, floor_run, levels, seed):
+    # oracle: np.median of the dB spectrum, as the floor was taken before; a run of bins
+    # clamped at _DB_FLOOR and few distinct levels give ties at and above the floor
+    rng = np.random.default_rng(seed)
+    p = 10.0 ** (rng.integers(0, levels, (*lead, n)) * (-12.0 / levels))
+    lo, hi = sorted(int(v * n) for v in floor_run)
+    p[..., lo:hi] = _DB_FLOOR
+    got, want = _median_db(p), np.median(10.0 * np.log10(p), axis=-1)
+    assert np.shape(got) == np.shape(want) == lead
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 class TestConversionGainMeasured:
     def test_identity_is_zero_db(self):

@@ -562,11 +562,12 @@ class TestGridSampling:
         # and 12 at the frame's end: each (row, tone) residual against the 40-digit sum of its
         # elements' tones at the exact instants j / fs + d_i - i*delta.  They err by at most
         # 2e-9 of their rms (7e-7 to 2.5e-3); a last element clocked 1 fs late moves them by
-        # 2.5e-4 or more.
+        # 2.5e-4 or more.  The chunk is rotated from its grid frame, as the runners do.
         cfg = preset("fig16")
         n, fs = cfg.frame_len, cfg.sample_rate_hz
         chunk = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)[96:]
         tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
+        tone_grid = sample_element(tones.terms[0].eval, 0.0, fs, n)
         _, clocks, _ = experiments._element_clocks(cfg, delta)
         indices = [*range(n // 2, n // 2 + 12), *range(n - 12, n)]
         def element(i, f, j):  # element i + 1's tone f at grid index j
@@ -581,7 +582,7 @@ class TestGridSampling:
 
         def errors(element_clocks):
             branch = [(element_clocks, [(0,)] * chunk.size)]
-            [(outs, _)] = experiments._sample_scene(cfg, Waveform(), branch, tones, delta)
+            [(outs, _)] = experiments._sample_scene(cfg, Waveform(), branch, tones, delta, tone_grid)
             rms = np.sqrt(np.mean(np.abs(outs) ** 2, axis=-1))
             return np.max(np.abs(outs[..., indices] - exact), axis=-1) / rms
 
