@@ -564,9 +564,9 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     # In RF_DERIVED, lo_align's phasors rotate the desired signal too: its gain is G_r(f + f_c).
     offset = cfg.carrier_freq_hz if cfg.mode is SceneMode.RF_DERIVED else 0.0
     fs = cfg.sample_rate_hz
-    for r, out in enumerate(outs):
-        eq = equalize(out, fs, row=r, delta=delta, n=cfg.n_elements, offset_hz=offset)
-        recovered = recover_symbols(eq, fs, desired_stream, genie_timing=genie)
+    for r in range(len(outs)):  # in place: equalized copies of every row would raise peak memory
+        outs[r] = equalize(outs[r], fs, row=r, delta=delta, n=cfg.n_elements, offset_hz=offset)
+    for r, recovered in enumerate(recover_symbols(outs, fs, desired_stream, genie_timing=genie)):
         evms.append(evm_percent(recovered, ref))
         # Export the fitted constellation alongside the reference points.
         rx = np.vdot(recovered, ref) / np.vdot(recovered, recovered) * recovered

@@ -219,7 +219,8 @@ def recover_symbols(
       sum_m h[m] x[k-m] e^{-j2 pi f_c (t_{k-m} - g)} =
       e^{-j2 pi f_c (t_k - g)} sum_m (h[m] e^{j2 pi f_c m / fs}) x[k-m].
 
-    Returns one recovered value per transmitted symbol, in order.
+    ``frame`` may be a ``(..., n)`` stack; one spectrum of the taps serves every frame.
+    Returns one recovered value per transmitted symbol, in order, on the last axis.
     """
     rate = stream.symbol_rate
     n = frame.shape[-1]
@@ -235,5 +236,8 @@ def recover_symbols(
     taps = rrc_pulse(m / fs, rate, stream.rolloff, stream.span_symbols) / fs
     h = np.zeros(n, complex)
     h[m % n] = taps * np.exp(2j * np.pi * stream.center_freq * m / fs)
-    matched = np.fft.ifft(np.fft.fft(frame) * np.fft.fft(h))[idx]
+    spec = np.fft.fft(h)
+    # Frame by frame: transforming the whole stack at once holds every frame's spectrum.
+    matched = np.array([np.fft.ifft(np.fft.fft(x) * spec)[idx] for x in frame.reshape(-1, n)])
+    matched = matched.reshape(*frame.shape[:-1], idx.size)
     return matched * np.exp(-2j * np.pi * stream.center_freq * (idx / fs - genie_timing))

@@ -169,9 +169,10 @@ class StreamTerm:
     with a p-strided window over the symbols.  Otherwise each instant takes the
     pulse's sines and cosines by angle addition around its nearest symbol.
     ``center_freq`` shifts the occupied band away from DC by multiplying the
-    envelope with exp(j*2*pi*center_freq*t); the row-combining stage has a
-    structural null at DC, so band-limited stimuli are normally placed at a
-    nonzero center.
+    envelope with exp(j*2*pi*center_freq*t); on the p/q grid that is a factor
+    per phase, at t[0] + phi / fs, times one per row of q instants, its whole
+    cycles dropped.  The row-combining stage has a structural null at DC, so
+    band-limited stimuli are normally placed at a nonzero center.
     """
 
     symbols: np.ndarray
@@ -210,12 +211,12 @@ class StreamTerm:
             span = self.span_symbols
             reached = np.flatnonzero((k0 >= -span) & (k0 <= self.symbols.size - 1 + span))
             acc[reached] = self._pulse_sum(t_flat[reached])
-        if self.center_freq != 0.0:
-            acc *= np.exp(2j * np.pi * self.center_freq * t_flat)
+            if self.center_freq != 0.0:
+                acc *= np.exp(2j * np.pi * self.center_freq * t_flat)
         return acc.reshape(np.shape(t))
 
     def _grid_sum(self, n: int, fs: float, t0: float):
-        """Baseband sum at the instants j / fs + t0, j < n, or None (see the class docstring)."""
+        """The stream at the instants j / fs + t0, j < n, or None (see the class docstring)."""
         rate, span, ratio = self.symbol_rate, self.span_symbols, self.symbol_rate / fs
         p, q = Fraction(ratio).limit_denominator(max(n // _PHASE_INSTANTS, 1)).as_integer_ratio()
         if p / q != ratio:
@@ -233,7 +234,12 @@ class StreamTerm:
         acc = np.zeros((rows, q, 2))
         for phi, s in enumerate((k0 - k0[0]).tolist()):
             np.einsum("kij,j->ik", windows[:, s::p][:, :rows], pulses[phi], out=acc[:, phi])
-        return acc.view(complex).ravel()[:n]
+        acc = acc.view(complex)[..., 0]
+        if self.center_freq != 0.0:
+            cycles = self.center_freq * q / fs * np.arange(rows)
+            acc *= np.exp(2j * np.pi * (cycles - np.rint(cycles)))[:, None]
+            acc *= np.exp(2j * np.pi * self.center_freq * (t0 + np.arange(q) / fs))
+        return acc.ravel()[:n]
 
     def _pulse_sum(self, t_arr: np.ndarray) -> np.ndarray:
         """Baseband sum of shaped symbol pulses at the 1-D instants ``t_arr``."""

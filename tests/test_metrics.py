@@ -631,6 +631,18 @@ class TestRecoverSymbols:
         expected = recover_symbols_linear(*case)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * rms)
 
+    @given(case=receive_cases(), lead=st.sampled_from([(1,), (3,), (2, 3)]))
+    @settings(max_examples=20, deadline=None)
+    def test_stacked_frames_match_per_frame_calls_bit_for_bit(self, case, lead):
+        frame, fs, stream, genie = case
+        frames = [np.roll(frame, i) * (1.0 + 0.5j * i) for i in range(int(np.prod(lead)))]
+        stack = np.reshape(frames, (*lead, -1))
+        got = recover_symbols(stack, fs, stream, genie)
+        # Contiguous rows: a BLAS dot over a strided row sums in another order.
+        assert got.shape == (*lead, stream.symbols.size) and got.flags.c_contiguous
+        for i in np.ndindex(*lead):
+            assert got[i].tobytes() == recover_symbols(stack[i], fs, stream, genie).tobytes()
+
     def test_uncovered_span_rejected(self):
         frame, stream, genie = self.clean_setup(span=16)
         with pytest.raises(ValueError, match="does not cover"):

@@ -531,8 +531,8 @@ class TestGridSampling:
     def test_fig18_rows_match_exact_residuals(self):
         # fig18's planned clocks at 12 instants mid-frame and 12 at the frame's end: each row
         # against the 40-digit sum of its elements at the exact instants j / fs + d_i - i*delta.
-        # The rows err by at most 8e-8 of their rms, mostly the center frequency's exponent
-        # at float instants; a last element clocked 1 fs late moves them by 3e-4 to 2e-3.
+        # The rows err by at most 4e-11 of their rms; a last element clocked 1 fs late moves
+        # them by 3e-4 to 2e-3.
         cfg = preset("fig18")
         delta, n, fs = cfg.delta_ud_s[0], cfg.frame_len, cfg.sample_rate_hz
         stream = experiments._interferer_stream(cfg)
@@ -553,8 +553,8 @@ class TestGridSampling:
             rms = np.sqrt(np.mean(np.abs(outs) ** 2, axis=-1))
             return np.max(np.abs(outs[:, indices] - exact), axis=-1) / rms
 
-        assert np.all(errors(clocks) <= 5e-7)
-        assert np.all(errors([*clocks[:-1], clocks[-1] + 1e-15]) > 5e-7)
+        assert np.all(errors(clocks) <= 5e-10)
+        assert np.all(errors([*clocks[:-1], clocks[-1] + 1e-15]) > 5e-10)
 
     @pytest.mark.parametrize("delta", [2.347e-9, -2.347e-9])
     def test_fig16_rows_match_exact_residuals(self, delta):
