@@ -718,6 +718,27 @@ def test_below_floor_tone_inside_a_chunk_is_named(tmp_path):
     assert str(err.value) == str(reference.value)
 
 
+# Valid gain runs that one unmeasurable point aborts: the CLI exits 2 and writes no CSV.
+_ABORTED_GAIN_RUNS = {
+    "every-row-null": {"experiment": "DESIRED_GAIN", "delta_ud_s": [0.0]},
+    "tone-at-dc": {
+        "experiment": "DESIRED_GAIN",
+        "tone_start_hz": -99e6,
+        "tone_stop_hz": 99e6,
+        "tone_count": 7,
+        "delta_ud_s": [1e-9],
+    },
+    # the 1 MHz tone's gain, -86.5 dB, lies under the -86.9 dB median floor
+    "fig17-noisy": {**preset("fig17").to_dict(), "noise_rms": 1e-3, "seed": 1},
+}
+
+
+@pytest.mark.xfail(strict=True, raises=MeasurementError, reason="a null or noisy point aborts")
+@pytest.mark.parametrize("data", _ABORTED_GAIN_RUNS.values(), ids=_ABORTED_GAIN_RUNS)
+def test_gain_run_with_an_unmeasurable_point_completes(data, tmp_path):
+    run_experiment(ExperimentConfig.from_dict(data), output_dir=tmp_path)
+
+
 @pytest.mark.parametrize("mode", list(SceneMode))
 @pytest.mark.parametrize("kind", ["TTD_TONE_SWEEP", "DESIRED_GAIN"])
 def test_multi_delay_run_concatenates_one_delay_runs(kind, mode, tmp_path):
