@@ -84,21 +84,23 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "undesired", tuple(self.undesired))
         n = self.geometry.n_elements
-        if self.element_mismatch is None:
-            object.__setattr__(self, "element_mismatch", tuple([1.0 + 0.0j] * n))
-        else:
-            gains = tuple(complex(g) for g in self.element_mismatch)
-            if len(gains) != n:
-                raise ValueError(
-                    f"element_mismatch length {len(gains)} != n_elements {n}"
-                )
-            object.__setattr__(self, "element_mismatch", gains)
+        gains = [1.0] * n if self.element_mismatch is None else self.element_mismatch
+        if len(gains) != n:
+            raise ValueError(f"element_mismatch length {len(gains)} != n_elements {n}")
+        object.__setattr__(self, "element_mismatch", tuple(complex(g) for g in gains))
 
-    def source_delay(self, src: SourceSpec) -> float:
-        """Inter-element delay for one source, honoring the explicit override."""
-        if src.explicit_delay_override is not None:
-            return float(src.explicit_delay_override)
-        return aoa_to_delay(self.geometry, src.aoa_deg)
+    def arrivals(self):
+        """Each source's arrival delays ``tau`` and carrier rotations ``rot``, both ``(sources,
+        elements)`` arrays with the desired source first.  A source at inter-element delay delta
+        (its ``explicit_delay_override``, else its angle's) reaches element i (0-based) late by
+        tau = i * delta and, in RF_DERIVED, rotated by rot = exp(-j*2*pi*f_c*i*delta), else 1.
+        """
+        delta = [aoa_to_delay(self.geometry, s.aoa_deg) if s.explicit_delay_override is None
+                 else s.explicit_delay_override for s in (self.desired, *self.undesired)]
+        idx, delta = np.arange(self.geometry.n_elements), np.array(delta, dtype=float)[:, None]
+        if self.mode is SceneMode.BB_DIRECT:
+            return idx * delta, np.ones((delta.size, idx.size), complex)
+        return idx * delta, np.exp(-2j * np.pi * self.geometry.carrier_freq * idx * delta)
 
 
 def aoa_to_delay(g: ArrayGeometry, theta_deg: float) -> float:
@@ -114,23 +116,16 @@ def aoa_to_delay(g: ArrayGeometry, theta_deg: float) -> float:
 def element_signal(scene: Scene, i: int) -> Waveform:
     """Received waveform at element ``i`` (1-based).
 
-    BB_DIRECT: mismatch_i * sum of sources delayed by (i-1) * delta_t each.
-    RF_DERIVED: additionally rotates each source by its per-element carrier
-    phase exp(-j*2*pi*f_c*(i-1)*delta_t).
+    mismatch_i * the sum of the sources, each delayed by its ``tau`` and, in RF_DERIVED,
+    rotated by its carrier phase ``rot`` at the element (see ``Scene.arrivals``).
     """
     n = scene.geometry.n_elements
     if not 1 <= i <= n:
         raise ValueError(f"element index {i} out of range 1..{n}")
-    k = i - 1
-    fc = scene.geometry.carrier_freq
-    parts = []
-    for src in (scene.desired, *scene.undesired):
-        dt = scene.source_delay(src)
-        part = src.waveform.delayed(k * dt)
-        if scene.mode is SceneMode.RF_DERIVED:
-            part = part * np.exp(-2j * np.pi * fc * k * dt)
-        parts.append(part)
-    return Waveform(terms=tuple(parts), scale=scene.element_mismatch[k])
+    tau, rot = scene.arrivals()
+    sources = (scene.desired, *scene.undesired)
+    parts = (s.waveform.delayed(t) * r for s, t, r in zip(sources, tau[:, i - 1], rot[:, i - 1]))
+    return Waveform(terms=tuple(parts), scale=scene.element_mismatch[i - 1])
 
 
 def lo_align(scene: Scene) -> np.ndarray:
@@ -143,7 +138,4 @@ def lo_align(scene: Scene) -> np.ndarray:
         raise ValueError("lo_align requires RF_DERIVED mode")
     if not scene.undesired:
         raise ValueError("scene has no undesired sources")
-    dt = scene.source_delay(scene.undesired[0])
-    fc = scene.geometry.carrier_freq
-    idx = np.arange(scene.geometry.n_elements)
-    return np.exp(2j * np.pi * fc * idx * dt)
+    return scene.arrivals()[1][1].conj()

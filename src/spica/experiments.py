@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import os
@@ -16,28 +17,13 @@ import numpy as np
 
 from . import __version__
 from .arrays import ArrayGeometry, Scene, SceneMode, SourceSpec, element_signal, lo_align
-from .metrics import (
-    _welch_freqs,
-    cancellation_depth,
-    conversion_gain_measured,
-    evm_percent,
-    recover_symbols,
-)
+from .metrics import _depth_db, _gain_db, _one_input, _welch_freqs, cancellation_depth, welch_power
+from .metrics import conversion_gain_measured  # noqa: F401  (bench/tracer.py wraps this name)
+from .metrics import evm_percent, recover_symbols
 from .ps_cancel import PsCancelPlan, ps_residual_gain
-from .ttd import (
-    INTERLEAVE_STEP,
-    PI_STEP,
-    Quadrant,
-    _noisy_frame,
-    _total_delay,
-    desired_conversion_gain,
-    equalize,
-    mac_apply,
-    plan_delay,  # noqa: F401  (not called here; bench/tracer.py wraps this name)
-    plan_delays,
-    sample_element,
-    truncated_hadamard,
-)
+from .ttd import INTERLEAVE_STEP, PI_STEP, Quadrant, _noisy_frame, _total_delay, equalize
+from .ttd import desired_conversion_gain, mac_apply, plan_delays, sample_element, truncated_hadamard
+from .ttd import plan_delay  # noqa: F401  (not called here; bench/tracer.py wraps this name)
 from .waveform import StreamTerm, ToneTerm, Waveform, map_qpsk
 
 __all__ = [
@@ -368,36 +354,43 @@ _CSV_ROWS = 4096
 
 
 def _sample_scene(cfg: ExperimentConfig, desired, branches, interferer=None, delta=0.0, grid=None):
-    """Yield each branch's row outputs and reference, element 1's frame: column 0 of the
-    truncated Hadamard matrix is all +1, so that frame is every row's no-cancellation reference.
+    """Map each branch to its row outputs and a copy of element 1's frame, which frees the stack:
+    column 0 of the truncated Hadamard matrix is all +1, so that frame is every row's reference.
     ``desired`` arrives at broadside and ``interferer``, if any, at inter-element delay ``delta``.
     """
-    interferers = ()
-    if interferer is not None:
-        interferers = (SourceSpec(waveform=interferer, explicit_delay_override=delta),)
+    interferers = [SourceSpec(interferer, explicit_delay_override=delta)] if interferer else []
     geometry = ArrayGeometry(cfg.n_elements, cfg.d_over_lambda, cfg.carrier_freq_hz)
     scene = Scene(geometry, SourceSpec(desired, aoa_deg=0.0), interferers, mode=cfg.mode)
     frames = _scene_frames(scene, branches, cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms, grid)
-    return ((mac_apply(f, truncated_hadamard(cfg.n_elements)), f[0]) for f in frames)
+    return map(lambda f: (mac_apply(f, truncated_hadamard(cfg.n_elements)), f[0].copy()), frames)
 
 
 def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 0.0, grid=None):
-    """Yield the element frames of each branch ``(delays, keys)``: element i is clocked at
-    ``delays[i - 1]`` and, in RF_DERIVED, LO-aligned; noise is seeded by sweep point, from one
-    key per tone of a chunk or a single key.  A scene of unit tones at (k, 1) frequencies may
-    pass them sampled on the undelayed grid as ``grid``: a tone at t + d is its value at t
-    times exp(j*2*pi*f*d), so each element's frame is that grid frame times its waveform at d.
+    """Map each branch ``(delays, keys)`` to its ``(elements, ...)`` frame stack, holding none (a
+    generator would hold each while it is measured): element i is clocked at ``delays[i - 1]``
+    and, in RF_DERIVED, LO-aligned; noise is seeded by sweep point, one key per tone of a chunk
+    or a single key.  Unit tones at (k, 1) frequencies, beside silent sources, may come sampled
+    on the undelayed grid as ``grid``: a tone at t + d - tau is its value at t times at d - tau.
     """
-    waves = [element_signal(scene, i) for i in range(1, scene.geometry.n_elements + 1)]
-    if scene.mode is SceneMode.RF_DERIVED and scene.undesired:
-        waves = [wave * phasor for wave, phasor in zip(waves, lo_align(scene))]
-    for delays, keys in branches:
-        frames = []
-        for i, (wave, d) in enumerate(zip(waves, delays), 1):
-            seed = [np.random.SeedSequence([*key, i]) for key in keys] if noise_rms else None
-            frame = sample_element(wave, d, fs, n) if grid is None else grid * wave(float(d))
-            frames.append(_noisy_frame(frame, noise_rms, seed))
-        yield frames
+    tau, rot = scene.arrivals()
+    aligned = scene.mode is SceneMode.RF_DERIVED and scene.undesired
+    lo = lo_align(scene) if aligned else np.ones(tau.shape[1])
+    gain, rot = (np.asarray(scene.element_mismatch) * lo)[:, None, None], rot[..., None, None]
+    waves = [element_signal(scene, i) * p for i, p in enumerate(lo, 1)] if grid is None else ()
+    sources = [s.waveform for s in (scene.desired, *scene.undesired)]
+
+    def frames(delays, keys):
+        if grid is None:
+            out = np.stack([sample_element(w, d, fs, n) for w, d in zip(waves, delays)])
+        else:
+            t = (np.asarray(delays, dtype=float) - tau)[..., None, None]
+            out = grid * (gain * sum(r * w.eval(ti) for w, ti, r in zip(sources, t, rot)))
+        if noise_rms:
+            seed = [np.random.SeedSequence([*key, i + 1]) for i in range(len(out)) for key in keys]
+            out = _noisy_frame(out, noise_rms, seed)
+        return out
+
+    return itertools.starmap(frames, branches)
 
 
 _QUADRANT_NAMES = [q.name for q in Quadrant]
@@ -426,8 +419,7 @@ def _run_ps_leakage(cfg: ExperimentConfig):
     grid = np.linspace(cfg.fnorm_start, cfg.fnorm_stop, cfg.fnorm_count)
     # Every element count shares the grid, so its text is formatted once.
     grid_text = list(map(str, grid.tolist()))
-    blocks = []
-    derived = {}
+    blocks, derived = [], {}
     for n in cfg.ps_n_elements:
         plan = PsCancelPlan.for_angle(n, cfg.theta_ud_deg, cfg.d_over_lambda)
         derived[f"align_phase_rad_n{n}"] = plan.align_phase
@@ -453,7 +445,9 @@ _TONE_CHUNK = 4
 
 def _tone_chunks(cfg: ExperimentConfig, freqs):
     """Yield ``(delay index, delay, start, chunk, unit tones, grid frame)``, chunk first and
-    then delay, so each chunk's tones are sampled on the grid once for every delay.
+    then delay, so each chunk's tones are sampled on the grid once for every delay.  Element 1's
+    frame stays the same while its clock and noise do (noise-free at delta >= 0), and the runners
+    take its spectrum again only when it changes.
     """
     for c in range(0, freqs.size, _TONE_CHUNK):
         chunk = freqs[c : c + _TONE_CHUNK]
@@ -468,12 +462,15 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     fs, n_rows = cfg.sample_rate_hz, cfg.n_elements - 1
     clocks = [_element_clocks(cfg, delta) for delta in cfg.delta_ud_s]
     depths = [([], []) for _ in clocks]
+    nfft, last = min(4096, cfg.frame_len), None
     for d_idx, delta, c, chunk, tones, grid in _tone_chunks(cfg, freqs):
         band = (chunk - cfg.band_halfwidth_hz, chunk + cfg.band_halfwidth_hz)
         keys = [[(cfg.seed or 0, d_idx, c + j, b) for j in range(chunk.size)] for b in (0, 1)]
         sampled = _sample_scene(cfg, Waveform(), zip(clocks[d_idx][:2], keys), tones, delta, grid)
         for branch, (outs, ref) in enumerate(sampled):
-            depths[d_idx][branch].append(cancellation_depth(ref, outs, fs, band).T.ravel())
+            if last is None or not np.array_equal(ref, last[0]):  # see _tone_chunks
+                last = ref, welch_power(ref, fs, nfft)
+            depths[d_idx][branch].append(_depth_db(last[1], outs, fs, band).T.ravel())
     blocks, planned = [], {}
     for delta, (_, _, plan), ds in zip(cfg.delta_ud_s, clocks, depths):
         blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, ds)))
@@ -486,10 +483,13 @@ def _run_desired_gain(cfg: ExperimentConfig):
     n, fs = cfg.n_elements, cfg.sample_rate_hz
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
     measured = [[] for _ in cfg.delta_ud_s]
+    nfft, last = min(4096, cfg.frame_len), None
     for d_idx, delta, c, chunk, tones, grid in _tone_chunks(cfg, freqs):
         keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
         [(outs, ref)] = _sample_scene(cfg, tones, [(np.arange(n) * delta, keys)], grid=grid)
-        measured[d_idx].append(conversion_gain_measured(outs, ref, fs, chunk).T.ravel())
+        if last is None or not np.array_equal(ref, last[0]):  # see _tone_chunks
+            last = ref, _one_input(ref, fs, nfft)
+        measured[d_idx].append(_gain_db(outs, last[1], fs, chunk).T.ravel())
     blocks = []
     for delta, gains in zip(cfg.delta_ud_s, measured):
         # (tone, row) order, as _sweep_block lays the rows out; a null reads -inf.
@@ -549,17 +549,13 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     )
     genie = _genie_timing(cfg)
     # Element 1's clock is late by quant[0] (0 unless delta < 0): delay the stream as much.
-    desired_wave = Waveform(
-        terms=(desired_stream,),
-        scale=1.0 / math.sqrt(cfg.desired_symbol_rate_hz),
-        delay=genie + quant[0],
-    )
+    scale = 1.0 / math.sqrt(cfg.desired_symbol_rate_hz)
+    desired_wave = Waveform(terms=(desired_stream,), scale=scale, delay=genie + quant[0])
     power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
     interferer = Waveform(terms=(_interferer_stream(cfg),), scale=math.sqrt(power))
     [(outs, _)] = _sample_scene(cfg, desired_wave, [(quant, [(cfg.seed, 2)])], interferer, delta)
 
-    evms = []
-    constellation = []
+    evms, constellation = [], []
     ref = desired_stream.symbols
     # In RF_DERIVED, lo_align's phasors rotate the desired signal too: its gain is G_r(f + f_c).
     offset = cfg.carrier_freq_hz if cfg.mode is SceneMode.RF_DERIVED else 0.0

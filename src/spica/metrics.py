@@ -82,11 +82,7 @@ def welch_power(samples, fs: float, nfft: int):
 
 
 def welch_psd(frame, nfft: int = 4096):
-    """``welch_power`` of one frame, which spica never calls.
-
-    ``bench/tracer.py`` wraps this name until ROADMAP item 1 retargets it.
-    """
-    return welch_power(frame.samples, frame.sample_rate, nfft)
+    """Never called (frames are plain ndarrays); ``bench/tracer.py`` wraps this name."""
 
 
 def band_power(freqs, enbw: float, f_lo, f_hi, *spectra):
@@ -126,8 +122,13 @@ def cancellation_depth(ref: np.ndarray, canc: np.ndarray, fs: float, band: tuple
     ``(rows, k, n)``.  Returns an ndarray of ``canc``'s leading shape (0-d
     for one frame).
     """
-    nfft = _nfft(ref, canc)
-    freqs, pxx_ref, enbw = welch_power(ref, fs, nfft)
+    return _depth_db(welch_power(ref, fs, _nfft(ref, canc)), canc, fs, band)
+
+
+def _depth_db(ref_spectrum, canc: np.ndarray, fs: float, band: tuple):
+    """``cancellation_depth`` against ``ref_spectrum``, the reference's ``welch_power``."""
+    freqs, pxx_ref, enbw = ref_spectrum
+    nfft = _nfft(pxx_ref, canc)
     pxx_canc = welch_power(canc, fs, nfft)[1]
     p_ref, p_canc = band_power(freqs, enbw, *band, pxx_ref, pxx_canc)
     # The all-zero frame hits the PSD floor rather than true zero; treat
@@ -156,13 +157,26 @@ def conversion_gain_measured(all_in: np.ndarray, one_in: np.ndarray, fs: float, 
     with ``(k,)`` frequencies pair with ``mac_apply``'s ``(rows, k, n)``.
     Returns an ndarray of ``all_in``'s leading shape (0-d for one frame).
     """
-    nfft = _nfft(one_in, all_in)
-    freqs, p_all, _ = welch_power(all_in, fs, nfft)
-    _, p_one, _ = welch_power(one_in, fs, nfft)
-    tones = np.broadcast_to(f, one_in.shape[:-1])
+    return _gain_db(all_in, _one_input(one_in, fs, _nfft(one_in, all_in)), fs, f)
+
+
+def _one_input(one_in: np.ndarray, fs: float, nfft: int):
+    """The one-input frame's ``welch_power`` and its median dB, the floor ``_gain_db`` reads."""
+    spectrum = welch_power(one_in, fs, nfft)
+    return spectrum, _median_db(spectrum[1])
+
+
+def _gain_db(all_in: np.ndarray, one_input, fs: float, f):
+    """``conversion_gain_measured`` against ``one_input``, the one-input frame's ``_one_input``."""
+    (freqs, p_one, _), med_one = one_input
+    p_all = welch_power(all_in, fs, _nfft(p_one, all_in))[1]
+    tones = np.broadcast_to(f, p_one.shape[:-1])
     at = (..., *np.indices(tones.shape), np.argmin(np.abs(freqs - tones[..., None]), axis=-1))
     db_all, db_one = 10.0 * np.log10(p_all[at]), 10.0 * np.log10(p_one[at])
-    med_all, med_one = _median_db(p_all), _median_db(p_one)
+    med_all = _median_db(p_all)
+    # Every tone of both frames in one comparison; the loop only names the first low one.
+    if not np.any((db_all < med_all + 10.0) | (db_one < med_one + 10.0)):
+        return np.asarray(db_all - db_one)
     for idx in np.ndindex(tones.shape):
         for db, med, name in ((db_all, med_all, "all-input"), (db_one, med_one, "one-input")):
             peak_db, floor_db = db[(..., *idx)], med[(..., *idx)]
@@ -172,7 +186,6 @@ def conversion_gain_measured(all_in: np.ndarray, one_in: np.ndarray, fs: float, 
                     f"tone at {float(tones[idx]):.6g} Hz is below the {name} spectral floor "
                     f"({peak_db.flat[low[0]]:.1f} dB vs median {floor_db.flat[low[0]]:.1f} dB)"
                 )
-    return np.asarray(db_all - db_one)
 
 
 def evm_percent(rx_symbols, ref_symbols) -> float:

@@ -220,17 +220,17 @@ def truncated_hadamard(n: int) -> np.ndarray:
 def mac_apply(frames, rows: np.ndarray) -> np.ndarray:
     """Apply each matrix row as a sample-wise multiply-accumulate.
 
-    ``frames`` holds one equal-shape frame per column of ``rows``.  Returns
-    the stack whose row r is output_r[k] = sum_i rows[r][i] * frames[i][k],
-    rows first so an element frame broadcasts against every row:
-    ``(rows, n)`` from ``(n,)`` frames, ``(rows, k, n)`` from ``(k, n)`` ones.
-    The hardware's charge-share-then-transfer gain bookkeeping is modeled
-    as net unity weight.
+    ``frames`` holds one equal-shape frame per column of ``rows``, as a list or as an
+    ``(elements, ..., n)`` ndarray, which is not copied.  Returns the stack whose row r is
+    output_r[k] = sum_i rows[r][i] * frames[i][k], rows first so an element frame broadcasts
+    against every row: ``(rows, n)`` from ``(n,)`` frames, ``(rows, k, n)`` from ``(k, n)``
+    ones.  The hardware's charge-share-then-transfer gain bookkeeping is modeled as net unity
+    weight.
     """
     n = rows.shape[1]
     if len(frames) != n:
         raise ValueError(f"expected {n} frames, got {len(frames)}")
-    stack = np.stack(frames)
+    stack = frames if isinstance(frames, np.ndarray) else np.stack(frames)
     return (rows @ stack.reshape(n, -1)).reshape(-1, *stack.shape[1:])
 
 

@@ -307,9 +307,6 @@ class Waveform:
             acc = acc + term.eval(shifted, fs)
         return self.scale * acc if self.scale != 1.0 else acc
 
-    def __call__(self, t):
-        return self.eval(t)
-
     def delayed(self, delay: float) -> "Waveform":
         """Copy of this waveform shifted later in time by ``delay`` seconds."""
         return Waveform(terms=(self,), delay=delay)

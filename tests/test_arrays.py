@@ -74,7 +74,7 @@ class TestSceneConstruction:
     def test_explicit_delay_override_wins(self):
         src = SourceSpec(tone(1e6), aoa_deg=30.0, explicit_delay_override=1.25e-9)
         sc = Scene(GEO, src)
-        assert sc.source_delay(src) == 1.25e-9
+        np.testing.assert_array_equal(sc.arrivals()[0], [np.arange(4) * 1.25e-9])
 
     def test_override_matches_equivalent_angle_exactly(self):
         dt = aoa_to_delay(GEO, 37.0)
@@ -132,8 +132,8 @@ class TestElementSignal:
         t = np.linspace(0.0, 1e-6, 65)
         i = 4
         acc = np.zeros(t.shape, complex)
-        for src in (des, ud1, ud2):
-            acc += src.waveform.eval(t - 3 * sc.source_delay(src))
+        for src, tau in zip((des, ud1, ud2), sc.arrivals()[0][:, i - 1]):
+            acc += src.waveform.eval(t - tau)
         np.testing.assert_allclose(element_signal(sc, i).eval(t), acc, atol=1e-12)
 
     def test_element_mismatch_scales_output(self):

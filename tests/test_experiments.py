@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from output_contract import check_column
-from spica import experiments
+from spica import experiments, metrics
 from spica import (
     ArrayGeometry,
     ClockConfig,
@@ -696,6 +696,41 @@ def test_tone_runners_match_per_tone_reference(name, count, tmp_path):
         assert check_column(column, want, [row[j] for row in rows])[1] == [], column
 
 
+# fig16 and fig17 cut to 6 tones, two chunks, with the overrides given and the number of
+# (delay, branch) points per chunk at which element 1's frame, and so its spectrum, is new:
+# one while noise-free clocks leave it at 0, every point when noise or a shifted clock
+# (TTD_TONE_SWEEP at delta < 0) changes it.  DESIRED_GAIN never shifts element 1's clock.
+_REFERENCE_RUNS = {
+    "fig16": ("fig16", {}, 1),
+    "fig16-noisy": ("fig16", {"noise_rms": 1e-3, "seed": 1}, 3 * 2),
+    "fig16-rf-noisy": ("fig16", {"noise_rms": 1e-3, "seed": 1, "mode": SceneMode.RF_DERIVED}, 6),
+    "fig16-negative": ("fig16", {"delta_ud_s": (-1.001e-9, -2.347e-9)}, 2 * 2),
+    "fig17": ("fig17", {}, 1),
+    "fig17-rf": ("fig17", {"mode": SceneMode.RF_DERIVED}, 1),
+    "fig17-noisy": ("fig17", {"noise_rms": 1e-6, "seed": 1}, 4),
+    "fig17-negative": ("fig17", {"delta_ud_s": (-0.5e-9, -2.5e-9)}, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_RUNS))
+def test_reference_spectrum_is_taken_once_per_distinct_frame(name, tmp_path, monkeypatch):
+    preset_name, overrides, per_chunk = _REFERENCE_RUNS[name]
+    cfg = dataclasses.replace(preset(preset_name), tone_count=6, **overrides)
+    references = []
+    welch_power = metrics.welch_power
+
+    def counting(samples, fs, nfft):
+        if samples.ndim == 2:  # element 1's (k, n) frame; the row outputs are (rows, k, n)
+            references.append(samples.shape[0])
+        return welch_power(samples, fs, nfft)
+
+    # TTD_TONE_SWEEP takes its reference spectra by experiments' name, DESIRED_GAIN by metrics'.
+    monkeypatch.setattr(metrics, "welch_power", counting)
+    monkeypatch.setattr(experiments, "welch_power", counting)
+    run_experiment(cfg, output_dir=tmp_path)
+    assert references == [4] * per_chunk + [2] * per_chunk
+
+
 def test_below_floor_tone_inside_a_chunk_is_named(tmp_path):
     # at 5 ns per element row 0 nulls 50 MHz, the third tone of the first
     # chunk, and leaves only noise there
@@ -802,14 +837,18 @@ _BELOW_NYQUIST = st.floats(-1e8, 1e8, exclude_min=True, exclude_max=True)
     gains=st.lists(
         st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0), min_size=4, max_size=4
     ),
+    noise_rms=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
 def test_rotated_tone_frames_match_direct_sampling(
-    freqs, delta, planned, interferer, aoa, mode, gains
+    freqs, delta, planned, interferer, aoa, mode, gains, noise_rms, seed
 ):
-    # oracle: every element sampled directly at its own clock, LO-aligned in RF_DERIVED,
-    # against the runners' grid frame rotated by one (k, 1) phasor per element
+    # oracle: every element sampled directly at its own clock, LO-aligned in RF_DERIVED, plus
+    # the noise of the runners' (seed, delay, tone, [branch,] element) keys, against the runners'
+    # grid frame rotated by one (k, 1) phasor per element, with that noise added to the stack
     n, fs, n_samples = 4, 2e8, 64
+    keys = [(seed, 2, j, 1)[: 4 if interferer else 3] for j in range(len(freqs))]
     tones = Waveform(terms=(ToneTerm(1.0, np.array(freqs)[:, None]),))
     geometry = ArrayGeometry(n, 0.5, 10e9)
     if interferer:
@@ -822,12 +861,15 @@ def test_rotated_tone_frames_match_direct_sampling(
     if planned:
         delays = [plan_delay(d, max_offset=8) for d in delays]
     grid = sample_element(tones.terms[0].eval, 0.0, fs, n_samples)
-    [frames] = experiments._scene_frames(scene, [(delays, [()])], fs, n_samples, grid=grid)
+    branch = [(delays, keys)]
+    [frames] = experiments._scene_frames(scene, branch, fs, n_samples, noise_rms, grid=grid)
     phasors = np.ones(n)
     if interferer and mode is SceneMode.RF_DERIVED:
         phasors = lo_align(scene)
     for i in range(n):
-        want = sample_element(element_signal(scene, i + 1) * phasors[i], delays[i], fs, n_samples)
+        wave = element_signal(scene, i + 1) * phasors[i]
+        seeds = [np.random.SeedSequence([*key, i + 1]) for key in keys]
+        want = sample_element(wave, delays[i], fs, n_samples, noise_rms, seeds)
         np.testing.assert_allclose(frames[i], want, rtol=0, atol=1e-11)
 
 

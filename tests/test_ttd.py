@@ -379,6 +379,15 @@ class TestMacApply:
         with pytest.raises(ValueError, match="expected 4 frames"):
             mac_apply([fr, fr], truncated_hadamard(4))
 
+    def test_stacked_frames_match_a_list_bit_for_bit(self):
+        # the runners pass one (elements, k, n) ndarray, which mac_apply takes uncopied
+        chunk = Waveform(terms=(ToneTerm(1.0, np.array([[3e6], [17e6], [-41e6]])),))
+        frames = [sample_element(chunk, d, 2e8, 64) for d in (0.0, 1.3e-9, 2.7e-9, 4.05e-9)]
+        m = truncated_hadamard(4)
+        np.testing.assert_array_equal(mac_apply(np.array(frames), m), mac_apply(frames, m))
+        with pytest.raises(ValueError, match="expected 4 frames, got 3"):
+            mac_apply(np.array(frames[:3]), m)
+
     def test_metadata_mismatches_checked(self):
         m = truncated_hadamard(2)
         base = sample_element(tone(1e6), 0.0, 1e8, 8)
