@@ -8,7 +8,7 @@ import sys
 
 from . import __version__
 from .experiments import ConfigError, load_config, preset, preset_names, run_experiment
-from .ttd import config_total_delay, plan_delay
+from .ttd import Quadrant, plan_delay, total_delay
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,14 +67,13 @@ def _cmd_preset(args) -> int:
 
 def _cmd_plan(args) -> int:
     try:
-        cfg = plan_delay(args.delay_seconds, max_offset=args.max_offset)
+        pi_code, quadrant, offset = plan_delay(args.delay_seconds, max_offset=args.max_offset)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    total = config_total_delay(cfg)
+    total = total_delay(pi_code, quadrant, offset)
     err = total - args.delay_seconds
     print(
-        f"pi_code={cfg.pi_code} quadrant={cfg.quadrant.name} "
-        f"interleave_offset={cfg.interleave_offset} "
+        f"pi_code={pi_code} quadrant={Quadrant(quadrant).name} interleave_offset={offset} "
         f"total={total:.12e} s error={err:.3e} s"
     )
     return EXIT_OK

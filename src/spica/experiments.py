@@ -21,7 +21,7 @@ from .metrics import _depth_db, _gain_db, _one_input, _welch_freqs, cancellation
 from .metrics import conversion_gain_measured  # noqa: F401  (bench/tracer.py wraps this name)
 from .metrics import evm_percent, recover_symbols
 from .ps_cancel import PsCancelPlan, ps_residual_gain
-from .ttd import INTERLEAVE_STEP, PI_STEP, Quadrant, _noisy_frame, _total_delay, equalize
+from .ttd import INTERLEAVE_STEP, PI_STEP, Quadrant, _noisy_frame, equalize, total_delay
 from .ttd import desired_conversion_gain, mac_apply, plan_delays, sample_element, truncated_hadamard
 from .ttd import plan_delay  # noqa: F401  (not called here; bench/tracer.py wraps this name)
 from .waveform import StreamTerm, ToneTerm, Waveform, map_qpsk
@@ -193,7 +193,8 @@ def _fail(field_name: str, msg: str):
 # Single-field bounds that every kind checks: field -> (low, high, whether low itself is allowed).
 _POSITIVE = (0, math.inf, False)
 _BOUNDS = {
-    **dict.fromkeys(("noise_rms", "max_offset"), (0, math.inf, True)),
+    "noise_rms": (0, math.inf, True),
+    "max_offset": (0, np.iinfo(np.int64).max, True),
     **dict.fromkeys(("sample_rate_hz", "d_over_lambda", "carrier_freq_hz"), _POSITIVE),
     **dict.fromkeys(("band_halfwidth_hz", "symbol_rate_hz", "desired_symbol_rate_hz"), _POSITIVE),
     **dict.fromkeys(("fnorm_count", "tone_count", "span_symbols"), (1, math.inf, True)),
@@ -400,7 +401,7 @@ def _plan_clocks(cfg: ExperimentConfig, targets):
     """Planned clock delays for ``targets`` and the pi_code, quadrant and offset columns."""
     pi_code, quadrant, offset = plan_delays(targets, cfg.max_offset)
     names = [_QUADRANT_NAMES[q] for q in quadrant.tolist()]
-    return _total_delay(pi_code, quadrant, offset), (pi_code.tolist(), names, offset.tolist())
+    return total_delay(pi_code, quadrant, offset), (pi_code.tolist(), names, offset.tolist())
 
 
 def _element_clocks(cfg: ExperimentConfig, delta: float):

@@ -1,10 +1,11 @@
 """Discrete time-delay cancellation core.
 
 This is the heart of the simulator: quantized per-element clock delays
-(planner + config arithmetic), non-uniform sampling of analytic signals,
-the truncated-Hadamard multiply-accumulate that nulls a delay-aligned
-source, the closed-form desired-signal conversion gain of each row, and a
-zero-forcing equalizer that undoes that gain after combining.
+(one array planner and its delay arithmetic), non-uniform sampling of
+analytic signals, the truncated-Hadamard multiply-accumulate that nulls a
+delay-aligned source, the closed-form desired-signal conversion gain of
+each row, and a zero-forcing equalizer that undoes that gain after
+combining.
 
 Delay decomposition follows the three-stage clock generator it models: an
 8-bit phase interpolator with 5 ps steps spanning one 1.25 ns quadrant, a
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,8 +27,7 @@ __all__ = [
     "QUADRANT_STEP",
     "INTERLEAVE_STEP",
     "Quadrant",
-    "ClockConfig",
-    "config_total_delay",
+    "total_delay",
     "plan_delays",
     "plan_delay",
     "sample_element",
@@ -55,50 +54,9 @@ class Quadrant(enum.IntEnum):
     Q_N = 3
 
 
-@dataclass(frozen=True)
-class ClockConfig:
-    """Per-element sampling-clock delay decomposition.
-
-    total delay = pi_code * 5 ps + quadrant * 1.25 ns + interleave_offset * 5 ns
-
-    ``offset_limit`` is the largest permitted interleave offset (2 for the
-    4-element case, giving a 15 ns range; larger arrays extend it).
-    """
-
-    pi_code: int
-    quadrant: Quadrant
-    interleave_offset: int
-    offset_limit: int = field(default=2, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "quadrant", Quadrant(self.quadrant))
-        if not 0 <= self.pi_code <= 255:
-            raise ValueError(f"pi_code must be in 0..255, got {self.pi_code}")
-        if self.offset_limit < 0:
-            raise ValueError(f"offset_limit must be >= 0, got {self.offset_limit}")
-        if not 0 <= self.interleave_offset <= self.offset_limit:
-            raise ValueError(
-                f"interleave_offset must be in 0..{self.offset_limit}, "
-                f"got {self.interleave_offset}"
-            )
-        max_total = (self.offset_limit + 1) * INTERLEAVE_STEP
-        total = config_total_delay(self)
-        if total > max_total * (1.0 + _RANGE_RTOL):
-            raise ValueError(f"total delay {total:.6e} s exceeds range {max_total:.6e} s")
-
-    def __float__(self) -> float:
-        """The total delay in seconds, so a clock config stands wherever a delay does."""
-        return config_total_delay(self)
-
-
-def _total_delay(pi_code, quadrant, interleave_offset):
+def total_delay(pi_code, quadrant, interleave_offset):
     """Delay in seconds of clock codes; scalars or equal-shape integer arrays."""
     return pi_code * PI_STEP + quadrant * QUADRANT_STEP + interleave_offset * INTERLEAVE_STEP
-
-
-def config_total_delay(c: ClockConfig) -> float:
-    """Total delay in seconds realized by a clock configuration."""
-    return _total_delay(c.pi_code, int(c.quadrant), c.interleave_offset)
 
 
 def plan_delays(targets, max_offset: int = 2):
@@ -114,9 +72,9 @@ def plan_delays(targets, max_offset: int = 2):
     targets : float or array_like
         Desired delays in seconds, each within [0, (max_offset + 1) * 5 ns].
     max_offset : int
-        Largest usable interleave offset; 2 for the 4-element clocking
-        scheme (15 ns total range).  Larger arrays extrapolate the same
-        decomposition over more sample periods.
+        Largest usable interleave offset, at most the int64 maximum; 2 for
+        the 4-element clocking scheme (15 ns total range).  Larger arrays
+        extrapolate the same decomposition over more sample periods.
 
     Returns
     -------
@@ -125,6 +83,8 @@ def plan_delays(targets, max_offset: int = 2):
     """
     if max_offset < 0:
         raise ValueError(f"max_offset must be >= 0, got {max_offset}")
+    if max_offset > np.iinfo(np.int64).max:
+        raise ValueError(f"max_offset must fit in int64, got {max_offset}")
     t = np.asarray(targets, dtype=float)
     max_range = (max_offset + 1) * INTERLEAVE_STEP
     lo, hi = -max_range * _RANGE_RTOL, max_range * (1.0 + _RANGE_RTOL)
@@ -141,10 +101,9 @@ def plan_delays(targets, max_offset: int = 2):
     return pi_code, quadrant, offset
 
 
-def plan_delay(target: float, max_offset: int = 2) -> ClockConfig:
-    """The clock configuration ``plan_delays`` gives for one target delay."""
-    pi_code, quadrant, offset = plan_delays(target, max_offset)
-    return ClockConfig(int(pi_code), int(quadrant), int(offset), offset_limit=max_offset)
+def plan_delay(target: float, max_offset: int = 2) -> tuple[int, int, int]:
+    """The ``(pi_code, quadrant, interleave_offset)`` ints ``plan_delays`` gives for one target."""
+    return tuple(int(code) for code in plan_delays(target, max_offset))
 
 
 def sample_element(
@@ -170,9 +129,9 @@ def sample_element(
     sig : callable
         Signal to sample, such as a Waveform; anything accepting an ndarray
         of times.
-    delay : ClockConfig or float
-        Quantized clock configuration, or a raw delay in seconds for
-        unquantized (ideal) clocking.
+    delay : float
+        Clock delay in seconds: a planned ``total_delay`` for quantized
+        clocking, or any value for unquantized (ideal) clocking.
     noise_rms : float
         Total rms of the additive circular complex white noise per sample.
     seed : int, SeedSequence, a list of them, or None

@@ -21,14 +21,15 @@ from spica import (
     ToneTerm,
     Waveform,
     cancellation_depth,
-    config_total_delay,
     element_signal,
     mac_apply,
     plan_delay,
+    plan_delays,
     preset,
     ps_residual_gain,
     run_experiment,
     sample_element,
+    total_delay,
     truncated_hadamard,
 )
 from spica.arrays import ArrayGeometry
@@ -166,17 +167,12 @@ def test_criterion_3_quantized_cancellation():
 
     # (b) planner-quantized rejection across a dense 1 ps delay sweep,
     # per-element normalization (single-input reference)
-    targets = np.arange(0.0, 5.000001e-9, 1e-12)
-    depths = []
-    for dt in targets:
-        err = np.array(
-            [config_total_delay(plan_delay(i * dt)) - i * dt for i in range(4)]
-        )
-        phasors = np.exp(2j * np.pi * f * err)
-        res = np.abs(rows @ phasors)
-        with np.errstate(divide="ignore"):
-            depths.append(-20.0 * np.log10(res / 1.0))
-    depths = np.concatenate(depths)
+    # one plan over the (5001, 4) grid of ideal clocks i * dt
+    ideal = np.arange(0.0, 5.000001e-9, 1e-12)[:, None] * np.arange(4)
+    err = total_delay(*plan_delays(ideal)) - ideal
+    res = np.abs(np.exp(2j * np.pi * f * err) @ rows.T)
+    with np.errstate(divide="ignore"):
+        depths = -20.0 * np.log10(res / 1.0)
     min_depth = float(np.min(depths))
     median_depth = float(np.median(depths))
     checks.append(("dense sweep min >= 44 dB", min_depth >= 44.0))
@@ -185,9 +181,9 @@ def test_criterion_3_quantized_cancellation():
     # (c) the coarse delay set quantizes exactly, so the sampled pipeline
     # must clear the same 44 dB bound with room to spare
     for delta in (0.5e-9, 1e-9, 2e-9, 2.5e-9, 4e-9):
-        plans = [plan_delay(i * delta) for i in range(4)]
+        planned = total_delay(*plan_delays(np.arange(4) * delta))
         scene = _tone_interferer_scene(4, f, delta)
-        sampled = _row_depths(scene, plans, fs, frame_len, band)
+        sampled = _row_depths(scene, planned, fs, frame_len, band)
         checks.append((f"sampled delta {delta!r}", min(sampled) >= 44.0))
 
     failed = [name for name, ok in checks if not ok]
@@ -240,17 +236,10 @@ def test_criterion_6_planner_contract():
     # the relative fudge absorbs one ulp of float subtraction at exact
     # half-step boundaries; the bound itself stays half a PI step
     bound = 2.5e-12 * (1.0 + 1e-9)
-    worst = 0.0
-    for t in targets:
-        c = plan_delay(float(t))
-        worst = max(worst, abs(config_total_delay(c) - float(t)))
+    worst = float(np.max(np.abs(total_delay(*plan_delays(targets)) - targets)))
 
-    c4 = plan_delay(4e-9)
-    c8 = plan_delay(8e-9)
-    decomp_ok = (
-        (c4.pi_code, c4.quadrant, c4.interleave_offset) == (50, Quadrant.Q_N, 0)
-        and (c8.pi_code, c8.quadrant, c8.interleave_offset) == (100, Quadrant.I_N, 1)
-    )
+    splits = (plan_delay(4e-9), plan_delay(8e-9))
+    decomp_ok = splits == ((50, Quadrant.Q_N, 0), (100, Quadrant.I_N, 1))
     ok = worst <= bound and decomp_ok
     _verdict(
         6,

@@ -17,7 +17,6 @@ from output_contract import check_column
 from spica import experiments, metrics
 from spica import (
     ArrayGeometry,
-    ClockConfig,
     ConfigError,
     Experiment,
     ExperimentConfig,
@@ -29,7 +28,6 @@ from spica import (
     ToneTerm,
     Waveform,
     cancellation_depth,
-    config_total_delay,
     conversion_gain_measured,
     desired_conversion_gain,
     element_signal,
@@ -41,6 +39,7 @@ from spica import (
     preset_names,
     run_experiment,
     sample_element,
+    total_delay,
     truncated_hadamard,
 )
 from spica.cli import main
@@ -213,6 +212,11 @@ BAD_VALUES = [
     pytest.param(MODULATED, "theta_ud_deg", -91.0, "theta_ud_deg", id="modulated-theta_ud_deg"),
     pytest.param(QPSK, "fnorm_count", 0, "fnorm_count", id="qpsk-fnorm_count-zero"),
     pytest.param(PLAN, "desired_symbol_rate_hz", 0, "desired_symbol_rate_hz", id="plan-desired_symbol_rate_hz-zero"),
+    # one past the int64 offsets plan_delays computes with, in every kind that plans clocks
+    pytest.param(PLAN, "max_offset", 2**63, "max_offset", id="plan-max_offset-past-int64"),
+    pytest.param(TONE_SWEEP, "max_offset", 2**63, "max_offset", id="tone-max_offset-past-int64"),
+    pytest.param(MODULATED, "max_offset", 2**63, "max_offset", id="modulated-max_offset-past-int64"),
+    pytest.param(QPSK, "max_offset", 2**63, "max_offset", id="qpsk-max_offset-past-int64"),
 ]
 
 
@@ -379,10 +383,10 @@ class TestRunners:
             cfg = dataclasses.replace(cfg, plan_targets_s=tuple(targets))
         expected = []
         for target in cfg.plan_targets_s:
-            c = plan_delay(target, cfg.max_offset)
-            total = config_total_delay(c)
+            pi_code, quadrant, offset = plan_delay(target, cfg.max_offset)
+            total = total_delay(pi_code, quadrant, offset)
             expected.append(
-                [target, c.pi_code, c.quadrant.name, c.interleave_offset, total, total - target]
+                [target, pi_code, Quadrant(quadrant).name, offset, total, total - target]
             )
         result = run_experiment(cfg, output_dir=tmp_path)
         header, _ = read_csv(result["csv"])
@@ -481,7 +485,7 @@ class TestRunners:
         shift = -(cfg.n_elements - 1) * delta
         planned = result["derived"]["planned_configs"][repr(delta)]
         for i, (pi_code, quadrant, offset) in enumerate(planned):
-            total = config_total_delay(ClockConfig(pi_code, Quadrant[quadrant], offset))
+            total = total_delay(pi_code, Quadrant[quadrant], offset)
             assert abs(total - (i * delta + shift)) <= 2.5e-12 * (1.0 + 1e-9)
 
     @pytest.mark.parametrize(
@@ -620,7 +624,7 @@ def per_tone_rows(cfg: ExperimentConfig) -> list:
     for d_idx, delta in enumerate(cfg.delta_ud_s):
         shift = min(0.0, (n - 1) * delta)
         ideal = [i * delta - shift for i in range(n)]
-        quant = [config_total_delay(plan_delay(t, cfg.max_offset)) for t in ideal]
+        quant = [total_delay(*plan_delay(t, cfg.max_offset)) for t in ideal]
         for f_idx, f in enumerate(np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)):
             f = float(f)
             tone = SourceSpec(Waveform(terms=(ToneTerm(1.0, f),)))
@@ -859,7 +863,7 @@ def test_rotated_tone_frames_match_direct_sampling(
     shift = min(0.0, (n - 1) * delta)
     delays = [i * delta - shift for i in range(n)]
     if planned:
-        delays = [plan_delay(d, max_offset=8) for d in delays]
+        delays = [total_delay(*plan_delay(d, max_offset=8)) for d in delays]
     grid = sample_element(tones.terms[0].eval, 0.0, fs, n_samples)
     branch = [(delays, keys)]
     [frames] = experiments._scene_frames(scene, branch, fs, n_samples, noise_rms, grid=grid)
@@ -1012,12 +1016,26 @@ class TestCli:
         assert main(["run", str(tmp_path / "missing.json")]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_plan_prints_decomposition(self, capsys):
-        assert main(["plan", "4e-9"]) == 0
-        out = capsys.readouterr().out
-        assert "pi_code=50" in out
-        assert "quadrant=Q_N" in out
-        assert "interleave_offset=0" in out
+    @pytest.mark.parametrize(
+        "args,code,out,err",
+        [
+            (["4e-9"], 0, "pi_code=50 quadrant=Q_N interleave_offset=0 "
+             "total=4.000000000000e-09 s error=0.000e+00 s\n", ""),
+            (["15e-9"], 0, "pi_code=250 quadrant=Q_N interleave_offset=2 "
+             "total=1.500000000000e-08 s error=3.309e-24 s\n", ""),
+            (["2.6e-12"], 0, "pi_code=1 quadrant=I_P interleave_offset=0 "
+             "total=5.000000000000e-12 s error=2.400e-12 s\n", ""),
+            (["33e-9", "--max-offset", "7"], 0, "pi_code=100 quadrant=I_N interleave_offset=6 "
+             "total=3.300000000000e-08 s error=6.617e-24 s\n", ""),
+            (["1e-6"], 1, "",
+             "config error: target delay 1.000000e-06 s outside [0, 1.500000e-08] s\n"),
+            (["nan"], 1, "", "config error: target delay nan s outside [0, 1.500000e-08] s\n"),
+        ],
+        ids=["4e-9", "15e-9", "2.6e-12", "33e-9-offset-7", "1e-6", "nan"],
+    )
+    def test_plan_prints_exact_output(self, capsys, args, code, out, err):
+        assert main(["plan", *args]) == code
+        assert capsys.readouterr() == (out, err)
 
     def test_runtime_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(cfg, output_dir=None):
@@ -1030,10 +1048,11 @@ class TestCli:
         assert "error: simulated failure" in capsys.readouterr().err
 
     def test_plan_out_of_range_is_config_error(self, capsys):
-        assert main(["plan", "1e-6"]) == 1
-        assert "config error" in capsys.readouterr().err
+        # an out-of-range target is pinned above; a max offset past int64 is one too
+        assert main(["plan", "1e-9", "--max-offset", str(2**63)]) == 1
+        assert "config error: max_offset must fit in int64" in capsys.readouterr().err
 
     def test_plan_extended_offset(self, capsys):
-        assert main(["plan", "33e-9", "--max-offset", "7"]) == 0
+        assert main(["plan", "33e-9", "--max-offset", str(2**63 - 1)]) == 0
         out = capsys.readouterr().out
         assert "interleave_offset=6" in out

@@ -14,17 +14,16 @@ from spica import (
     INTERLEAVE_STEP,
     PI_STEP,
     QUADRANT_STEP,
-    ClockConfig,
     Quadrant,
     ToneTerm,
     Waveform,
-    config_total_delay,
     desired_conversion_gain,
     equalize,
     mac_apply,
     plan_delay,
     plan_delays,
     sample_element,
+    total_delay,
     truncated_hadamard,
 )
 from spica.waveform import StreamTerm, map_qpsk
@@ -34,14 +33,11 @@ def tone(freq, amp=1.0, phase=0.0):
     return Waveform(terms=(ToneTerm(amp, freq, phase),))
 
 
-class TestClockConfig:
+class TestTotalDelay:
     def test_total_delay_decomposition(self):
-        c = ClockConfig(50, Quadrant.Q_N, 0)
-        assert config_total_delay(c) == pytest.approx(4e-9, rel=1e-12)
-        assert config_total_delay(ClockConfig(0, Quadrant.I_P, 0)) == 0.0
-        assert config_total_delay(ClockConfig(100, Quadrant.I_N, 1)) == pytest.approx(
-            8e-9, rel=1e-12
-        )
+        assert total_delay(50, Quadrant.Q_N, 0) == pytest.approx(4e-9, rel=1e-12)
+        assert total_delay(0, Quadrant.I_P, 0) == 0.0
+        assert total_delay(100, Quadrant.I_N, 1) == pytest.approx(8e-9, rel=1e-12)
 
     def test_quadrant_step_order(self):
         assert [int(q) for q in (Quadrant.I_P, Quadrant.Q_P, Quadrant.I_N, Quadrant.Q_N)] == [
@@ -52,27 +48,10 @@ class TestClockConfig:
         ]
 
     def test_full_range_endpoint_allowed(self):
-        c = ClockConfig(250, Quadrant.Q_N, 2)
-        assert config_total_delay(c) == pytest.approx(15e-9, rel=1e-12)
-
-    def test_over_range_rejected(self):
-        # 255 * 5 ps + 3.75 ns + 10 ns = 15.025 ns, past the top of range
-        with pytest.raises(ValueError, match="exceeds range"):
-            ClockConfig(255, Quadrant.Q_N, 2)
-
-    def test_field_validation(self):
-        with pytest.raises(ValueError, match="pi_code"):
-            ClockConfig(256, Quadrant.I_P, 0)
-        with pytest.raises(ValueError, match="interleave_offset"):
-            ClockConfig(0, Quadrant.I_P, 3)
-        with pytest.raises(ValueError):
-            ClockConfig(0, 7, 0)
-        with pytest.raises(ValueError, match="offset_limit must be >= 0"):
-            ClockConfig(0, Quadrant.I_P, 0, offset_limit=-1)
+        assert total_delay(250, Quadrant.Q_N, 2) == pytest.approx(15e-9, rel=1e-12)
 
     def test_extended_offset_limit(self):
-        c = ClockConfig(0, Quadrant.I_P, 5, offset_limit=7)
-        assert config_total_delay(c) == pytest.approx(25e-9, rel=1e-12)
+        assert total_delay(0, Quadrant.I_P, 5) == pytest.approx(25e-9, rel=1e-12)
 
 
 @st.composite
@@ -102,13 +81,13 @@ class TestPlanDelay:
     )
     def test_worked_decompositions(self, target, pi, quad, off):
         c = plan_delay(target)
-        assert (c.pi_code, c.quadrant, c.interleave_offset) == (pi, quad, off)
-        assert config_total_delay(c) == pytest.approx(target, abs=1e-21)
+        assert c == (pi, quad, off)
+        assert total_delay(*c) == pytest.approx(target, abs=1e-21)
 
     def test_rounds_to_nearest_pi_code(self):
         # 2.6 ps is closer to one PI step than to zero
-        assert plan_delay(2.6e-12).pi_code == 1
-        assert plan_delay(2.4e-12).pi_code == 0
+        assert plan_delay(2.6e-12)[0] == 1
+        assert plan_delay(2.4e-12)[0] == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -118,14 +97,13 @@ class TestPlanDelay:
 
     def test_extended_range(self):
         c = plan_delay(33e-9, max_offset=7)
-        assert c.interleave_offset == 6
-        assert config_total_delay(c) == pytest.approx(33e-9, abs=2.5e-12)
+        assert c[2] == 6
+        assert total_delay(*c) == pytest.approx(33e-9, abs=2.5e-12)
 
     @given(target=st.floats(0.0, 15e-9))
     @settings(max_examples=300, deadline=None)
     def test_error_within_half_pi_step(self, target):
-        c = plan_delay(target)
-        err = abs(config_total_delay(c) - target)
+        err = abs(total_delay(*plan_delay(target)) - target)
         # the bound is half a PI step; the relative fudge absorbs the last
         # ulp of the float subtraction at exact half-step boundaries
         assert err <= 2.5e-12 * (1.0 + 1e-9)
@@ -133,11 +111,11 @@ class TestPlanDelay:
     @given(target=st.floats(0.0, 15e-9), case=planner_targets())
     @settings(max_examples=100, deadline=None)
     def test_plan_is_within_declared_range(self, target, case):
-        c = plan_delay(target)
-        assert 0.0 <= config_total_delay(c) <= 15e-9 * (1.0 + 1e-9)
+        assert 0.0 <= total_delay(*plan_delay(target)) <= 15e-9 * (1.0 + 1e-9)
         targets, max_offset = case
-        totals = ttd._total_delay(*plan_delays(targets, max_offset))
-        assert np.all(totals <= (max_offset + 1) * INTERLEAVE_STEP * (1.0 + 1e-9))
+        pi_code, quadrant, offset = plan_delays(targets, max_offset)
+        top = (max_offset + 1) * INTERLEAVE_STEP * (1.0 + 1e-9)
+        assert np.all(total_delay(pi_code, quadrant, offset) <= top)
 
 
 def greedy_reference(target, max_offset):
@@ -156,13 +134,21 @@ class TestPlanDelays:
     def test_each_element_matches_scalar_plan(self, case):
         targets, max_offset = case
         codes = plan_delays(targets, max_offset)
-        totals = ttd._total_delay(*codes)
+        totals = total_delay(*codes)
         for i, target in enumerate(targets):
-            c = plan_delay(target, max_offset)
-            scalar = (c.pi_code, int(c.quadrant), c.interleave_offset)
+            scalar = greedy_reference(target, max_offset)
             assert tuple(int(a[i]) for a in codes) == scalar
-            assert greedy_reference(target, max_offset) == scalar
-            assert float(totals[i]).hex() == config_total_delay(c).hex()
+            assert float(totals[i]).hex() == total_delay(*scalar).hex()
+
+    @given(case=planner_targets())
+    @settings(max_examples=100, deadline=None)
+    def test_field_validation(self, case):
+        # every code lies in its field: an 8-bit PI code, a Quadrant, an offset up to the limit
+        targets, max_offset = case
+        pi_code, quadrant, offset = plan_delays(targets, max_offset)
+        assert np.all((0 <= pi_code) & (pi_code <= 255))
+        assert {Quadrant(int(q)) for q in quadrant} <= set(Quadrant)
+        assert np.all((0 <= offset) & (offset <= max_offset))
 
     def test_shape_follows_targets(self):
         codes = plan_delays(np.full((2, 3), 4e-9))
@@ -179,6 +165,9 @@ class TestPlanDelays:
             plan_delays([1e-9, np.nan])
         with pytest.raises(ValueError, match="max_offset must be >= 0"):
             plan_delays([0.0], max_offset=-1)
+        plan_delays([0.0], max_offset=2**63 - 1)
+        with pytest.raises(ValueError, match="max_offset must fit in int64"):
+            plan_delays([0.0], max_offset=2**63)
 
     def test_range_end_lies_on_the_pi_grid(self):
         # every range end is a whole number of PI steps, so rounding to the
@@ -194,12 +183,6 @@ class TestSampleElement:
         base = sample_element(tone(50e6), 0.0, 2e8, 16)
         late = sample_element(tone(50e6), 5e-9, 2e8, 16)
         np.testing.assert_allclose(late, 1j * base, atol=1e-12)
-
-    def test_clock_config_accepted(self):
-        cfg = plan_delay(5e-9)
-        a = sample_element(tone(50e6), cfg, 2e8, 16)
-        b = sample_element(tone(50e6), 5e-9, 2e8, 16)
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_matched_clock_realigns_delayed_arrival(self):
         # arrival late by d, clock late by d: reference stream comes back
