@@ -17,8 +17,7 @@ import numpy as np
 
 from . import __version__
 from .arrays import ArrayGeometry, Scene, SceneMode, SourceSpec, element_signal, lo_align
-from .metrics import _depth_db, _gain_db, _one_input, _welch_freqs, cancellation_depth, welch_power
-from .metrics import conversion_gain_measured  # noqa: F401  (bench/tracer.py wraps this name)
+from .metrics import _welch_freqs, cancellation_depth, conversion_gain_measured, welch_power
 from .metrics import evm_percent, recover_symbols
 from .ps_cancel import PsCancelPlan, ps_residual_gain
 from .ttd import INTERLEAVE_STEP, PI_STEP, Quadrant, _noisy_frame, equalize, total_delay
@@ -232,9 +231,14 @@ def _check_tone_grid(cfg: ExperimentConfig) -> None:
         _fail("delta_ud_s", "must list at least one inter-element delay")
 
 
+def _welch_len(cfg: ExperimentConfig) -> int:
+    """Welch length of every spectral measurement: the whole frame, up to 4096 samples."""
+    return min(4096, cfg.frame_len)
+
+
 def _check_bins(cfg: ExperimentConfig, name: str, centers, halfwidth: float) -> None:
     """Each measurement band ``centers +/- halfwidth`` must hold a Welch bin."""
-    nfft = min(4096, cfg.frame_len)
+    nfft = _welch_len(cfg)
     bins = _welch_freqs(nfft, cfg.sample_rate_hz)
     lo, hi = np.atleast_1d(centers) - halfwidth, np.atleast_1d(centers) + halfwidth
     empty = np.flatnonzero(np.searchsorted(bins, hi, "right") <= np.searchsorted(bins, lo))
@@ -453,7 +457,7 @@ def _tone_chunks(cfg: ExperimentConfig, freqs):
     for c in range(0, freqs.size, _TONE_CHUNK):
         chunk = freqs[c : c + _TONE_CHUNK]
         tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
-        grid = sample_element(tones.terms[0].eval, 0.0, cfg.sample_rate_hz, cfg.frame_len)
+        grid = sample_element(tones.terms[0], 0.0, cfg.sample_rate_hz, cfg.frame_len)
         for d_idx, delta in enumerate(cfg.delta_ud_s):
             yield d_idx, delta, c, chunk, tones, grid
 
@@ -463,7 +467,7 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
     fs, n_rows = cfg.sample_rate_hz, cfg.n_elements - 1
     clocks = [_element_clocks(cfg, delta) for delta in cfg.delta_ud_s]
     depths = [([], []) for _ in clocks]
-    nfft, last = min(4096, cfg.frame_len), None
+    nfft, last = _welch_len(cfg), None
     for d_idx, delta, c, chunk, tones, grid in _tone_chunks(cfg, freqs):
         band = (chunk - cfg.band_halfwidth_hz, chunk + cfg.band_halfwidth_hz)
         keys = [[(cfg.seed or 0, d_idx, c + j, b) for j in range(chunk.size)] for b in (0, 1)]
@@ -471,7 +475,7 @@ def _run_ttd_tone_sweep(cfg: ExperimentConfig):
         for branch, (outs, ref) in enumerate(sampled):
             if last is None or not np.array_equal(ref, last[0]):  # see _tone_chunks
                 last = ref, welch_power(ref, fs, nfft)
-            depths[d_idx][branch].append(_depth_db(last[1], outs, fs, band).T.ravel())
+            depths[d_idx][branch].append(cancellation_depth(last[1], outs, fs, band).T.ravel())
     blocks, planned = [], {}
     for delta, (_, _, plan), ds in zip(cfg.delta_ud_s, clocks, depths):
         blocks.append(_sweep_block(freqs, delta, n_rows, *map(np.concatenate, ds)))
@@ -484,13 +488,13 @@ def _run_desired_gain(cfg: ExperimentConfig):
     n, fs = cfg.n_elements, cfg.sample_rate_hz
     freqs = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)
     measured = [[] for _ in cfg.delta_ud_s]
-    nfft, last = min(4096, cfg.frame_len), None
+    nfft, last = _welch_len(cfg), None
     for d_idx, delta, c, chunk, tones, grid in _tone_chunks(cfg, freqs):
         keys = [(cfg.seed or 0, d_idx, c + j) for j in range(chunk.size)]
         [(outs, ref)] = _sample_scene(cfg, tones, [(np.arange(n) * delta, keys)], grid=grid)
         if last is None or not np.array_equal(ref, last[0]):  # see _tone_chunks
-            last = ref, _one_input(ref, fs, nfft)
-        measured[d_idx].append(_gain_db(outs, last[1], fs, chunk).T.ravel())
+            last = ref, welch_power(ref, fs, nfft)
+        measured[d_idx].append(conversion_gain_measured(outs, last[1], fs, chunk).T.ravel())
     blocks = []
     for delta, gains in zip(cfg.delta_ud_s, measured):
         # (tone, row) order, as _sweep_block lays the rows out; a null reads -inf.
@@ -526,7 +530,8 @@ def _run_ttd_modulated(cfg: ExperimentConfig):
     [(outs, ref)] = _sample_scene(cfg, Waveform(), [(quant, [(cfg.seed, 2)])], interferer, delta)
     half = _half_occupied(cfg, cfg.symbol_rate_hz)
     band = (cfg.center_freq_hz - half, cfg.center_freq_hz + half)
-    depths = cancellation_depth(ref, outs, cfg.sample_rate_hz, band)
+    fs = cfg.sample_rate_hz
+    depths = cancellation_depth(welch_power(ref, fs, _welch_len(cfg)), outs, fs, band)
     n_rows = len(depths)
     block = (range(n_rows), [band[0]] * n_rows, [band[1]] * n_rows, depths)
     derived = {"planned_configs": planned, "occupied_band_hz": list(band)}

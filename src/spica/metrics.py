@@ -81,7 +81,7 @@ def welch_power(samples, fs: float, nfft: int):
     return _welch_freqs(nfft, fs), np.maximum(pxx, _DB_FLOOR, out=pxx), enbw
 
 
-def welch_psd(frame, nfft: int = 4096):
+def welch_psd(frame, nfft: int):
     """Never called (frames are plain ndarrays); ``bench/tracer.py`` wraps this name."""
 
 
@@ -104,30 +104,24 @@ def band_power(freqs, enbw: float, f_lo, f_hi, *spectra):
 
 
 def _nfft(one: np.ndarray, many: np.ndarray) -> int:
-    """Welch length for measuring ``many`` against ``one``, whose leading shape ends ``many``'s."""
+    """Welch length of ``one``, a reference spectrum whose leading shape must end ``many``'s."""
     lead, many_lead = one.shape[:-1], many.shape[:-1]
     if many_lead[len(many_lead) - len(lead) :] != lead:
         raise ValueError(f"frame shapes {many.shape} and {one.shape} do not pair")
-    return min(4096, one.shape[-1], many.shape[-1])
+    return one.shape[-1]
 
 
-def cancellation_depth(ref: np.ndarray, canc: np.ndarray, fs: float, band: tuple):
+def cancellation_depth(ref, canc: np.ndarray, fs: float, band: tuple):
     """Band-integrated power ratio ref / canc in dB.
 
-    ``ref`` is the output with a single input applied (no cancellation),
-    ``canc`` the output with all inputs applied, both sampled at ``fs``.
-    Returns +inf when the cancelled band power is exactly zero.  ``ref``'s
-    leading shape must end ``canc``'s and the band edges broadcast against
-    it, as k tones ``(k, n)`` with ``(k,)`` edges pair with ``mac_apply``'s
-    ``(rows, k, n)``.  Returns an ndarray of ``canc``'s leading shape (0-d
-    for one frame).
+    ``ref`` is the ``welch_power`` of the one-input output (no cancellation),
+    ``canc`` the all-input output sampled at ``fs``, measured at ``ref``'s
+    Welch length.  Returns an ndarray of ``canc``'s leading shape (0-d for one
+    frame), +inf where the cancelled band power is exactly zero.  ``ref``'s
+    leading shape must end ``canc``'s and the band edges broadcast against it,
+    as k tones ``(k, n)`` with ``(k,)`` edges pair with ``mac_apply``'s ``(rows, k, n)``.
     """
-    return _depth_db(welch_power(ref, fs, _nfft(ref, canc)), canc, fs, band)
-
-
-def _depth_db(ref_spectrum, canc: np.ndarray, fs: float, band: tuple):
-    """``cancellation_depth`` against ``ref_spectrum``, the reference's ``welch_power``."""
-    freqs, pxx_ref, enbw = ref_spectrum
+    freqs, pxx_ref, enbw = ref
     nfft = _nfft(pxx_ref, canc)
     pxx_canc = welch_power(canc, fs, nfft)[1]
     p_ref, p_canc = band_power(freqs, enbw, *band, pxx_ref, pxx_canc)
@@ -146,34 +140,24 @@ def _median_db(p: np.ndarray) -> np.ndarray:
     return np.mean(10.0 * np.log10([lower, part[..., h]]), axis=0)
 
 
-def conversion_gain_measured(all_in: np.ndarray, one_in: np.ndarray, fs: float, f):
+def conversion_gain_measured(all_in: np.ndarray, one_in, fs: float, f):
     """Measured conversion gain at a tone frequency, in dB.
 
-    Ratio of output tone power with all inputs applied to the power with
-    one input applied, both sampled at ``fs``, read at the tone's bin.
-    Raises MeasurementError, naming the tone, if it does not stand above
-    the spectral floor in either frame.  ``one_in``'s leading shape must
-    end ``all_in``'s and ``f`` broadcasts against it, as k tones ``(k, n)``
-    with ``(k,)`` frequencies pair with ``mac_apply``'s ``(rows, k, n)``.
-    Returns an ndarray of ``all_in``'s leading shape (0-d for one frame).
+    Ratio of the tone's power at its bin with all inputs applied to its power
+    with one input applied.  ``one_in`` is the ``welch_power`` of the one-input
+    output; ``all_in``, sampled at ``fs``, is measured at its Welch length.
+    Raises MeasurementError, naming the tone, if it does not stand above the
+    spectral floor in either frame.  ``one_in``'s leading shape must end
+    ``all_in``'s and ``f`` broadcasts against it, as k tones ``(k, n)`` with
+    ``(k,)`` frequencies pair with ``mac_apply``'s ``(rows, k, n)``.  Returns
+    an ndarray of ``all_in``'s leading shape (0-d for one frame).
     """
-    return _gain_db(all_in, _one_input(one_in, fs, _nfft(one_in, all_in)), fs, f)
-
-
-def _one_input(one_in: np.ndarray, fs: float, nfft: int):
-    """The one-input frame's ``welch_power`` and its median dB, the floor ``_gain_db`` reads."""
-    spectrum = welch_power(one_in, fs, nfft)
-    return spectrum, _median_db(spectrum[1])
-
-
-def _gain_db(all_in: np.ndarray, one_input, fs: float, f):
-    """``conversion_gain_measured`` against ``one_input``, the one-input frame's ``_one_input``."""
-    (freqs, p_one, _), med_one = one_input
+    freqs, p_one, _ = one_in
     p_all = welch_power(all_in, fs, _nfft(p_one, all_in))[1]
     tones = np.broadcast_to(f, p_one.shape[:-1])
     at = (..., *np.indices(tones.shape), np.argmin(np.abs(freqs - tones[..., None]), axis=-1))
     db_all, db_one = 10.0 * np.log10(p_all[at]), 10.0 * np.log10(p_one[at])
-    med_all = _median_db(p_all)
+    med_all, med_one = _median_db(p_all), _median_db(p_one)
     # Every tone of both frames in one comparison; the loop only names the first low one.
     if not np.any((db_all < med_all + 10.0) | (db_one < med_one + 10.0)):
         return np.asarray(db_all - db_one)

@@ -20,8 +20,6 @@ import functools
 
 import numpy as np
 
-from .waveform import Waveform
-
 __all__ = [
     "PI_STEP",
     "QUADRANT_STEP",
@@ -116,19 +114,18 @@ def sample_element(
 ) -> np.ndarray:
     """Sample an analytic signal with a delayed clock.
 
-    The k-th sample is ``sig(k / sample_rate + d)`` where ``d`` is the clock
-    delay: a delayed clock advances the evaluation instant, so an element
-    whose arrival is late by d and whose clock is late by d produces the
-    reference-aligned stream.  The frame is a complex ndarray of the shape
-    ``sig`` returns: ``(n,)``, or ``(k, n)`` for k tones
+    The k-th sample is ``sig.eval(k / sample_rate + d, sample_rate)`` where
+    ``d`` is the clock delay: a delayed clock advances the evaluation instant,
+    so an element whose arrival is late by d and whose clock is late by d
+    produces the reference-aligned stream.  The frame is a complex ndarray of
+    the shape ``sig`` returns: ``(n,)``, or ``(k, n)`` for k tones
     ``ToneTerm(1.0, freqs[:, None])``.
-    A Waveform is called as ``sig.eval(t, sample_rate)``: its streams see the grid.
 
     Parameters
     ----------
-    sig : callable
-        Signal to sample, such as a Waveform; anything accepting an ndarray
-        of times.
+    sig : Waveform, ToneTerm or StreamTerm
+        Signal to sample; its ``eval`` takes the instants and the sample
+        rate, so streams see the grid.
     delay : float
         Clock delay in seconds: a planned ``total_delay`` for quantized
         clocking, or any value for unquantized (ideal) clocking.
@@ -141,8 +138,7 @@ def sample_element(
     if n < 1 or sample_rate <= 0.0:
         raise ValueError(f"sample count must be >= 1 and sample_rate > 0, got {n}, {sample_rate}")
     t = np.arange(n) / sample_rate + float(delay)
-    samples = sig.eval(t, sample_rate) if isinstance(sig, Waveform) else sig(t)
-    return _noisy_frame(np.asarray(samples, dtype=complex), noise_rms, seed)
+    return _noisy_frame(np.asarray(sig.eval(t, sample_rate), dtype=complex), noise_rms, seed)
 
 
 def _noisy_frame(samples: np.ndarray, noise_rms: float, seed) -> np.ndarray:

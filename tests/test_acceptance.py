@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import ref_spectrum
 from spica import (
     Experiment,
     ExperimentConfig,
@@ -68,7 +69,7 @@ def _row_depths(scene, delays, fs, frame_len, band):
     zero = 0.0 * frames[0]
     outs = mac_apply(frames, matrix)
     refs = mac_apply([frames[0]] + [zero] * (n - 1), matrix)
-    return [cancellation_depth(refs[r], outs[r], fs, band) for r in range(n - 1)]
+    return [cancellation_depth(ref_spectrum(refs[r], fs), outs[r], fs, band) for r in range(n - 1)]
 
 
 def test_criterion_1_phase_shift_single_null():
@@ -162,7 +163,7 @@ def test_criterion_3_quantized_cancellation():
     coherent_ref = sum(aligned)
     canc = mac_apply(erred, truncated_hadamard(4))[0]
     band = (f - 0.5e6, f + 0.5e6)
-    depth_worst = cancellation_depth(coherent_ref, canc, fs, band)
+    depth_worst = cancellation_depth(ref_spectrum(coherent_ref, fs), canc, fs, band)
     checks.append(("worst pattern 56.1 +/- 0.1 dB", abs(depth_worst - 56.1) <= 0.1))
 
     # (b) planner-quantized rejection across a dense 1 ps delay sweep,

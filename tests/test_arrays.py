@@ -5,22 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import tone
 from spica import (
     ArrayGeometry,
     Scene,
     SceneMode,
     SourceSpec,
-    ToneTerm,
-    Waveform,
     aoa_to_delay,
     element_signal,
     lo_align,
 )
-
-
-def tone(freq, amp=1.0, phase=0.0):
-    return Waveform(terms=(ToneTerm(amp, freq, phase),))
-
 
 GEO = ArrayGeometry(n_elements=4, spacing_over_lambda=0.5, carrier_freq=1e9)
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ref_spectrum
 from output_contract import check_column
 from spica import experiments, metrics
 from spica import (
@@ -524,7 +525,8 @@ class TestRunners:
         ]
         # the desired tone alone through element 1: the single-input reference
         ref = sample_element(Waveform(terms=(ToneTerm(1.0, f),)), 0.0, fs, 2048)
-        measured = conversion_gain_measured(mac_apply(frames, truncated_hadamard(n)), ref, fs, f)
+        outs = mac_apply(frames, truncated_hadamard(n))
+        measured = conversion_gain_measured(outs, ref_spectrum(ref, fs), fs, f)
         for r, got in enumerate(measured):
             shifted = 20.0 * math.log10(abs(desired_conversion_gain(f + fc, delta, r, n)))
             baseband = 20.0 * math.log10(abs(desired_conversion_gain(f, delta, r, n)))
@@ -647,13 +649,14 @@ def per_tone_rows(cfg: ExperimentConfig) -> list:
                         sample_element(wave, delays[i - 1], fs, n_samples, cfg.noise_rms, seed)
                     )
                 outs = mac_apply(frames, truncated_hadamard(n))
+                ref = ref_spectrum(frames[0], fs)
                 if sweep:
                     band = (f - cfg.band_halfwidth_hz, f + cfg.band_halfwidth_hz)
-                    values.append(cancellation_depth(frames[0], outs, fs, band))
+                    values.append(cancellation_depth(ref, outs, fs, band))
                 else:
                     gains = [abs(desired_conversion_gain(f, delta, r, n)) for r in range(n - 1)]
                     values.append([20.0 * math.log10(g) if g else -math.inf for g in gains])
-                    values.append(conversion_gain_measured(outs, frames[0], fs, f))
+                    values.append(conversion_gain_measured(outs, ref, fs, f))
             rows += [[f, delta, r, *(v[r] for v in values)] for r in range(n - 1)]
     return rows
 
@@ -721,18 +724,51 @@ def test_reference_spectrum_is_taken_once_per_distinct_frame(name, tmp_path, mon
     preset_name, overrides, per_chunk = _REFERENCE_RUNS[name]
     cfg = dataclasses.replace(preset(preset_name), tone_count=6, **overrides)
     references = []
-    welch_power = metrics.welch_power
+    welch_power = experiments.welch_power
 
     def counting(samples, fs, nfft):
-        if samples.ndim == 2:  # element 1's (k, n) frame; the row outputs are (rows, k, n)
-            references.append(samples.shape[0])
+        references.append(samples.shape[0])  # element 1's (k, n) frame
         return welch_power(samples, fs, nfft)
 
-    # TTD_TONE_SWEEP takes its reference spectra by experiments' name, DESIRED_GAIN by metrics'.
-    monkeypatch.setattr(metrics, "welch_power", counting)
     monkeypatch.setattr(experiments, "welch_power", counting)
     run_experiment(cfg, output_dir=tmp_path)
     assert references == [4] * per_chunk + [2] * per_chunk
+
+
+@pytest.mark.parametrize(
+    ("name", "frame_len"), [("fig16", 1024), ("fig17", 1024), ("fig18", 1024), ("fig16", 8192)]
+)
+def test_spectra_span_the_frame_up_to_4096_samples(name, frame_len, tmp_path, monkeypatch):
+    # every spectrum of a run, reference and rows alike, is taken at min(4096, frame_len)
+    lengths = set()
+    welch_power = metrics.welch_power
+
+    def recording(samples, fs, nfft):
+        lengths.add((samples.shape[-1], nfft))
+        return welch_power(samples, fs, nfft)
+
+    monkeypatch.setattr(metrics, "welch_power", recording)
+    monkeypatch.setattr(experiments, "welch_power", recording)
+    cfg = dataclasses.replace(preset(name), frame_len=frame_len, tone_count=2)
+    run_experiment(cfg, output_dir=tmp_path)
+    assert lengths == {(frame_len, min(4096, frame_len))}
+
+
+def test_runners_measure_through_the_public_names(tmp_path, monkeypatch):
+    # bench/tracer.py times the measurements by wrapping these two names in experiments
+    calls = dict.fromkeys(("cancellation_depth", "conversion_gain_measured"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _measure=getattr(experiments, name)):
+            calls[_name] += 1
+            return _measure(*args)
+
+        monkeypatch.setattr(experiments, name, counting)
+    small = {"frame_len": 256, "tone_count": 2, "delta_ud_s": [1e-9]}
+    for kind in ("TTD_TONE_SWEEP", "DESIRED_GAIN"):
+        run_experiment(ExperimentConfig.from_dict({"experiment": kind, **small}), tmp_path)
+    # one call per chunk and branch: the sweep's ideal and quantized clocks, the gain's one
+    assert calls == {"cancellation_depth": 2, "conversion_gain_measured": 1}
 
 
 def test_below_floor_tone_inside_a_chunk_is_named(tmp_path):
@@ -864,7 +900,7 @@ def test_rotated_tone_frames_match_direct_sampling(
     delays = [i * delta - shift for i in range(n)]
     if planned:
         delays = [total_delay(*plan_delay(d, max_offset=8)) for d in delays]
-    grid = sample_element(tones.terms[0].eval, 0.0, fs, n_samples)
+    grid = sample_element(tones.terms[0], 0.0, fs, n_samples)
     branch = [(delays, keys)]
     [frames] = experiments._scene_frames(scene, branch, fs, n_samples, noise_rms, grid=grid)
     phasors = np.ones(n)

@@ -32,12 +32,8 @@ from spica import (
     truncated_hadamard,
     welch_power,
 )
+from helpers import ref_spectrum, tone
 from spica.metrics import _DB_FLOOR, _median_db
-
-
-def tone(freq, amp=1.0, phase=0.0):
-    return Waveform(terms=(ToneTerm(amp, freq, phase),))
-
 
 FS = 200e6
 
@@ -198,11 +194,12 @@ class TestWelchPower:
 
     def test_one_point_welch_rejected(self):
         # A periodic Hann window of length 1 is [0.]: its spectrum would divide by zero.
-        one = np.ones(1, complex)
+        # The measurements take the other frame at a one-bin reference's length.
+        one, one_bin = np.ones(1, complex), (np.zeros(1), np.ones(1), 1.0)
         for measure in (
             lambda: welch_power(one, FS, 1),
-            lambda: cancellation_depth(one, one, FS, (-1e6, 1e6)),
-            lambda: conversion_gain_measured(one, one, FS, 0.0),
+            lambda: cancellation_depth(one_bin, one, FS, (-1e6, 1e6)),
+            lambda: conversion_gain_measured(one, one_bin, FS, 0.0),
         ):
             with pytest.raises(ValueError, match="Welch length 1 < 2"):
                 measure()
@@ -225,29 +222,26 @@ class TestCancellationDepth:
 
     def test_identical_frames_give_zero_db(self):
         fr = self.frame()
-        assert cancellation_depth(fr, fr, FS, self.BAND) == pytest.approx(0.0, abs=1e-12)
+        depth = cancellation_depth(ref_spectrum(fr, FS), fr, FS, self.BAND)
+        assert depth == pytest.approx(0.0, abs=1e-12)
 
     def test_hundredfold_amplitude_reduction_is_40_db(self):
-        depth = cancellation_depth(self.frame(1.0), self.frame(0.01), FS, self.BAND)
+        ref = ref_spectrum(self.frame(1.0), FS)
+        depth = cancellation_depth(ref, self.frame(0.01), FS, self.BAND)
         assert depth == pytest.approx(40.0, abs=1e-9)
 
     def test_all_zero_cancelled_frame_is_perfect(self):
         zero = np.zeros(8192, complex)
-        assert cancellation_depth(self.frame(), zero, FS, self.BAND) == np.inf
+        assert cancellation_depth(ref_spectrum(self.frame(), FS), zero, FS, self.BAND) == np.inf
 
     def test_common_scaling_cancels_out(self):
         a, b = self.frame(1.0), self.frame(0.03)
-        d1 = cancellation_depth(a, b, FS, self.BAND)
-        d2 = cancellation_depth(7.0 * a, 7.0 * b, FS, self.BAND)
+        d1 = cancellation_depth(ref_spectrum(a, FS), b, FS, self.BAND)
+        d2 = cancellation_depth(ref_spectrum(7.0 * a, FS), 7.0 * b, FS, self.BAND)
         assert d1 == pytest.approx(d2, abs=1e-12)
 
-    def test_nfft_follows_short_frames(self):
-        a = sample_element(tone(10e6), 0.0, FS, 2048)
-        b = sample_element(tone(10e6, amp=0.1), 0.0, FS, 2048)
-        assert cancellation_depth(a, b, FS, self.BAND) == pytest.approx(20.0, abs=1e-9)
-
     def test_stacked_frames_match_single_calls(self):
-        ref = self.frame()
+        ref = ref_spectrum(self.frame(), FS)
         rows = [self.frame(0.01), self.frame(0.3), np.zeros(8192, complex)]
         canc = np.stack(rows)
         stacked = cancellation_depth(ref, canc, FS, self.BAND)
@@ -279,12 +273,13 @@ def test_spectral_floor_is_median_of_db_bit_for_bit(n, lead, floor_run, levels, 
 class TestConversionGainMeasured:
     def test_identity_is_zero_db(self):
         fr = sample_element(tone(50e6), 0.0, FS, 8192)
-        assert conversion_gain_measured(fr, fr, FS, 50e6) == pytest.approx(0.0, abs=1e-12)
+        got = conversion_gain_measured(fr, ref_spectrum(fr, FS), FS, 50e6)
+        assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_amplitude_doubling_is_six_db(self):
         one = sample_element(tone(25e6), 0.0, FS, 8192)
         two = sample_element(tone(25e6, amp=2.0), 0.0, FS, 8192)
-        got = conversion_gain_measured(two, one, FS, 25e6)
+        got = conversion_gain_measured(two, ref_spectrum(one, FS), FS, 25e6)
         assert got == pytest.approx(20.0 * np.log10(2.0), abs=1e-9)
 
     def test_fully_coherent_row_reads_12_db(self):
@@ -301,7 +296,7 @@ class TestConversionGainMeasured:
         zero = 0.0 * frames[0]
         all_in = mac_apply(frames, m)[0]
         one_in = mac_apply([frames[0], zero, zero, zero], m)[0]
-        got = conversion_gain_measured(all_in, one_in, FS, f)
+        got = conversion_gain_measured(all_in, ref_spectrum(one_in, FS), FS, f)
         assert got == pytest.approx(20.0 * np.log10(4.0), abs=1e-9)
 
     def test_matches_closed_form_row_gain(self):
@@ -314,7 +309,7 @@ class TestConversionGainMeasured:
         zero = 0.0 * frames[0]
         all_in = mac_apply(frames, m)[row]
         one_in = mac_apply([frames[0], zero, zero, zero], m)[row]
-        got = conversion_gain_measured(all_in, one_in, FS, f)
+        got = conversion_gain_measured(all_in, ref_spectrum(one_in, FS), FS, f)
         expected = 20.0 * np.log10(abs(desired_conversion_gain(f, delta, row)))
         assert got == pytest.approx(expected, abs=1e-9)
 
@@ -325,16 +320,16 @@ class TestConversionGainMeasured:
             sample_element(tone(f) * np.exp(2j * np.pi * f * i * delta), 0.0, FS, 8192)
             for i in range(4)
         ]
-        rows = mac_apply(frames, m)
-        stacked = conversion_gain_measured(rows, frames[0], FS, f)
-        singles = [conversion_gain_measured(row, frames[0], FS, f) for row in rows]
+        rows, ref = mac_apply(frames, m), ref_spectrum(frames[0], FS)
+        stacked = conversion_gain_measured(rows, ref, FS, f)
+        singles = [conversion_gain_measured(row, ref, FS, f) for row in rows]
         np.testing.assert_allclose(stacked, singles, rtol=0.0, atol=1e-12)
 
     def test_missing_tone_raises(self):
         present = sample_element(tone(50e6), 0.0, FS, 8192)
         absent = sample_element(tone(0.0, amp=0.0), 0.0, FS, 8192, noise_rms=0.01, seed=3)
         with pytest.raises(MeasurementError, match="below the one-input"):
-            conversion_gain_measured(present, absent, FS, 50e6)
+            conversion_gain_measured(present, ref_spectrum(absent, FS), FS, 50e6)
 
 class TestToneChunkMeasurement:
     """Measuring a chunk of tones at once equals one call per tone."""
@@ -370,38 +365,41 @@ class TestToneChunkMeasurement:
     def test_depth_per_tone_band_matches_per_tone_calls(self):
         ref, rows = self.interferer()
         band = (self.FREQS - self.HALF, self.FREQS + self.HALF)
-        got = cancellation_depth(ref, rows, FS, band)
-        pairs = cancellation_depth(ref, rows[0], FS, band)
+        spec = ref_spectrum(ref, FS)
+        got = cancellation_depth(spec, rows, FS, band)
+        pairs = cancellation_depth(spec, rows[0], FS, band)
         assert got.shape == (3, self.FREQS.size) and pairs.shape == (self.FREQS.size,)
         for k, f in enumerate(self.FREQS.tolist()):
-            tone_band = (f - self.HALF, f + self.HALF)
-            single = cancellation_depth(ref[k], self.tone_rows(rows, k), FS, tone_band)
+            tone_band, tone_ref = (f - self.HALF, f + self.HALF), ref_spectrum(ref[k], FS)
+            single = cancellation_depth(tone_ref, self.tone_rows(rows, k), FS, tone_band)
             np.testing.assert_array_equal(got[:, k], single)
-            assert pairs[k] == cancellation_depth(ref[k], rows[0][k], FS, tone_band) == got[0, k]
+            assert pairs[k] == cancellation_depth(tone_ref, rows[0][k], FS, tone_band) == got[0, k]
             assert all(30.0 < d < 200.0 for d in got[:, k])
 
     def test_depth_shares_a_scalar_band(self):
         ref, rows = self.interferer()
-        got = cancellation_depth(ref, rows, FS, (-100e6, 100e6))
+        got = cancellation_depth(ref_spectrum(ref, FS), rows, FS, (-100e6, 100e6))
         for k in range(self.FREQS.size):
-            np.testing.assert_array_equal(
-                got[:, k], cancellation_depth(ref[k], self.tone_rows(rows, k), FS, (-100e6, 100e6))
+            single = cancellation_depth(
+                ref_spectrum(ref[k], FS), self.tone_rows(rows, k), FS, (-100e6, 100e6)
             )
+            np.testing.assert_array_equal(got[:, k], single)
 
     def test_depth_needs_paired_frames(self):
         ref, rows = self.interferer()
         with pytest.raises(ValueError, match="do not pair"):
-            cancellation_depth(ref[:2], rows, FS, (0.0, 1e6))
+            cancellation_depth(ref_spectrum(ref[:2], FS), rows, FS, (0.0, 1e6))
 
     @pytest.mark.parametrize("noise_rms", [0.0, 1e-4])
     def test_gain_per_tone_frequency_matches_per_tone_calls(self, noise_rms):
         # a broadside desired source under clocks delayed by i * 1 ns
         frames = self.elements(0.0, 1e-9, noise_rms)
         rows = mac_apply(frames, truncated_hadamard(4))
-        got = conversion_gain_measured(rows, frames[0], FS, self.FREQS)
+        got = conversion_gain_measured(rows, ref_spectrum(frames[0], FS), FS, self.FREQS)
         assert got.shape == (3, self.FREQS.size)
         for k, f in enumerate(self.FREQS.tolist()):
-            single = conversion_gain_measured(self.tone_rows(rows, k), frames[0][k], FS, f)
+            tone_ref = ref_spectrum(frames[0][k], FS)
+            single = conversion_gain_measured(self.tone_rows(rows, k), tone_ref, FS, f)
             np.testing.assert_array_equal(got[:, k], single)
 
     @given(
@@ -430,14 +428,16 @@ class TestToneChunkMeasurement:
             canc = canc + 1e-3 * rng.standard_normal((n_rows, k, n))
         half = 2.0 * FS / n
         band = (freqs - half, freqs + half) if per_tone else (-0.25 * FS, 0.25 * FS)
-        depth = cancellation_depth(ref, canc, FS, band)
-        gain = conversion_gain_measured(canc, ref, FS, freqs)
+        spec = ref_spectrum(ref, FS)
+        depth = cancellation_depth(spec, canc, FS, band)
+        gain = conversion_gain_measured(canc, spec, FS, freqs)
         assert depth.shape == gain.shape == (n_rows, k)
         for r, j in np.ndindex(n_rows, k):
             tone_band = (band[0][j], band[1][j]) if per_tone else band
-            assert depth[r, j] == cancellation_depth(ref[j], canc[r][j], FS, tone_band)
-            assert gain[r, j] == conversion_gain_measured(canc[r][j], ref[j], FS, freqs[j])
-        unpaired = np.vstack([ref, ref[:1]])
+            tone_ref = ref_spectrum(ref[j], FS)
+            assert depth[r, j] == cancellation_depth(tone_ref, canc[r][j], FS, tone_band)
+            assert gain[r, j] == conversion_gain_measured(canc[r][j], tone_ref, FS, freqs[j])
+        unpaired = ref_spectrum(np.vstack([ref, ref[:1]]), FS)
         with pytest.raises(ValueError, match="do not pair"):
             cancellation_depth(unpaired, canc, FS, band)
         with pytest.raises(ValueError, match="do not pair"):
@@ -451,7 +451,7 @@ class TestToneChunkMeasurement:
         hi = lo + np.array([1e6, 0.2 * bin_hz, 1e6, -1e6])
         ref, rows = ref[:4], rows[:, :4]
         with pytest.raises(ValueError, match=rf"band \[{lo[1]}, {hi[1]}\] Hz contains no PSD"):
-            cancellation_depth(ref, rows, FS, (lo, hi))
+            cancellation_depth(ref_spectrum(ref, FS), rows, FS, (lo, hi))
 
     def test_below_floor_tone_inside_a_chunk_is_named(self):
         freqs = np.array([20e6, 40e6, 60e6, 80e6])
@@ -462,9 +462,9 @@ class TestToneChunkMeasurement:
         all_in = one * np.array([1.0, 1.0, 0.0, 1.0])[:, None]
         named = r"tone at 6e\+07 Hz is below the all-input"
         with pytest.raises(MeasurementError, match=named):
-            conversion_gain_measured(all_in, one, FS, freqs)
+            conversion_gain_measured(all_in, ref_spectrum(one, FS), FS, freqs)
         with pytest.raises(MeasurementError, match=named):
-            conversion_gain_measured(all_in[2], one[2], FS, 60e6)
+            conversion_gain_measured(all_in[2], ref_spectrum(one[2], FS), FS, 60e6)
 
     @pytest.mark.parametrize(
         "all_gone,one_gone,named",
@@ -492,10 +492,10 @@ class TestToneChunkMeasurement:
         kept = without(all_gone)
         all_in = np.stack([kept, 2.0 * kept])
         with pytest.raises(MeasurementError, match=named) as stacked:
-            conversion_gain_measured(all_in, one, FS, freqs)
+            conversion_gain_measured(all_in, ref_spectrum(one, FS), FS, freqs)
         # the message, dB figures included, is the one tone's own
         with pytest.raises(MeasurementError) as single:
-            conversion_gain_measured(self.tone_rows(all_in, 1), one[1], FS, 40e6)
+            conversion_gain_measured(self.tone_rows(all_in, 1), ref_spectrum(one[1], FS), FS, 40e6)
         assert str(stacked.value) == str(single.value)
 
 
@@ -678,13 +678,14 @@ class TestSampleRateScaling:
         ref, rows = self.frames()
         half, k = 0.5e6, self.K
         band = (self.FREQS - half, self.FREQS + half)
-        depth = cancellation_depth(ref, rows, FS, band)
-        gain = conversion_gain_measured(rows, ref, FS, self.FREQS)
+        spec, scaled = ref_spectrum(ref, FS), ref_spectrum(ref, k * FS)
+        depth = cancellation_depth(spec, rows, FS, band)
+        gain = conversion_gain_measured(rows, spec, FS, self.FREQS)
         assert np.all(np.isfinite(depth)) and np.all(np.isfinite(gain))
         scaled_band = (k * band[0], k * band[1])
-        np.testing.assert_array_equal(cancellation_depth(ref, rows, k * FS, scaled_band), depth)
+        np.testing.assert_array_equal(cancellation_depth(scaled, rows, k * FS, scaled_band), depth)
         np.testing.assert_array_equal(
-            conversion_gain_measured(rows, ref, k * FS, k * self.FREQS), gain
+            conversion_gain_measured(rows, scaled, k * FS, k * self.FREQS), gain
         )
 
     @pytest.mark.parametrize("offset_hz", [0.0, 10e9])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
+from helpers import tone
 from spica import ttd
 from spica import (
     INTERLEAVE_STEP,
@@ -27,10 +28,6 @@ from spica import (
     truncated_hadamard,
 )
 from spica.waveform import StreamTerm, map_qpsk
-
-
-def tone(freq, amp=1.0, phase=0.0):
-    return Waveform(terms=(ToneTerm(amp, freq, phase),))
 
 
 class TestTotalDelay:
@@ -193,11 +190,6 @@ class TestSampleElement:
         realigned = sample_element(stream.delayed(d), d, 2e8, 512)
         err = np.max(np.abs(realigned - ref))
         assert err <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-
-    def test_callable_signal(self):
-        fr = sample_element(lambda t: t * 1e8, 0.0, 1e8, 4)
-        assert fr.dtype == complex
-        np.testing.assert_allclose(fr, [0, 1, 2, 3])
 
     def test_noise_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):

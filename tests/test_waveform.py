@@ -567,7 +567,7 @@ class TestGridSampling:
         n, fs = cfg.frame_len, cfg.sample_rate_hz
         chunk = np.linspace(cfg.tone_start_hz, cfg.tone_stop_hz, cfg.tone_count)[96:]
         tones = Waveform(terms=(ToneTerm(1.0, chunk[:, None]),))
-        tone_grid = sample_element(tones.terms[0].eval, 0.0, fs, n)
+        tone_grid = sample_element(tones.terms[0], 0.0, fs, n)
         _, clocks, _ = experiments._element_clocks(cfg, delta)
         indices = [*range(n // 2, n // 2 + 12), *range(n - 12, n)]
         def element(i, f, j):  # element i + 1's tone f at grid index j
