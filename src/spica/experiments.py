@@ -303,8 +303,6 @@ def _check_qpsk(cfg: ExperimentConfig) -> None:
     last_needed = _genie_timing(cfg) + lag + n_needed / cfg.desired_symbol_rate_hz
     if last_needed > cfg.frame_len / cfg.sample_rate_hz:
         _fail("frame_len", "too short for desired_n_symbols plus matched-filter span")
-    # With no delay difference every row's gain G_r(f) is zero at every f,
-    # so there is nothing to equalize.
     if cfg.delta_ud_s[0] == 0:
         _fail("delta_ud_s", "must be nonzero: at zero delay every row nulls the desired signal")
 
@@ -559,16 +557,15 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
     desired_wave = Waveform(terms=(desired_stream,), scale=scale, delay=genie + quant[0])
     power = 10.0 ** (cfg.interferer_excess_db / 10.0) / cfg.symbol_rate_hz
     interferer = Waveform(terms=(_interferer_stream(cfg),), scale=math.sqrt(power))
-    [(outs, _)] = _sample_scene(cfg, desired_wave, [(quant, [(cfg.seed, 2)])], interferer, delta)
+    outs = next(_sample_scene(cfg, desired_wave, [(quant, [(cfg.seed, 2)])], interferer, delta))[0]
 
     evms, constellation = [], []
     ref = desired_stream.symbols
     # In RF_DERIVED, lo_align's phasors rotate the desired signal too: its gain is G_r(f + f_c).
     offset = cfg.carrier_freq_hz if cfg.mode is SceneMode.RF_DERIVED else 0.0
     fs = cfg.sample_rate_hz
-    for r in range(len(outs)):  # in place: equalized copies of every row would raise peak memory
-        outs[r] = equalize(outs[r], fs, row=r, delta=delta, n=cfg.n_elements, offset_hz=offset)
-    for r, recovered in enumerate(recover_symbols(outs, fs, desired_stream, genie_timing=genie)):
+    responses = equalize(outs.shape[-1], fs, delta, n=cfg.n_elements, offset_hz=offset)
+    for r, recovered in enumerate(recover_symbols(outs, fs, desired_stream, genie, responses)):
         evms.append(evm_percent(recovered, ref))
         # Export the fitted constellation alongside the reference points.
         rx = np.vdot(recovered, ref) / np.vdot(recovered, recovered) * recovered

@@ -107,7 +107,7 @@ def _nfft(one: np.ndarray, many: np.ndarray) -> int:
     """Welch length of ``one``, a reference spectrum whose leading shape must end ``many``'s."""
     lead, many_lead = one.shape[:-1], many.shape[:-1]
     if many_lead[len(many_lead) - len(lead) :] != lead:
-        raise ValueError(f"frame shapes {many.shape} and {one.shape} do not pair")
+        raise ValueError(f"frames {many.shape} and reference spectrum {one.shape} do not pair")
     return one.shape[-1]
 
 
@@ -197,7 +197,7 @@ def evm_percent(rx_symbols, ref_symbols) -> float:
 
 
 def recover_symbols(
-    frame: np.ndarray, fs: float, stream: StreamTerm, genie_timing: float
+    frame: np.ndarray, fs: float, stream: StreamTerm, genie_timing: float, responses=None
 ) -> np.ndarray:
     """Matched-filter symbol recovery with genie timing, no blind sync.
 
@@ -216,8 +216,9 @@ def recover_symbols(
       sum_m h[m] x[k-m] e^{-j2 pi f_c (t_{k-m} - g)} =
       e^{-j2 pi f_c (t_k - g)} sum_m (h[m] e^{j2 pi f_c m / fs}) x[k-m].
 
-    ``frame`` may be a ``(..., n)`` stack; one spectrum of the taps serves every frame.
-    Returns one recovered value per transmitted symbol, in order, on the last axis.
+    ``frame`` may be a ``(..., n)`` stack; each frame's spectrum is multiplied by its one of
+    ``responses`` (n bins each, as ``ttd.equalize`` yields them), if given, and then by one
+    spectrum of the taps.  Returns one recovered value per symbol, in order, on the last axis.
     """
     rate = stream.symbol_rate
     n = frame.shape[-1]
@@ -231,10 +232,16 @@ def recover_symbols(
 
     m = np.arange(-half, half + 1)
     taps = rrc_pulse(m / fs, rate, stream.rolloff, stream.span_symbols) / fs
-    h = np.zeros(n, complex)
-    h[m % n] = taps * np.exp(2j * np.pi * stream.center_freq * m / fs)
-    spec = np.fft.fft(h)
-    # Frame by frame: transforming the whole stack at once holds every frame's spectrum.
-    matched = np.array([np.fft.ifft(np.fft.fft(x) * spec)[idx] for x in frame.reshape(-1, n)])
-    matched = matched.reshape(*frame.shape[:-1], idx.size)
+    spec = np.zeros(n, complex)
+    spec[m % n] = taps * np.exp(2j * np.pi * stream.center_freq * m / fs)
+    spec = np.fft.fft(spec)  # the taps' spectrum replaces the taps
+    frames = frame.reshape(-1, n)
+    matched = []  # frame by frame: transforming the whole stack holds every frame's spectrum
+    responses = [1.0] * len(frames) if responses is None else responses
+    for x, response in zip(frames, responses, strict=True):
+        x = np.fft.fft(x) * response  # before the taps: a product with 1 is exact
+        x *= spec
+        matched.append(np.fft.ifft(x)[idx])
+        del x, response  # before the next frame's response is built
+    matched = np.reshape(matched, (*frame.shape[:-1], idx.size))
     return matched * np.exp(-2j * np.pi * stream.center_freq * (idx / fs - genie_timing))

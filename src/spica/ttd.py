@@ -4,8 +4,7 @@ This is the heart of the simulator: quantized per-element clock delays
 (one array planner and its delay arithmetic), non-uniform sampling of
 analytic signals, the truncated-Hadamard multiply-accumulate that nulls a
 delay-aligned source, the closed-form desired-signal conversion gain of
-each row, and a zero-forcing equalizer that undoes that gain after
-combining.
+each row, and the zero-forcing responses that undo it after combining.
 
 Delay decomposition follows the three-stage clock generator it models: an
 8-bit phase interpolator with 5 ps steps spanning one 1.25 ns quadrant, a
@@ -223,24 +222,21 @@ def desired_conversion_gain(f, delta: float, row: int, n: int = 4):
     return _signed_power_sum(rows[row], z)
 
 
-def equalize(
-    frame: np.ndarray, fs: float, row: int, delta: float, n: int = 4, offset_hz: float = 0.0
-) -> np.ndarray:
-    """Undo one row's desired-signal conversion gain by zero-forcing.
+def equalize(frame_len: int, fs: float, delta: float, n: int = 4, offset_hz: float = 0.0):
+    """Zero-forcing responses that undo each row's desired-signal conversion gain.
 
-    FFT the frame, sampled at ``fs``, divide the bin at frequency f by
-    G(f + offset_hz) where |G| >= eps = 0.05 * max |G| over the frame's bins
-    and zero it otherwise (bins near a null are zeroed instead of
-    amplified), inverse FFT.
-    ``offset_hz`` is the carrier frequency when LO phasors rotate the
-    desired signal too (RF_DERIVED), else 0.  Raises ValueError if G is
-    zero at every bin.
+    Yields, row r of ``truncated_hadamard(n)`` at a time, 1 / G_r(f + offset_hz) at the
+    ``np.fft`` bins f of ``frame_len`` samples at ``fs`` where |G_r| >= 0.05 * max |G_r|,
+    else 0; G_r is ``desired_conversion_gain``'s, bit for bit.  ``offset_hz`` is the carrier
+    in RF_DERIVED, where LO phasors rotate the desired signal too.  A zero G_r raises ValueError.
     """
-    freqs = np.fft.fftfreq(frame.shape[-1], d=1.0 / fs)
-    g = desired_conversion_gain(freqs + offset_hz, delta, row, n)
-    eps = 0.05 * float(np.max(np.abs(g)))
-    if eps <= 0.0:
-        raise ValueError(f"row {row}'s gain is zero at every bin; nothing to equalize")
-    keep = np.abs(g) >= eps
-    y = np.where(keep, np.fft.fft(frame) / np.where(keep, g, 1.0), 0.0)
-    return np.fft.ifft(y)
+    z = np.exp(2j * np.pi * delta * (np.fft.fftfreq(frame_len, d=1.0 / fs) + offset_hz))
+    for row, signs in enumerate(truncated_hadamard(n)):
+        g = _signed_power_sum(signs, z)
+        eps = 0.05 * float(np.max(np.abs(g)))
+        if eps <= 0.0:
+            raise ValueError(f"row {row}'s gain is zero at every bin; nothing to equalize")
+        keep = np.abs(g) >= eps
+        np.divide(1.0, g, out=g, where=keep)  # in place, so a row holds one response buffer
+        g[~keep] = 0.0
+        yield g

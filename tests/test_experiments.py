@@ -771,6 +771,46 @@ def test_runners_measure_through_the_public_names(tmp_path, monkeypatch):
     assert calls == {"cancellation_depth": 2, "conversion_gain_measured": 1}
 
 
+def two_pass_recover(rows, fs, stream, genie, delta, n, offset_hz):
+    """The equalize-then-filter chain the fused receive filter replaced: each row is
+    transformed, divided by G_r(f + offset_hz) where |G_r| >= 0.05 max |G_r| and zeroed
+    elsewhere, transformed back, and only then matched-filtered."""
+    freqs = np.fft.fftfreq(rows.shape[-1], d=1.0 / fs) + offset_hz
+    equalized = []
+    for r, row in enumerate(rows):
+        g = desired_conversion_gain(freqs, delta, r, n)
+        keep = np.abs(g) >= 0.05 * np.max(np.abs(g))
+        equalized.append(np.fft.ifft(np.where(keep, np.fft.fft(row) / np.where(keep, g, 1.0), 0)))
+    return metrics.recover_symbols(np.array(equalized), fs, stream, genie)
+
+
+@pytest.mark.parametrize("seed", [191, 7, 1234])
+@pytest.mark.parametrize("mode", ["BB_DIRECT", "RF_DERIVED"])
+def test_fused_receive_filter_matches_two_pass_chain(mode, seed, tmp_path, monkeypatch):
+    # fig19's rows, as the runner hands them with equalize's responses to recover_symbols
+    seen = {}
+
+    def capture(rows, fs, stream, genie, responses):
+        seen.update(rows=rows, fs=fs, stream=stream, genie=genie)
+        seen["got"] = metrics.recover_symbols(rows, fs, stream, genie, responses)
+        return seen["got"]
+
+    monkeypatch.setattr(experiments, "recover_symbols", capture)
+    cfg = dataclasses.replace(preset("fig19"), mode=SceneMode(mode), seed=seed)
+    _, rows = read_csv(run_experiment(cfg, output_dir=tmp_path)["csv"])
+    offset = cfg.carrier_freq_hz if mode == "RF_DERIVED" else 0.0
+    args = seen["rows"], seen["fs"], seen["stream"], seen["genie"]
+    want = two_pass_recover(*args, cfg.delta_ud_s[0], cfg.n_elements, offset)
+    got, ref = seen["got"], seen["stream"].symbols
+    assert got.shape == want.shape == (3, ref.size)
+    rms = np.sqrt(np.mean(np.abs(want) ** 2, axis=-1))
+    assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-13 * rms)
+    for r, (g, w) in enumerate(zip(got, want)):
+        evm = metrics.evm_percent(w, ref)
+        assert abs(metrics.evm_percent(g, ref) - evm) <= 1e-12 * evm
+        assert float(rows[r][2]) == metrics.evm_percent(g, ref)
+
+
 def test_below_floor_tone_inside_a_chunk_is_named(tmp_path):
     # at 5 ns per element row 0 nulls 50 MHz, the third tone of the first
     # chunk, and leaves only noise there

@@ -1,7 +1,9 @@
-"""Package exports: each public name is declared once, in its module, and every annotation
-in the package resolves."""
+"""Package exports: each public name is declared once, in its module, every annotation
+in the package resolves, and every name the benchmark's tracer wraps exists."""
 
 import ast
+import functools
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -78,3 +80,16 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # bench/tracer.py replaces these attributes when it installs, so a renamed or deleted one
+    # fails every traced benchmark run; tier-1 does not collect bench/, so check them here
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for owner, attr, _ in tracer.TARGETS:
+        target = functools.reduce(getattr, owner.split("."), spica)
+        assert callable(getattr(target, attr, None)), f"{owner}.{attr}"

@@ -390,6 +390,18 @@ class TestToneChunkMeasurement:
         with pytest.raises(ValueError, match="do not pair"):
             cancellation_depth(ref_spectrum(ref[:2], FS), rows, FS, (0.0, 1e6))
 
+    def test_unpaired_message_names_frames_and_reference_spectrum(self):
+        # at frame_len 8192 the reference spectrum has 4096 bins, so the message must show
+        # the frames' shape and the spectrum's, not the spectrum's as a frame's
+        chunk = Waveform(terms=(ToneTerm(1.0, self.FREQS[:2, None]),))
+        spec = ref_spectrum(sample_element(chunk, 0.0, FS, 8192), FS)
+        canc = np.zeros((3, 4, 8192), complex)
+        msg = r"frames \(3, 4, 8192\) and reference spectrum \(2, 4096\) do not pair"
+        with pytest.raises(ValueError, match=msg):
+            cancellation_depth(spec, canc, FS, (0.0, 1e6))
+        with pytest.raises(ValueError, match=msg):
+            conversion_gain_measured(canc, spec, FS, 0.0)
+
     @pytest.mark.parametrize("noise_rms", [0.0, 1e-4])
     def test_gain_per_tone_frequency_matches_per_tone_calls(self, noise_rms):
         # a broadside desired source under clocks delayed by i * 1 ns
@@ -643,6 +655,22 @@ class TestRecoverSymbols:
         for i in np.ndindex(*lead):
             assert got[i].tobytes() == recover_symbols(stack[i], fs, stream, genie).tobytes()
 
+    @given(case=receive_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_all_ones_responses_change_no_bit(self, case):
+        frame, fs, stream, genie = case
+        stack = np.stack([frame, np.roll(frame, 3) * (0.5 - 1j)])
+        ones = [np.ones(frame.size, complex)] * 2
+        got = recover_symbols(stack, fs, stream, genie, ones)
+        assert got.tobytes() == recover_symbols(stack, fs, stream, genie).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_response_per_frame(self, count):
+        frame, stream, genie = self.clean_setup(span=16)
+        stack = np.stack([frame, frame])
+        with pytest.raises(ValueError):
+            recover_symbols(stack, self.FS, stream, genie, [np.ones(frame.size)] * count)
+
     def test_uncovered_span_rejected(self):
         frame, stream, genie = self.clean_setup(span=16)
         with pytest.raises(ValueError, match="does not cover"):
@@ -690,11 +718,12 @@ class TestSampleRateScaling:
 
     @pytest.mark.parametrize("offset_hz", [0.0, 10e9])
     def test_equalize_is_bit_identical(self, offset_hz):
-        frame = self.frames()[1][0, 0]
         delta, k = 2.347e-9, self.K
-        got = equalize(frame, FS, 1, delta, offset_hz=offset_hz)
-        scaled = equalize(frame, k * FS, 1, delta / k, offset_hz=k * offset_hz)
-        np.testing.assert_array_equal(scaled, got)
+        got = list(equalize(2048, FS, delta, offset_hz=offset_hz))
+        scaled = list(equalize(2048, k * FS, delta / k, offset_hz=k * offset_hz))
+        assert len(got) == 3
+        for a, b in zip(scaled, got):
+            assert a.tobytes() == b.tobytes()
 
     def test_recovered_symbols_are_exactly_half(self):
         fs, rate, span, k = 16e6, 1e6, 16, self.K

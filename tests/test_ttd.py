@@ -421,32 +421,54 @@ class TestDesiredConversionGain:
             desired_conversion_gain(1e6, 1e-9, -1, 4)
 
 
+def equalized(frame, response):
+    """A frame filtered by one zero-forcing response: its spectrum times the response."""
+    return np.fft.ifft(np.fft.fft(frame) * response)
+
+
 class TestEqualize:
     def test_flat_gain_divides(self, monkeypatch):
         # every bin is divided by the row's gain, so a flat stand-in gain of
         # 2 halves the frame
-        flat = lambda f, *_: np.full(np.shape(f), 2.0 + 0j)  # noqa: E731
-        monkeypatch.setattr(ttd, "desired_conversion_gain", flat)
+        flat = lambda signs, z: np.full(np.shape(z), 2.0 + 0j)  # noqa: E731
+        monkeypatch.setattr(ttd, "_signed_power_sum", flat)
         fr = sample_element(tone(12.5e6), 0.0, 1e8, 64)
-        out = equalize(fr, 1e8, 0, 1e-9)
+        out = equalized(fr, next(equalize(64, 1e8, 1e-9)))
         np.testing.assert_allclose(out, fr / 2.0, atol=1e-12)
 
     def test_gain_zero_at_every_bin_raises(self):
         # at zero delay G_r(f) is 0 at every bin, so the floor eps is 0 too
-        fr = sample_element(tone(1e6), 0.0, 1e8, 16)
         with pytest.raises(ValueError, match="zero at every bin"):
-            equalize(fr, 1e8, 0, 0.0)
+            next(equalize(16, 1e8, 0.0))
 
     def test_gain_computed_once(self, monkeypatch):
-        calls = []
+        # one Horner sum per row, all over one shared exponential z
+        calls, power_sum = [], ttd._signed_power_sum
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return desired_conversion_gain(*args, **kwargs)
+        def counting(signs, z):
+            calls.append(z)
+            return power_sum(signs, z)
 
-        monkeypatch.setattr(ttd, "desired_conversion_gain", counting)
-        equalize(sample_element(tone(20e6), 0.0, 2e8, 256), 2e8, 1, 1e-9)
-        assert len(calls) == 1
+        monkeypatch.setattr(ttd, "_signed_power_sum", counting)
+        assert len(list(equalize(256, 2e8, 1e-9, n=8))) == 7
+        assert len(calls) == 7 and all(z is calls[0] for z in calls)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("offset_hz", [0.0, 10e9])
+    def test_matches_desired_conversion_gain_bit_for_bit(self, n, offset_hz):
+        # each response is 1 / G_r over the kept bins and 0 over the rest, with G_r
+        # from desired_conversion_gain at the frame's FFT bins
+        fs, nsamp, delta = 2e8, 1024, 2.347e-9
+        freqs = np.fft.fftfreq(nsamp, d=1.0 / fs) + offset_hz
+        responses = list(equalize(nsamp, fs, delta, n=n, offset_hz=offset_hz))
+        assert len(responses) == n - 1
+        for row, got in enumerate(responses):
+            g = desired_conversion_gain(freqs, delta, row, n)
+            keep = np.abs(g) >= 0.05 * np.max(np.abs(g))
+            want = np.zeros(nsamp, complex)
+            want[keep] = 1.0 / g[keep]
+            assert 0 < keep.sum() < nsamp
+            assert got.tobytes() == want.tobytes(), row
 
     def test_bin_aligned_roundtrip(self):
         # distort a bin-aligned tone through a row's conversion gain, then
@@ -458,7 +480,7 @@ class TestEqualize:
             for i in range(4)
         ]
         distorted = mac_apply(frames, truncated_hadamard(4))[row]
-        recovered = equalize(distorted, fs, row, delta)
+        recovered = equalized(distorted, list(equalize(nsamp, fs, delta))[row])
         ref = sample_element(tone(f), 0.0, fs, nsamp)
         assert np.max(np.abs(recovered - ref)) <= 1e-6
 
@@ -473,15 +495,16 @@ class TestEqualize:
         ]
         distorted = mac_apply(frames, truncated_hadamard(4))[row]
         ref = sample_element(tone(f), 0.0, fs, nsamp)
-        recovered = equalize(distorted, fs, row, delta, offset_hz=fc)
+        recovered = equalized(distorted, next(equalize(nsamp, fs, delta, offset_hz=fc)))
         assert np.max(np.abs(recovered - ref)) <= 1e-6
-        assert np.max(np.abs(equalize(distorted, fs, row, delta) - ref)) > 0.1
+        assert np.max(np.abs(equalized(distorted, next(equalize(nsamp, fs, delta))) - ref)) > 0.1
 
     def test_low_gain_bins_are_zeroed(self):
         # a tone parked on the structural DC null must come out as zero,
         # not as a divide-by-tiny blowup
         fs, nsamp = 2e8, 256
         fr = sample_element(tone(0.0), 0.0, fs, nsamp)
-        out = equalize(fr, fs, 0, 1e-9)
-        assert np.max(np.abs(out)) <= 1e-12
+        response = next(equalize(nsamp, fs, 1e-9))
+        assert response[0] == 0.0
+        assert np.max(np.abs(equalized(fr, response))) <= 1e-12
 
