@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrays import ArrayGeometry, Scene, SceneMode, SourceSpec, element_signal, lo_align
+from .arrays import Scene, SceneMode, SourceSpec, element_signal
 from .metrics import _welch_freqs, cancellation_depth, conversion_gain_measured, welch_power
 from .metrics import evm_percent, recover_symbols
-from .ps_cancel import PsCancelPlan, ps_residual_gain
+from .ps_cancel import ps_residual_gain
 from .ttd import INTERLEAVE_STEP, PI_STEP, Quadrant, _noisy_frame, equalize, total_delay
 from .ttd import desired_conversion_gain, mac_apply, plan_delays, sample_element, truncated_hadamard
 from .ttd import plan_delay  # noqa: F401  (not called here; bench/tracer.py wraps this name)
@@ -361,11 +361,11 @@ def _sample_scene(cfg: ExperimentConfig, desired, branches, interferer=None, del
     column 0 of the truncated Hadamard matrix is all +1, so that frame is every row's reference.
     ``desired`` arrives at broadside and ``interferer``, if any, at inter-element delay ``delta``.
     """
-    interferers = [SourceSpec(interferer, explicit_delay_override=delta)] if interferer else []
-    geometry = ArrayGeometry(cfg.n_elements, cfg.d_over_lambda, cfg.carrier_freq_hz)
-    scene = Scene(geometry, SourceSpec(desired, aoa_deg=0.0), interferers, mode=cfg.mode)
+    interferers = [SourceSpec(interferer, delta)] if interferer else []
+    n, fc = cfg.n_elements, cfg.carrier_freq_hz
+    scene = Scene(n, fc, SourceSpec(desired), interferers, mode=cfg.mode)
     frames = _scene_frames(scene, branches, cfg.sample_rate_hz, cfg.frame_len, cfg.noise_rms, grid)
-    return map(lambda f: (mac_apply(f, truncated_hadamard(cfg.n_elements)), f[0].copy()), frames)
+    return map(lambda f: (mac_apply(f, truncated_hadamard(n)), f[0].copy()), frames)
 
 
 def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 0.0, grid=None):
@@ -377,7 +377,7 @@ def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 
     """
     tau, rot = scene.arrivals()
     aligned = scene.mode is SceneMode.RF_DERIVED and scene.undesired
-    lo = lo_align(scene) if aligned else np.ones(tau.shape[1])
+    lo = rot[1].conj() if aligned else np.ones(tau.shape[1])
     gain, rot = (np.asarray(scene.element_mismatch) * lo)[:, None, None], rot[..., None, None]
     waves = [element_signal(scene, i) * p for i, p in enumerate(lo, 1)] if grid is None else ()
     sources = [s.waveform for s in (scene.desired, *scene.undesired)]
@@ -423,10 +423,11 @@ def _run_ps_leakage(cfg: ExperimentConfig):
     # Every element count shares the grid, so its text is formatted once.
     grid_text = list(map(str, grid.tolist()))
     blocks, derived = [], {}
+    # The interferer's carrier phase step between elements, which the phase shifts align.
+    align_phase = 2.0 * np.pi * cfg.d_over_lambda * np.sin(np.radians(cfg.theta_ud_deg))
     for n in cfg.ps_n_elements:
-        plan = PsCancelPlan.for_angle(n, cfg.theta_ud_deg, cfg.d_over_lambda)
-        derived[f"align_phase_rad_n{n}"] = plan.align_phase
-        res = np.abs(ps_residual_gain(plan, grid, cfg.theta_ud_deg, cfg.d_over_lambda))
+        derived[f"align_phase_rad_n{n}"] = align_phase
+        res = np.abs(ps_residual_gain(n, grid, align_phase))
         with np.errstate(divide="ignore"):
             leak_db = 20.0 * np.log10(res)
             rej_db = -20.0 * np.log10(res / n)
@@ -561,7 +562,7 @@ def _run_qpsk_evm(cfg: ExperimentConfig):
 
     evms, constellation = [], []
     ref = desired_stream.symbols
-    # In RF_DERIVED, lo_align's phasors rotate the desired signal too: its gain is G_r(f + f_c).
+    # In RF_DERIVED, the LO phasors rotate the desired signal too: its gain is G_r(f + f_c).
     offset = cfg.carrier_freq_hz if cfg.mode is SceneMode.RF_DERIVED else 0.0
     fs = cfg.sample_rate_hz
     responses = equalize(outs.shape[-1], fs, delta, n=cfg.n_elements, offset_hz=offset)

@@ -17,7 +17,6 @@ from helpers import ref_spectrum
 from output_contract import check_column
 from spica import experiments, metrics
 from spica import (
-    ArrayGeometry,
     ConfigError,
     Experiment,
     ExperimentConfig,
@@ -32,7 +31,6 @@ from spica import (
     conversion_gain_measured,
     desired_conversion_gain,
     element_signal,
-    lo_align,
     load_config,
     mac_apply,
     plan_delay,
@@ -508,17 +506,14 @@ class TestRunners:
         np.testing.assert_allclose(values["RF_DERIVED"], values["BB_DIRECT"], rtol=0, atol=1e-9)
 
     def test_rf_derived_desired_gain_is_shifted_by_the_carrier(self):
-        # oracle for the RF_DERIVED equalizer: lo_align's phasors, which align
-        # the interferer, put exp(j2*pi*f_c*i*delta) on the broadside desired
-        # tone too, so row r measures G_r(f + f_c), not G_r(f)
+        # oracle for the RF_DERIVED equalizer: the LO phasors exp(j2*pi*f_c*i*delta), which
+        # align the interferer, rotate the broadside desired tone too, so row r measures
+        # G_r(f + f_c), not G_r(f)
         n, fs, fc, delta, f = 4, 2e8, 10e9, 2.347e-9, 37e6
-        geometry = ArrayGeometry(n, 0.5, fc)
         desired = SourceSpec(Waveform(terms=(ToneTerm(1.0, f),)))
-        interferer = SourceSpec(
-            Waveform(terms=(ToneTerm(1.0, 60e6),)), explicit_delay_override=delta
-        )
-        scene = Scene(geometry, desired, (interferer,), mode=SceneMode.RF_DERIVED)
-        phasors = lo_align(scene)
+        interferer = SourceSpec(Waveform(terms=(ToneTerm(1.0, 60e6),)), delta)
+        scene = Scene(n, fc, desired, (interferer,), mode=SceneMode.RF_DERIVED)
+        phasors = np.exp(2j * np.pi * fc * np.arange(n) * delta)
         frames = [
             sample_element(element_signal(scene, i + 1) * phasors[i], i * delta, fs, 2048)
             for i in range(n)
@@ -616,11 +611,10 @@ def per_tone_rows(cfg: ExperimentConfig) -> list:
 
     Each tone gets its own scene and its own sampling, combining and
     measurement calls; noise seeds follow the runners' documented
-    (seed, delay, tone, [branch,] element) keys.  In RF_DERIVED each
-    element of a sweep is de-rotated by its ``lo_align`` phasor.
+    (seed, delay, tone, [branch,] element) keys.  In RF_DERIVED element i
+    (0-based) of a sweep is de-rotated by the LO phasor exp(j*2*pi*f_c*i*delta).
     """
-    n, fs, n_samples = cfg.n_elements, cfg.sample_rate_hz, cfg.frame_len
-    geometry = ArrayGeometry(n, cfg.d_over_lambda, cfg.carrier_freq_hz)
+    n, fs, n_samples, fc = cfg.n_elements, cfg.sample_rate_hz, cfg.frame_len, cfg.carrier_freq_hz
     sweep = cfg.experiment is Experiment.TTD_TONE_SWEEP
     rows = []
     for d_idx, delta in enumerate(cfg.delta_ud_s):
@@ -631,11 +625,13 @@ def per_tone_rows(cfg: ExperimentConfig) -> list:
             f = float(f)
             tone = SourceSpec(Waveform(terms=(ToneTerm(1.0, f),)))
             if sweep:
-                interferer = SourceSpec(tone.waveform, explicit_delay_override=delta)
-                scene = Scene(geometry, SourceSpec(Waveform()), (interferer,), mode=cfg.mode)
+                interferer = SourceSpec(tone.waveform, delta)
+                scene = Scene(n, fc, SourceSpec(Waveform()), (interferer,), mode=cfg.mode)
             else:
-                scene = Scene(geometry, tone, mode=cfg.mode)
-            phasors = lo_align(scene) if sweep and cfg.mode is SceneMode.RF_DERIVED else None
+                scene = Scene(n, fc, tone, mode=cfg.mode)
+            phasors = None
+            if sweep and cfg.mode is SceneMode.RF_DERIVED:
+                phasors = np.exp(2j * np.pi * fc * np.arange(n) * delta)
             values = []
             for branch, delays in enumerate((ideal, quant) if sweep else (ideal,)):
                 key = (cfg.seed or 0, d_idx, f_idx, branch)[: 4 if sweep else 3]
@@ -912,7 +908,7 @@ _BELOW_NYQUIST = st.floats(-1e8, 1e8, exclude_min=True, exclude_max=True)
     delta=st.floats(-15e-9, 15e-9),
     planned=st.booleans(),
     interferer=st.booleans(),
-    aoa=st.floats(-90.0, 90.0),
+    desired_delay=st.floats(-15e-9, 15e-9),
     mode=st.sampled_from(list(SceneMode)),
     gains=st.lists(
         st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0), min_size=4, max_size=4
@@ -922,7 +918,7 @@ _BELOW_NYQUIST = st.floats(-1e8, 1e8, exclude_min=True, exclude_max=True)
 )
 @settings(max_examples=60, deadline=None)
 def test_rotated_tone_frames_match_direct_sampling(
-    freqs, delta, planned, interferer, aoa, mode, gains, noise_rms, seed
+    freqs, delta, planned, interferer, desired_delay, mode, gains, noise_rms, seed
 ):
     # oracle: every element sampled directly at its own clock, LO-aligned in RF_DERIVED, plus
     # the noise of the runners' (seed, delay, tone, [branch,] element) keys, against the runners'
@@ -930,12 +926,12 @@ def test_rotated_tone_frames_match_direct_sampling(
     n, fs, n_samples = 4, 2e8, 64
     keys = [(seed, 2, j, 1)[: 4 if interferer else 3] for j in range(len(freqs))]
     tones = Waveform(terms=(ToneTerm(1.0, np.array(freqs)[:, None]),))
-    geometry = ArrayGeometry(n, 0.5, 10e9)
+    fc = 10e9
     if interferer:
-        sources = (SourceSpec(Waveform(), aoa), (SourceSpec(tones, explicit_delay_override=delta),))
+        sources = (SourceSpec(Waveform(), desired_delay), (SourceSpec(tones, delta),))
     else:
-        sources = (SourceSpec(tones, aoa), ())
-    scene = Scene(geometry, *sources, element_mismatch=gains, mode=mode)
+        sources = (SourceSpec(tones, desired_delay), ())
+    scene = Scene(n, fc, *sources, element_mismatch=gains, mode=mode)
     shift = min(0.0, (n - 1) * delta)
     delays = [i * delta - shift for i in range(n)]
     if planned:
@@ -945,7 +941,7 @@ def test_rotated_tone_frames_match_direct_sampling(
     [frames] = experiments._scene_frames(scene, branch, fs, n_samples, noise_rms, grid=grid)
     phasors = np.ones(n)
     if interferer and mode is SceneMode.RF_DERIVED:
-        phasors = lo_align(scene)
+        phasors = np.exp(2j * np.pi * fc * np.arange(n) * delta)
     for i in range(n):
         wave = element_signal(scene, i + 1) * phasors[i]
         seeds = [np.random.SeedSequence([*key, i + 1]) for key in keys]
@@ -1064,6 +1060,33 @@ def test_rows_count_data_lines_of_main_csv(name, tmp_path):
     lines = Path(result["csv"]).read_bytes().split(b"\r\n")
     assert lines[-1] == b""
     assert result["rows"] == len(lines) - 2
+
+
+_TONES = dict(tone_start_hz=1e6, tone_stop_hz=99e6, tone_count=5, frame_len=2048)
+
+
+@pytest.mark.parametrize("mode", ["BB_DIRECT", "RF_DERIVED"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(experiment="TTD_TONE_SWEEP", delta_ud_s=[1e-9, -2.347e-9], **_TONES),
+        dict(experiment="DESIRED_GAIN", delta_ud_s=[2.5e-9], **_TONES),
+        dict(experiment="TTD_MODULATED", delta_ud_s=[2.347e-9], seed=1, frame_len=2048),
+    ],
+    ids=["sweep", "desired_gain", "modulated"],
+)
+def test_ttd_outputs_ignore_the_angle_fields(cfg, mode, tmp_path):
+    # A TTD scene places the desired source at 0 and the interferer at delta_ud_s, so the
+    # spacing and angle, which only PS_LEAKAGE reads, leave every output byte the same.
+    outputs = []
+    for dol, theta in ((0.5, 45.0), (0.17, -30.0)):
+        config = ExperimentConfig.from_dict(
+            {**cfg, "mode": mode, "d_over_lambda": dol, "theta_ud_deg": theta, "output": "run"}
+        )
+        result = run_experiment(config, output_dir=tmp_path / str(dol))
+        names = json.loads(Path(result["manifest"]).read_text())["outputs"].values()
+        outputs.append({name: (tmp_path / str(dol) / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
 
 
 class TestCli:
