@@ -29,8 +29,7 @@ _SINGULARITY_TOL = 1e-8
 # RRC formula.  Outside it 1 - (4*b*x)**2 is at least about 0.02, so the
 # formula's cancellation costs at most about 100 ulps.
 _EDGE_WINDOW = 1e-2
-# Fewest grid instants per pulse phase.  Over 65,536 instants q = 25, 256 and 1,024 phases took
-# 8, 11 and 17 ms against 54 ms per instant, but q = 8,191 took 95 ms against 65 ms.
+# Fewest grid instants per pulse phase; it sets which configs take the grid (timings in README).
 _PHASE_INSTANTS = 64
 
 
@@ -165,9 +164,9 @@ class StreamTerm:
     Evaluation is exact: each instant sums the closed-form pulses of the
     symbols within ``span_symbols`` of it.  Given ``fs``, ``t`` is the n-point
     grid t[0] + j / fs; if symbol_rate / fs = p / q exactly with q <= n / 64,
-    each of the q pulse phases is one product of its 2*span + 1 pulse values
-    with a p-strided window over the symbols.  Otherwise each instant takes the
-    pulse's sines and cosines by angle addition around its nearest symbol.
+    rows of q instants are a p-strided symbol window times a tap matrix of the
+    q phases' pulses (one matrix while p <= 2*span + 1).  Otherwise instants
+    sum their pulses by angle addition around the nearest symbol.
     ``center_freq`` shifts the occupied band away from DC by multiplying the
     envelope with exp(j*2*pi*center_freq*t); on the p/q grid that is a factor
     per phase, at t[0] + phi / fs, times one per row of q instants, its whole
@@ -230,10 +229,17 @@ class StreamTerm:
         rows, first = -(-n // q), k0[0] - span
         pad = np.concatenate(([0j], self.symbols, [0j]))
         buf = np.take(pad, np.arange(first, (rows - 1) * p + k0[-1] + span + 1) + 1, mode="clip")
-        windows = sliding_window_view(np.stack((buf.real, buf.imag)), 2 * span + 1, 1)
-        acc = np.zeros((rows, q, 2))
-        for phi, s in enumerate((k0 - k0[0]).tolist()):
-            np.einsum("kij,j->ik", windows[:, s::p][:, :rows], pulses[phi], out=acc[:, phi])
+        # g phases keep taps within 2*w rows and 128-row blocks keep BLAS's copies under 128 KB.
+        shift, w = k0 - k0[0], 2 * span + 1
+        windows = sliding_window_view(np.stack((buf.real, buf.imag)), w + shift[-1], 1)[:, ::p]
+        acc, g = np.empty((rows, q, 2)), -(-w * q // p)
+        for a in range(0, q, g):
+            s = shift[a : a + g] - shift[a]
+            taps = np.zeros((w + s[-1], s.size))
+            taps[s[:, None] + np.arange(w), np.arange(s.size)[:, None]] = pulses[a : a + g]
+            for r in range(0, rows, 128):
+                block = windows[:, r : r + 128, shift[a] : shift[a] + w + s[-1]]
+                np.matmul(block, taps, out=acc[r : r + 128, a : a + g].transpose(2, 0, 1))
         acc = acc.view(complex)[..., 0]
         if self.center_freq != 0.0:
             cycles = self.center_freq * q / fs * np.arange(rows)

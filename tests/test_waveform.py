@@ -1,5 +1,7 @@
 """Waveform generator tests, including the pulse-shape quadrature oracle."""
 
+from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 
 from spica import experiments, waveform
@@ -477,12 +480,34 @@ class TestStreamTerm:
         assert drop_db(16) >= 40.0
 
 
+def grid_sum_by_phase(stream, n, fs, t0):
+    """``stream._grid_sum`` as one einsum per pulse phase over a p-strided window of symbols."""
+    rate, span = stream.symbol_rate, stream.span_symbols
+    p, q = Fraction(rate / fs).limit_denominator(n // 64).as_integer_ratio()
+    c = np.arange(q) * p / q + t0 * rate
+    k0 = np.rint(c).astype(np.int64)
+    x = (c - k0)[:, None] - np.arange(-span, span + 1)
+    pulses = rrc_pulse(x / rate, rate, stream.rolloff, span)
+    rows = -(-n // q)
+    pad = np.concatenate(([0j], stream.symbols, [0j]))
+    buf = np.take(pad, np.arange(k0[0] - span, (rows - 1) * p + k0[-1] + span + 1) + 1, mode="clip")
+    windows = sliding_window_view(np.stack((buf.real, buf.imag)), 2 * span + 1, 1)
+    acc = np.zeros((rows, q, 2))
+    for phi, s in enumerate((k0 - k0[0]).tolist()):
+        np.einsum("kij,j->ik", windows[:, s::p][:, :rows], pulses[phi], out=acc[:, phi])
+    acc = acc.view(complex)[..., 0]
+    cycles = stream.center_freq * q / fs * np.arange(rows)
+    acc *= np.exp(2j * np.pi * (cycles - np.rint(cycles)))[:, None]
+    acc *= np.exp(2j * np.pi * stream.center_freq * (t0 + np.arange(q) / fs))
+    return acc.ravel()[:n]
+
+
 @st.composite
 def grid_streams(draw):
-    """A QPSK stream at p / q of the sample rate (q <= 200), a grid reaching past its end,
-    a clock offset and a waveform delay within 20 ns, and grid indices to check."""
+    """A QPSK stream at p / q of the sample rate (q <= 200, p <= 2q), a grid reaching past its
+    end, a clock offset and a waveform delay within 20 ns, and grid indices to check."""
     q = draw(st.integers(1, 200))
-    p = draw(st.integers(1, q))
+    p = draw(st.integers(1, 2 * q))  # p > q: more symbols than instants per row, the widest taps
     fs, rate = q * 1e6, p * 1e6  # rate / fs rounds to p / q exactly
     span = draw(st.integers(1, 16))
     n = 64 * q + draw(st.integers(0, 63))  # each phase serves 64 instants
@@ -517,6 +542,35 @@ class TestGridSampling:
         tol = 5e-11 * np.sqrt(stream.symbol_rate)
         got = frame[indices]
         np.testing.assert_allclose(got, [complex(v) for v in exact], rtol=0, atol=tol)
+
+    # 296e6 / 200e6 = 37 / 25 splits the phases at 23 (p > 2*span + 1 = 33); 12 / 7 takes one
+    # matrix.  Both read more symbols per row than they write instants.
+    @pytest.mark.parametrize("p, q", [(37, 25), (12, 7)])
+    def test_symbol_rate_above_fs_matches_float_instants(self, p, q):
+        fs, n = q * 8e6, 2048
+        bits = np.random.default_rng(5).integers(0, 2, 2 * (n * p // q + 40))
+        stream = StreamTerm(map_qpsk(bits), p * 8e6, 0.25, 16, 0.3 * fs)
+        clock, delay = 7.041e-9, 2.347e-9
+        with mock.patch.object(StreamTerm, "_pulse_sum", side_effect=AssertionError):
+            frame = sample_element(Waveform(terms=(stream,), delay=delay), clock, fs, n)
+        expected = stream.eval(np.arange(n) / fs + clock - delay)
+        tol = 5e-11 * np.sqrt(stream.symbol_rate)
+        np.testing.assert_allclose(frame, expected, rtol=0, atol=tol)
+
+    # fig18's interferer at 65,536 instants: 2,622 rows of 25, so the last 128-row block holds
+    # 62 rows and the last row 11 instants.  At 37 / 25 the phases also split at 23.
+    @pytest.mark.parametrize("rate", [64e6, 296e6])
+    def test_row_blocks_match_per_phase_einsum(self, rate):
+        cfg = replace(preset("fig18"), symbol_rate_hz=rate)
+        n, fs = cfg.frame_len, cfg.sample_rate_hz
+        stream = experiments._interferer_stream(cfg)
+        expected = grid_sum_by_phase(stream, n, fs, 7.041e-9)
+        got = stream._grid_sum(n, fs, 7.041e-9)
+        rms = np.sqrt(np.mean(np.abs(expected) ** 2))
+        # Both sum 2*span + 1 products per instant, in different orders.
+        tol = (2 * stream.span_symbols + 1) * np.finfo(float).eps * rms
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
 
     # 64,000,001 / 200e6 has no p / q with q <= 4096 / 64; 64e6 / 200e6 = 8 / 25 needs n >= 1,600.
     @pytest.mark.parametrize("rate, n", [(64_000_001.0, 4096), (64e6, 64 * 25 - 1)])
