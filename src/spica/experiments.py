@@ -370,24 +370,13 @@ def _sample_scene(cfg: ExperimentConfig, desired, branches, interferer=None, del
 
 def _scene_frames(scene: Scene, branches, fs: float, n: int, noise_rms: float = 0.0, grid=None):
     """Map each branch ``(delays, keys)`` to its ``(elements, ...)`` frame stack, holding none (a
-    generator would hold each while it is measured): element i is clocked at ``delays[i - 1]``
-    and, in RF_DERIVED, LO-aligned; noise is seeded by sweep point, one key per tone of a chunk
-    or a single key.  Unit tones at (k, 1) frequencies, beside silent sources, may come sampled
-    on the undelayed grid as ``grid``: a tone at t + d - tau is its value at t times at d - tau.
+    generator would hold each while it is measured): ``element_signal``'s frames on the clocks
+    ``delays``, from ``grid`` if given, plus noise seeded by sweep point, one key per tone of a
+    chunk or a single key.
     """
-    tau, rot = scene.arrivals()
-    aligned = scene.mode is SceneMode.RF_DERIVED and scene.undesired
-    lo = rot[1].conj() if aligned else np.ones(tau.shape[1])
-    gain, rot = (np.asarray(scene.element_mismatch) * lo)[:, None, None], rot[..., None, None]
-    waves = [element_signal(scene, i) * p for i, p in enumerate(lo, 1)] if grid is None else ()
-    sources = [s.waveform for s in (scene.desired, *scene.undesired)]
 
     def frames(delays, keys):
-        if grid is None:
-            out = np.stack([sample_element(w, d, fs, n) for w, d in zip(waves, delays)])
-        else:
-            t = (np.asarray(delays, dtype=float) - tau)[..., None, None]
-            out = grid * (gain * sum(r * w.eval(ti) for w, ti, r in zip(sources, t, rot)))
+        out = element_signal(scene, delays, fs, n, grid)
         if noise_rms:
             seed = [np.random.SeedSequence([*key, i + 1]) for i in range(len(out)) for key in keys]
             out = _noisy_frame(out, noise_rms, seed)

@@ -103,14 +103,7 @@ def plan_delay(target: float, max_offset: int = 2) -> tuple[int, int, int]:
     return tuple(int(code) for code in plan_delays(target, max_offset))
 
 
-def sample_element(
-    sig,
-    delay,
-    sample_rate: float,
-    n: int,
-    noise_rms: float = 0.0,
-    seed=None,
-) -> np.ndarray:
+def sample_element(sig, delay, sample_rate: float, n: int) -> np.ndarray:
     """Sample an analytic signal with a delayed clock.
 
     The k-th sample is ``sig.eval(k / sample_rate + d, sample_rate)`` where
@@ -123,25 +116,25 @@ def sample_element(
     Parameters
     ----------
     sig : Waveform, ToneTerm or StreamTerm
-        Signal to sample; its ``eval`` takes the instants and the sample
+        One source's signal; its ``eval`` takes the instants and the sample
         rate, so streams see the grid.
     delay : float
         Clock delay in seconds: a planned ``total_delay`` for quantized
         clocking, or any value for unquantized (ideal) clocking.
-    noise_rms : float
-        Total rms of the additive circular complex white noise per sample.
-    seed : int, SeedSequence, a list of them, or None
-        Noise seed, required whenever noise_rms > 0; a list holds one seed
-        per tone, so each tone draws the noise it would draw alone.
     """
     if n < 1 or sample_rate <= 0.0:
         raise ValueError(f"sample count must be >= 1 and sample_rate > 0, got {n}, {sample_rate}")
     t = np.arange(n) / sample_rate + float(delay)
-    return _noisy_frame(np.asarray(sig.eval(t, sample_rate), dtype=complex), noise_rms, seed)
+    return np.asarray(sig.eval(t, sample_rate), dtype=complex)
 
 
 def _noisy_frame(samples: np.ndarray, noise_rms: float, seed) -> np.ndarray:
-    """A frame of ``samples`` plus the noise ``sample_element`` documents, one seed per tone."""
+    """``samples`` plus circular complex white noise of total rms ``noise_rms`` per sample.
+
+    ``seed`` (an int, SeedSequence, or a list of them) is required whenever noise_rms > 0; a
+    list holds one seed per frame along the leading axes, so each tone of a ``(k, n)`` frame
+    draws the noise it would draw alone.
+    """
     if noise_rms > 0.0:
         if seed is None:
             raise ValueError("seed is required when noise_rms > 0")

@@ -285,12 +285,11 @@ class StreamTerm:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Linear combination of terms with an overall complex scale and delay.
+    """One source: a sum of ToneTerm and StreamTerm terms with a complex scale and a delay.
 
     Evaluation is ``scale * sum(term.eval(t - delay, fs))``, ``fs`` marking ``t``
-    as a sample grid (see StreamTerm).  Terms may be ToneTerm, StreamTerm, or nested
-    Waveform instances, so sums and delayed or scaled copies compose without
-    re-deriving the underlying signals.
+    as a sample grid (see StreamTerm).  A scene places and rotates each source
+    per element itself (see ``arrays.element_signal``), so nothing nests.
     An empty term list evaluates to zero everywhere.  The result has the
     shape of the instants (numpy's shape-() value for a scalar instant).
     """
@@ -312,10 +311,3 @@ class Waveform:
         for term in self.terms[1:]:
             acc = acc + term.eval(shifted, fs)
         return self.scale * acc if self.scale != 1.0 else acc
-
-    def delayed(self, delay: float) -> "Waveform":
-        """Copy of this waveform shifted later in time by ``delay`` seconds."""
-        return Waveform(terms=(self,), delay=delay)
-
-    def __mul__(self, factor) -> "Waveform":
-        return Waveform(terms=self.terms, scale=self.scale * factor, delay=self.delay)

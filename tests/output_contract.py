@@ -8,13 +8,16 @@ directories from the repository root with
 
     python tests/output_contract.py OLD_DIR NEW_DIR
 
-which prints, per CSV, the columns that moved and by how much.  It exits 1
-if any value breaks the contract, if a CSV is in only one of the two
-directories, or if OLD_DIR holds no CSV.
+which prints, per CSV, the columns that moved and by how much, and per
+``*_manifest.json`` whether its JSON is equal (``compare_manifest``).  It
+exits 1 if any value breaks the contract, if two manifests' JSON differs,
+if a CSV or manifest is in only one of the two directories, or if OLD_DIR
+holds no CSV.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -117,10 +120,23 @@ def compare_csv(old_text: str, new_text: str):
     return summary, violations
 
 
+def compare_manifest(old_text: str, new_text: str) -> list:
+    """Check a manifest's JSON against the old one; returns the top-level keys that differ."""
+    try:
+        old, new = json.loads(old_text), json.loads(new_text)
+    except json.JSONDecodeError as err:  # e.g. a run killed while writing it
+        return [f"not JSON: {err}"]
+    keys = sorted(old.keys() | new.keys())
+    return [f"{key} differs" for key in keys if old.get(key) != new.get(key)]
+
+
 def main(argv) -> int:
     old_dir, new_dir = map(Path, argv)
-    old_names, new_names = ({p.name for p in d.glob("*.csv")} for d in (old_dir, new_dir))
-    if not old_names:
+    old_names, new_names = (
+        {p.name for pattern in ("*.csv", "*_manifest.json") for p in d.glob(pattern)}
+        for d in (old_dir, new_dir)
+    )
+    if not any(name.endswith(".csv") for name in old_names):
         print(f"{old_dir}: no CSV to compare against")
         return 1
     failed = False
@@ -130,8 +146,12 @@ def main(argv) -> int:
             failed = True
             continue
         old_text, new_text = ((d / name).read_text() for d in (old_dir, new_dir))
-        summary, violations = compare_csv(old_text, new_text)
-        moved = [line for line in summary if not line.endswith("byte-identical")]
+        if name.endswith(".json"):
+            violations = compare_manifest(old_text, new_text)
+            moved = ["JSON equal, bytes differ"] if old_text != new_text and not violations else []
+        else:
+            summary, violations = compare_csv(old_text, new_text)
+            moved = [line for line in summary if not line.endswith("byte-identical")]
         print(f"{name}: " + ("; ".join(moved + violations[:5]) or "byte-identical"))
         failed = failed or bool(violations)
     return int(failed)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import ref_spectrum
+from helpers import frames_by_loop, ref_spectrum
 from spica import (
     Experiment,
     ExperimentConfig,
@@ -21,7 +21,6 @@ from spica import (
     ToneTerm,
     Waveform,
     cancellation_depth,
-    element_signal,
     mac_apply,
     plan_delay,
     plan_delays,
@@ -51,10 +50,7 @@ def _row_depths(scene, delays, fs, frame_len, band):
     """Per-row cancellation depth of the first undesired source."""
     n = scene.n_elements
     matrix = truncated_hadamard(n)
-    frames = [
-        sample_element(element_signal(scene, i + 1), delays[i], fs, frame_len)
-        for i in range(n)
-    ]
+    frames = list(frames_by_loop(scene, delays, fs, frame_len))
     zero = 0.0 * frames[0]
     outs = mac_apply(frames, matrix)
     refs = mac_apply([frames[0]] + [zero] * (n - 1), matrix)
@@ -135,11 +131,11 @@ def test_criterion_3_quantized_cancellation():
     eps = np.array([2.5e-12, -2.5e-12, 2.5e-12, -2.5e-12])
     wave = Waveform(terms=(ToneTerm(1.0, f),))
     aligned = [
-        sample_element(wave.delayed(i * delta), i * delta, fs, frame_len)
+        sample_element(Waveform(wave.terms, delay=i * delta), i * delta, fs, frame_len)
         for i in range(4)
     ]
     erred = [
-        sample_element(wave.delayed(i * delta), i * delta + eps[i], fs, frame_len)
+        sample_element(Waveform(wave.terms, delay=i * delta), i * delta + eps[i], fs, frame_len)
         for i in range(4)
     ]
     coherent_ref = sum(aligned)

@@ -1,17 +1,21 @@
-"""Scene construction, LO alignment and per-element synthesis tests."""
+"""Scene construction, LO alignment and scene synthesis tests."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import tone
+from helpers import frames_by_loop, tone
 from spica import (
     Scene,
     SceneMode,
     SourceSpec,
+    StreamTerm,
+    ToneTerm,
     Waveform,
     element_signal,
     experiments,
-    sample_element,
+    map_qpsk,
 )
 
 N, FC = 4, 1e9
@@ -48,35 +52,49 @@ class TestSceneConstruction:
         np.testing.assert_array_equal(rot, np.ones((2, 4)))
 
 
+FS, NS = 3.2e8, 33
+T = np.arange(NS) / FS  # the undelayed clock's instants
+
+
+def sampled(sc, delays=(0.0,) * N):
+    return element_signal(sc, list(delays), FS, NS)
+
+
 class TestElementSignal:
-    def test_index_range(self):
+    def test_delay_count_checked(self):
         sc = Scene(N, FC, SourceSpec(tone(1e6)))
-        with pytest.raises(ValueError, match="out of range"):
-            element_signal(sc, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            element_signal(sc, 5)
+        with pytest.raises(ValueError, match="3 clock delays for 4 elements"):
+            element_signal(sc, [0.0] * 3, FS, NS)
+        with pytest.raises(ValueError, match="5 clock delays for 4 elements"):
+            element_signal(sc, [0.0] * 5, FS, NS)
 
     def test_first_element_is_undelayed(self):
         w = tone(50e6, phase=0.3)
         sc = Scene(N, FC, SourceSpec(w, DT_45))
-        t = np.linspace(0.0, 1e-7, 33)
-        np.testing.assert_allclose(element_signal(sc, 1).eval(t), w.eval(t), atol=0)
+        np.testing.assert_array_equal(sampled(sc)[0], w.eval(T))
+
+    def test_clock_delay_advances_every_source(self):
+        # element i clocked d late samples each source at t + d - tau
+        des, ud = SourceSpec(tone(2e6, amp=0.5), 8.7e-11), SourceSpec(tone(40e6), DT_45)
+        sc = Scene(N, FC, des, undesired=(ud,))
+        delays = [0.0, 1.3e-9, 2.6e-9, -4e-10]
+        got = sampled(sc, delays)
+        for i, d in enumerate(delays):
+            want = des.waveform.eval(T + d - i * des.delay) + ud.waveform.eval(T + d - i * ud.delay)
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
 
     def test_bb_direct_delay_is_baseband_rotation(self):
         # a pure baseband tone delayed by k*dt picks up exp(-j*2*pi*f*k*dt)
         f = 50e6
         sc = Scene(N, FC, SourceSpec(tone(f), DT_45))
-        t = np.linspace(0.0, 1e-7, 33)
-        got = element_signal(sc, 3).eval(t)
-        expected = tone(f).eval(t) * np.exp(-2j * np.pi * f * 2 * DT_45)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        expected = tone(f).eval(T) * np.exp(-2j * np.pi * f * 2 * DT_45)
+        np.testing.assert_allclose(sampled(sc)[2], expected, atol=1e-12)
 
     def test_rf_derived_adds_carrier_rotation(self):
         f = 50e6
         sc = Scene(N, FC, SourceSpec(tone(f), DT_45), mode=SceneMode.RF_DERIVED)
-        t = np.linspace(0.0, 1e-7, 33)
-        got = element_signal(sc, 2).eval(t)
-        expected = tone(f).eval(t - DT_45) * np.exp(-2j * np.pi * FC * DT_45)
+        got = sampled(sc)[1]
+        expected = tone(f).eval(T - DT_45) * np.exp(-2j * np.pi * FC * DT_45)
         np.testing.assert_allclose(got, expected, atol=1e-12)
         # carrier phase step for d/lambda = 0.5 at 45 degrees, by hand:
         # 2*pi*0.5*sin(45 deg) = 2.2214414690791831 rad
@@ -88,22 +106,59 @@ class TestElementSignal:
         ud1 = SourceSpec(tone(40e6), DT_45)
         ud2 = SourceSpec(tone(-30e6, phase=1.0), -1.71e-10)
         sc = Scene(N, FC, des, undesired=(ud1, ud2))
-        t = np.linspace(0.0, 1e-6, 65)
         i = 4
-        acc = np.zeros(t.shape, complex)
+        acc = np.zeros(T.shape, complex)
         for src, tau in zip((des, ud1, ud2), sc.arrivals()[0][:, i - 1]):
-            acc += src.waveform.eval(t - tau)
-        np.testing.assert_allclose(element_signal(sc, i).eval(t), acc, atol=1e-12)
+            acc += src.waveform.eval(T - tau)
+        np.testing.assert_allclose(sampled(sc)[i - 1], acc, atol=1e-12)
 
     def test_element_mismatch_scales_output(self):
         sc = Scene(N, FC, SourceSpec(tone(5e6), 1.71e-10), element_mismatch=(1.0, 0.5j, 1.0, 1.0))
         ref = Scene(N, FC, SourceSpec(tone(5e6), 1.71e-10))
-        t = np.linspace(0.0, 1e-6, 17)
-        np.testing.assert_allclose(
-            element_signal(sc, 2).eval(t),
-            0.5j * element_signal(ref, 2).eval(t),
-            atol=1e-15,
-        )
+        np.testing.assert_allclose(sampled(sc)[1], 0.5j * sampled(ref)[1], atol=1e-15)
+
+
+# Symbol rates at 200 MHz over 512 samples: p/q with q <= 512 // 64, which take the stream's
+# grid product, or any other rate, which almost never does.
+_RATES = st.sampled_from([25e6, 40e6, 75e6]) | st.floats(1e6, 9e7)
+
+
+@st.composite
+def _streams(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return StreamTerm(
+        map_qpsk(rng.integers(0, 2, 2 * draw(st.integers(4, 40)))),
+        draw(_RATES),
+        draw(st.sampled_from([0.25, 1.0])),
+        draw(st.integers(1, 6)),
+        draw(st.just(0.0) | st.floats(-5e7, 5e7)),
+    )
+
+
+@given(
+    desired=_streams(),
+    interferer=_streams(),
+    scale=st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0),
+    desired_delay=st.floats(-2e-8, 2e-8),
+    delta=st.floats(-15e-9, 15e-9),
+    mode=st.sampled_from(list(SceneMode)),
+    gains=st.lists(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0), min_size=N, max_size=N),
+    clocks=st.lists(st.just(0.0) | st.floats(-5e-8, 5e-8), min_size=N, max_size=N),
+)
+@settings(max_examples=60, deadline=None)
+def test_stream_scene_matches_loop_bit_for_bit(
+    desired, interferer, scale, desired_delay, delta, mode, gains, clocks
+):
+    # a delayed, scaled desired stream and an interferer of a stream and a tone, at mismatched
+    # elements; in RF_DERIVED each element's LO phasor conjugates the interferer's rotation
+    wave = Waveform(terms=(desired,), scale=scale, delay=desired_delay)
+    ud = SourceSpec(Waveform(terms=(interferer, ToneTerm(0.5, 7e6, 0.3))), delta)
+    sc = Scene(N, FC, SourceSpec(wave, 1.3e-10), (ud,), element_mismatch=gains, mode=mode)
+    lo = None
+    if mode is SceneMode.RF_DERIVED:
+        lo = np.exp(-2j * np.pi * FC * np.arange(N) * delta).conj()
+    got = element_signal(sc, clocks, 200e6, 512)
+    assert np.array_equal(got, frames_by_loop(sc, clocks, 200e6, 512, lo))
 
 
 def scene_frames(sc, fs=1e9, n=16):
@@ -114,7 +169,7 @@ def scene_frames(sc, fs=1e9, n=16):
 
 def direct_frames(sc, fs=1e9, n=16):
     """Each element's received signal sampled on its own, with no LO phasor."""
-    return [sample_element(element_signal(sc, i), 0.0, fs, n) for i in range(1, N + 1)]
+    return frames_by_loop(sc, [0.0] * N, fs, n)
 
 
 class TestLoAlign:

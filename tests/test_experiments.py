@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_spectrum
+from helpers import frames_by_loop, ref_spectrum
 from output_contract import check_column
 from spica import experiments, metrics
 from spica import (
@@ -30,7 +30,6 @@ from spica import (
     cancellation_depth,
     conversion_gain_measured,
     desired_conversion_gain,
-    element_signal,
     load_config,
     mac_apply,
     plan_delay,
@@ -42,6 +41,7 @@ from spica import (
     truncated_hadamard,
 )
 from spica.cli import main
+from spica.ttd import _noisy_frame
 
 
 def read_csv(path):
@@ -514,10 +514,7 @@ class TestRunners:
         interferer = SourceSpec(Waveform(terms=(ToneTerm(1.0, 60e6),)), delta)
         scene = Scene(n, fc, desired, (interferer,), mode=SceneMode.RF_DERIVED)
         phasors = np.exp(2j * np.pi * fc * np.arange(n) * delta)
-        frames = [
-            sample_element(element_signal(scene, i + 1) * phasors[i], i * delta, fs, 2048)
-            for i in range(n)
-        ]
+        frames = list(frames_by_loop(scene, [i * delta for i in range(n)], fs, 2048, phasors))
         # the desired tone alone through element 1: the single-input reference
         ref = sample_element(Waveform(terms=(ToneTerm(1.0, f),)), 0.0, fs, 2048)
         outs = mac_apply(frames, truncated_hadamard(n))
@@ -635,15 +632,11 @@ def per_tone_rows(cfg: ExperimentConfig) -> list:
             values = []
             for branch, delays in enumerate((ideal, quant) if sweep else (ideal,)):
                 key = (cfg.seed or 0, d_idx, f_idx, branch)[: 4 if sweep else 3]
-                frames = []
-                for i in range(1, n + 1):
-                    seed = np.random.SeedSequence([*key, i]) if cfg.noise_rms else None
-                    wave = element_signal(scene, i)
-                    if phasors is not None:
-                        wave = wave * phasors[i - 1]
-                    frames.append(
-                        sample_element(wave, delays[i - 1], fs, n_samples, cfg.noise_rms, seed)
-                    )
+                clean = frames_by_loop(scene, delays, fs, n_samples, phasors)
+                frames = [
+                    _noisy_frame(frame, cfg.noise_rms, np.random.SeedSequence([*key, i + 1]))
+                    for i, frame in enumerate(clean)
+                ]
                 outs = mac_apply(frames, truncated_hadamard(n))
                 ref = ref_spectrum(frames[0], fs)
                 if sweep:
@@ -942,10 +935,9 @@ def test_rotated_tone_frames_match_direct_sampling(
     phasors = np.ones(n)
     if interferer and mode is SceneMode.RF_DERIVED:
         phasors = np.exp(2j * np.pi * fc * np.arange(n) * delta)
-    for i in range(n):
-        wave = element_signal(scene, i + 1) * phasors[i]
+    for i, clean in enumerate(frames_by_loop(scene, delays, fs, n_samples, phasors)):
         seeds = [np.random.SeedSequence([*key, i + 1]) for key in keys]
-        want = sample_element(wave, delays[i], fs, n_samples, noise_rms, seeds)
+        want = _noisy_frame(clean, noise_rms, seeds)
         np.testing.assert_allclose(frames[i], want, rtol=0, atol=1e-11)
 
 

@@ -4,6 +4,7 @@
 and ``golden/rf``.
 """
 
+import json
 import shutil
 
 import pytest
@@ -74,7 +75,8 @@ class TestComparator:
 
 
 class TestCheckerScript:
-    """``output_contract.main``, the ``OLD_DIR NEW_DIR`` script mode, on copies of golden CSVs."""
+    """``output_contract.main``, the ``OLD_DIR NEW_DIR`` script mode, on copies of golden CSVs
+    and on manifests."""
 
     @pytest.fixture
     def dirs(self, tmp_path):
@@ -108,6 +110,30 @@ class TestCheckerScript:
         out = capsys.readouterr().out
         assert "empty.csv: old and new CSV empty" in out
         assert "fig10.csv: byte-identical" in out and "fig18.csv: byte-identical" in out
+
+    def test_manifests_compare_as_json(self, dirs, capsys):
+        manifest = {"config": {"seed": 181}, "derived": {"planned_configs": [[0, "I_P", 0]]}}
+        (dirs[0] / "fig18_manifest.json").write_text(json.dumps(manifest))
+        (dirs[1] / "fig18_manifest.json").write_text(json.dumps(manifest, indent=1))
+        assert main(map(str, dirs)) == 0
+        assert "fig18_manifest.json: JSON equal, bytes differ" in capsys.readouterr().out
+        manifest["derived"]["planned_configs"][0][2] = 1
+        (dirs[1] / "fig18_manifest.json").write_text(json.dumps(manifest))
+        assert main(map(str, dirs)) == 1
+        out = capsys.readouterr().out
+        assert "fig18_manifest.json: derived differs" in out and "fig18.csv: byte-identical" in out
+
+    def test_truncated_manifest_fails_and_the_rest_is_reported(self, dirs, capsys):
+        (dirs[0] / "fig18_manifest.json").write_text('{"config": {"seed": 181}}')
+        (dirs[1] / "fig18_manifest.json").write_text('{"config": ')
+        assert main(map(str, dirs)) == 1
+        out = capsys.readouterr().out
+        assert "fig18_manifest.json: not JSON" in out and "fig18.csv: byte-identical" in out
+
+    def test_manifest_only_in_one_dir_fails(self, dirs, capsys):
+        (dirs[0] / "fig10_manifest.json").write_text("{}")
+        assert main(map(str, dirs)) == 1
+        assert f"fig10_manifest.json: only in {dirs[0]}" in capsys.readouterr().out
 
     def test_old_dir_without_csv_fails(self, dirs, capsys):
         assert main([str(dirs[0] / "typo"), str(dirs[1])]) == 1

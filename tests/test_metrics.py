@@ -34,6 +34,7 @@ from spica import (
 )
 from helpers import ref_spectrum, tone
 from spica.metrics import _DB_FLOOR, _median_db
+from spica.ttd import _noisy_frame
 
 FS = 200e6
 
@@ -79,7 +80,7 @@ class TestWelchPsd:
 
     def test_noise_integrates_to_variance(self):
         rms = 0.3
-        frame = sample_element(tone(0.0, amp=0.0), 0.0, FS, 16384, noise_rms=rms, seed=17)
+        frame = _noisy_frame(sample_element(tone(0.0, amp=0.0), 0.0, FS, 16384), rms, 17)
         spec = spectrum(frame)
         total = band(spec, spec[0][0], spec[0][-1])
         assert total == pytest.approx(rms**2, rel=0.05)
@@ -290,7 +291,7 @@ class TestConversionGainMeasured:
         delta = 1.0 / (2.0 * f)
         m = truncated_hadamard(4)
         frames = [
-            sample_element(tone(f) * np.exp(2j * np.pi * f * i * delta), 0.0, FS, 8192)
+            np.exp(2j * np.pi * f * i * delta) * sample_element(tone(f), 0.0, FS, 8192)
             for i in range(4)
         ]
         zero = 0.0 * frames[0]
@@ -303,7 +304,7 @@ class TestConversionGainMeasured:
         f, delta, row = 50e6, 1e-9, 1
         m = truncated_hadamard(4)
         frames = [
-            sample_element(tone(f) * np.exp(2j * np.pi * f * i * delta), 0.0, FS, 8192)
+            np.exp(2j * np.pi * f * i * delta) * sample_element(tone(f), 0.0, FS, 8192)
             for i in range(4)
         ]
         zero = 0.0 * frames[0]
@@ -317,7 +318,7 @@ class TestConversionGainMeasured:
         f, delta = 50e6, 1e-9
         m = truncated_hadamard(4)
         frames = [
-            sample_element(tone(f) * np.exp(2j * np.pi * f * i * delta), 0.0, FS, 8192)
+            np.exp(2j * np.pi * f * i * delta) * sample_element(tone(f), 0.0, FS, 8192)
             for i in range(4)
         ]
         rows, ref = mac_apply(frames, m), ref_spectrum(frames[0], FS)
@@ -327,7 +328,7 @@ class TestConversionGainMeasured:
 
     def test_missing_tone_raises(self):
         present = sample_element(tone(50e6), 0.0, FS, 8192)
-        absent = sample_element(tone(0.0, amp=0.0), 0.0, FS, 8192, noise_rms=0.01, seed=3)
+        absent = _noisy_frame(sample_element(tone(0.0, amp=0.0), 0.0, FS, 8192), 0.01, 3)
         with pytest.raises(MeasurementError, match="below the one-input"):
             conversion_gain_measured(present, ref_spectrum(absent, FS), FS, 50e6)
 
@@ -339,13 +340,10 @@ class TestToneChunkMeasurement:
 
     def elements(self, arrival, clock, noise_rms=0.0):
         """Frames of the chunk at four elements: i * arrival late, sampled i * clock late."""
-        chunk = Waveform(terms=(ToneTerm(1.0, self.FREQS[:, None]),))
+        terms = (ToneTerm(1.0, self.FREQS[:, None]),)
         return [
-            sample_element(
-                chunk.delayed(i * arrival),
-                i * clock,
-                FS,
-                2048,
+            _noisy_frame(
+                sample_element(Waveform(terms, delay=i * arrival), i * clock, FS, 2048),
                 noise_rms,
                 [np.random.SeedSequence([3, k, i]) for k in range(self.FREQS.size)],
             )
@@ -469,7 +467,7 @@ class TestToneChunkMeasurement:
         freqs = np.array([20e6, 40e6, 60e6, 80e6])
         chunk = Waveform(terms=(ToneTerm(1.0, freqs[:, None]),))
         seeds = [np.random.SeedSequence([9, k]) for k in range(freqs.size)]
-        one = sample_element(chunk, 0.0, FS, 2048, 1e-3, seeds)
+        one = _noisy_frame(sample_element(chunk, 0.0, FS, 2048), 1e-3, seeds)
         # the third of four tones is absent from the all-input frames
         all_in = one * np.array([1.0, 1.0, 0.0, 1.0])[:, None]
         named = r"tone at 6e\+07 Hz is below the all-input"
@@ -494,8 +492,8 @@ class TestToneChunkMeasurement:
         chunk = Waveform(terms=(ToneTerm(1.0, freqs[:, None]),))
         silent = Waveform(terms=(ToneTerm(0.0, freqs[:, None]),))
         seeds = [np.random.SeedSequence([9, k]) for k in range(freqs.size)]
-        tones = sample_element(chunk, 0.0, FS, 2048, 1e-3, seeds)
-        noise = sample_element(silent, 0.0, FS, 2048, 1e-3, seeds)
+        tones = _noisy_frame(sample_element(chunk, 0.0, FS, 2048), 1e-3, seeds)
+        noise = _noisy_frame(sample_element(silent, 0.0, FS, 2048), 1e-3, seeds)
 
         def without(gone):
             return np.where(np.isin(np.arange(freqs.size), gone)[:, None], noise, tones)
@@ -699,7 +697,7 @@ class TestSampleRateScaling:
         """Reference tones ``(k, n)`` and three rows ``(3, k, n)`` at their own gains."""
         chunk = Waveform(terms=(ToneTerm(1.0, self.FREQS[:, None]),))
         seeds = [np.random.SeedSequence([4, k]) for k in range(self.FREQS.size)]
-        ref = sample_element(chunk, 0.0, FS, 2048, 1e-3, seeds)
+        ref = _noisy_frame(sample_element(chunk, 0.0, FS, 2048), 1e-3, seeds)
         return ref, np.array([0.5, 1e-3, 2.0])[:, None, None] * ref
 
     def test_measurements_are_bit_identical(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import frames_by_loop
 from spica import (
     ExperimentConfig,
     Scene,
@@ -15,7 +16,6 @@ from spica import (
     SourceSpec,
     ToneTerm,
     Waveform,
-    element_signal,
     experiments,
     ps_residual_gain,
     sample_element,
@@ -194,10 +194,7 @@ def ps_cancel_stream(frames, align_phase: float) -> np.ndarray:
 
 
 def _element_frames(scene, fs, n_samples):
-    return [
-        sample_element(element_signal(scene, i), 0.0, fs, n_samples)
-        for i in range(1, scene.n_elements + 1)
-    ]
+    return frames_by_loop(scene, [0.0] * scene.n_elements, fs, n_samples)
 
 
 class TestCancelStream:

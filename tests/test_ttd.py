@@ -27,6 +27,7 @@ from spica import (
     total_delay,
     truncated_hadamard,
 )
+from spica.ttd import _noisy_frame
 from spica.waveform import StreamTerm, map_qpsk
 
 
@@ -187,17 +188,17 @@ class TestSampleElement:
         stream = Waveform(terms=(StreamTerm(syms, 16e6, center_freq=20e6),))
         d = 2.347e-9
         ref = sample_element(stream, 0.0, 2e8, 512)
-        realigned = sample_element(stream.delayed(d), d, 2e8, 512)
+        realigned = sample_element(Waveform(stream.terms, delay=d), d, 2e8, 512)
         err = np.max(np.abs(realigned - ref))
         assert err <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_noise_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
-            sample_element(tone(1e6), 0.0, 1e8, 16, noise_rms=0.1)
+            _noisy_frame(sample_element(tone(1e6), 0.0, 1e8, 16), 0.1, None)
 
     def test_noise_deterministic_and_scaled(self):
-        a = sample_element(tone(0.0), 0.0, 1e8, 4096, noise_rms=0.1, seed=7)
-        b = sample_element(tone(0.0), 0.0, 1e8, 4096, noise_rms=0.1, seed=7)
+        a = _noisy_frame(sample_element(tone(0.0), 0.0, 1e8, 4096), 0.1, 7)
+        b = _noisy_frame(sample_element(tone(0.0), 0.0, 1e8, 4096), 0.1, 7)
         np.testing.assert_array_equal(a, b)
         noise = a - 1.0
         assert np.sqrt(np.mean(np.abs(noise) ** 2)) == pytest.approx(0.1, rel=0.05)
@@ -226,15 +227,15 @@ class TestToneChunk:
     def test_sample_element_matches_per_tone_calls(self, noise_rms):
         # one seed per tone, keyed like the runners' (..., tone, element) keys
         seeds = [np.random.SeedSequence([5, k, 1]) for k in range(self.FREQS.size)]
-        got = sample_element(self.chunk(), 1.3e-9, 2e8, 256, noise_rms, seeds)
+        got = _noisy_frame(sample_element(self.chunk(), 1.3e-9, 2e8, 256), noise_rms, seeds)
         assert got.shape == (self.FREQS.size, 256)
         for k, f in enumerate(self.FREQS.tolist()):
-            one = sample_element(tone(f), 1.3e-9, 2e8, 256, noise_rms, seeds[k])
+            one = _noisy_frame(sample_element(tone(f), 1.3e-9, 2e8, 256), noise_rms, seeds[k])
             np.testing.assert_array_equal(got[k], one)
 
     def test_noise_seed_count_checked(self):
         with pytest.raises(ValueError):
-            sample_element(self.chunk(), 0.0, 2e8, 16, noise_rms=0.1, seed=[1, 2])
+            _noisy_frame(sample_element(self.chunk(), 0.0, 2e8, 16), 0.1, [1, 2])
 
     def test_mac_apply_matches_per_tone_calls(self):
         m = truncated_hadamard(4)
@@ -321,7 +322,7 @@ class TestMacApply:
         # dual route: sampled MAC output vs the closed-form row gain
         f, delta, n = 37e6, 1.3e-9, 4
         frames = [
-            sample_element(tone(f) * np.exp(2j * np.pi * f * i * delta), 0.0, 2e8, 128)
+            np.exp(2j * np.pi * f * i * delta) * sample_element(tone(f), 0.0, 2e8, 128)
             for i in range(n)
         ]
         outs = mac_apply(frames, truncated_hadamard(n))
@@ -476,7 +477,7 @@ class TestEqualize:
         fs, nsamp, delta, row = 2e8, 1024, 1.3e-9, 1
         f = 96 * fs / nsamp  # exactly on an FFT bin
         frames = [
-            sample_element(tone(f) * np.exp(2j * np.pi * f * i * delta), 0.0, fs, nsamp)
+            np.exp(2j * np.pi * f * i * delta) * sample_element(tone(f), 0.0, fs, nsamp)
             for i in range(4)
         ]
         distorted = mac_apply(frames, truncated_hadamard(4))[row]
@@ -490,7 +491,7 @@ class TestEqualize:
         fs, nsamp, delta, row, fc = 2e8, 1024, 2.347e-9, 0, 10e9
         f = 96 * fs / nsamp
         frames = [
-            sample_element(tone(f) * np.exp(2j * np.pi * (f + fc) * i * delta), 0.0, fs, nsamp)
+            np.exp(2j * np.pi * (f + fc) * i * delta) * sample_element(tone(f), 0.0, fs, nsamp)
             for i in range(4)
         ]
         distorted = mac_apply(frames, truncated_hadamard(4))[row]
