@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waveform import Waveform
+from .waveform import StreamTerm, Waveform
 
 __all__ = [
     "SceneMode",
@@ -87,7 +87,9 @@ def element_signal(scene: Scene, delays, fs: float, n: int, grid=None) -> np.nda
     ``Scene.arrivals`` and gain_i is the element's mismatch times, in RF_DERIVED, its LO phasor.
     Unit tones at (k, 1) frequencies, beside silent sources, may come sampled on the undelayed
     grid as ``grid``: a tone at t + d - tau is its value at t times at d - tau, so every element
-    is one broadcast.  Otherwise each source is evaluated per element, on the stream's grid.
+    is one broadcast.  Otherwise the frame is allocated once and each source written into it: a
+    single stream on its grid for every element at once, a block of rows at a time, and any
+    other source one element at a time.
     """
     if len(delays) != scene.n_elements:
         raise ValueError(f"{len(delays)} clock delays for {scene.n_elements} elements")
@@ -100,18 +102,37 @@ def element_signal(scene: Scene, delays, fs: float, n: int, grid=None) -> np.nda
         gain = gain[:, None, None]
         return grid * (gain * sum(r * w.eval(ti) for w, ti, r in zip(sources, t, rot)))
 
-    # Functions free temporaries in the order the per-element trees did (other orders faulted
-    # in 780 more heap pages a fig18 + fig19 pass); the trees' float order keeps the CSVs' bytes.
-    def placed(s, i, t):
-        shifted = t - tau[s, i] if tau[s, i] != 0.0 else t
-        value = sources[s].eval(shifted, fs)
-        return rot[s, i] * value if rot[s, i] != 1.0 else value
+    out = np.empty((len(delays), n), dtype=complex)
+    clocks = np.asarray(delays, dtype=float)
+    for s, w in enumerate(sources):
+        for at, value in _placed(w, clocks, tau[s], rot[s], fs, n):
+            if s:
+                out[at] += value
+            else:
+                out[at] = value
+    for i in np.flatnonzero(gain != 1.0):
+        np.multiply(gain[i], out[i], out=out[i])
+    return out
 
-    def frame(i, d):
-        t = np.arange(n) / fs + float(d)
-        acc = placed(0, i, t)
-        for s in range(1, len(sources)):
-            acc = acc + placed(s, i, t)
-        return gain[i] * acc if gain[i] != 1.0 else acc
 
-    return np.stack([frame(i, d) for i, d in enumerate(delays)])
+def _placed(w: Waveform, clocks, tau, rot, fs: float, n: int):
+    """``(index, values)`` pairs that together give rot_i * w(arange(n) / fs + clocks_i - tau_i)
+    for every element i, each factor taken where it is not 1 and in the float order of one
+    element's evaluation: the scale, then the rotation.
+    """
+    term = w.terms[0] if len(w.terms) == 1 else None
+    blocks = term._grid_sum(n, fs, clocks - tau - w.delay) if isinstance(term, StreamTerm) else None
+    if blocks is not None:  # a stream on its grid: every element's rows at once
+        turned = np.flatnonzero(rot != 1.0)
+        for j, block in blocks:
+            if w.scale != 1.0:
+                np.multiply(w.scale, block, out=block)
+            for i in turned:
+                np.multiply(rot[i], block[i], out=block[i])
+            yield (slice(None), slice(j, j + block.shape[1])), block
+    elif not w.terms:  # a silent source: rotated zeros
+        yield ..., (rot * 0j)[:, None]
+    else:  # tones, several terms or a stream off its grid: one element at a time
+        for i, clock in enumerate(clocks):
+            value = w.eval(np.arange(n) / fs + clock - tau[i], fs)
+            yield i, rot[i] * value if rot[i] != 1.0 else value

@@ -165,8 +165,11 @@ class StreamTerm:
     symbols within ``span_symbols`` of it.  Given ``fs``, ``t`` is the n-point
     grid t[0] + j / fs; if symbol_rate / fs = p / q exactly with q <= n / 64,
     rows of q instants are a p-strided symbol window times a tap matrix of the
-    q phases' pulses (one matrix while p <= 2*span + 1).  Otherwise instants
-    sum their pulses by angle addition around the nearest symbol.
+    q phases' pulses (one matrix while p <= 2*span + 1), and the grid sampler
+    takes several elements' starts at once: one pulse evaluation and one
+    product per block of rows for them all (see ``arrays.element_signal``).
+    Otherwise instants sum their pulses by angle addition around the nearest
+    symbol.
     ``center_freq`` shifts the occupied band away from DC by multiplying the
     envelope with exp(j*2*pi*center_freq*t); on the p/q grid that is a factor
     per phase, at t[0] + phi / fs, times one per row of q instants, its whole
@@ -201,8 +204,12 @@ class StreamTerm:
     def eval(self, t, fs=None) -> np.ndarray:
         """Sum of shaped symbol pulses at time ``t``, shaped like ``t`` (0-d for a scalar)."""
         t_flat = np.asarray(t, dtype=float).ravel()
-        acc = None if fs is None else self._grid_sum(t_flat.size, fs, t_flat[0])
-        if acc is None:
+        blocks = None if fs is None else self._grid_sum(t_flat.size, fs, t_flat[:1])
+        if blocks is not None:
+            acc = np.empty(t_flat.shape, dtype=complex)
+            for j, block in blocks:
+                acc[j : j + block.shape[1]] = block[0]
+        else:
             acc = np.zeros(t_flat.shape, dtype=complex)
             # A pulse reaches only instants whose nearest symbol (k0 in _pulse_sum)
             # is within span_symbols of the stream; every other instant stays 0.
@@ -214,38 +221,62 @@ class StreamTerm:
                 acc *= np.exp(2j * np.pi * self.center_freq * t_flat)
         return acc.reshape(np.shape(t))
 
-    def _grid_sum(self, n: int, fs: float, t0: float):
-        """The stream at the instants j / fs + t0, j < n, or None (see the class docstring)."""
+    def _grid_sum(self, n: int, fs: float, t0: np.ndarray):
+        """The stream at the instants j / fs + t0[e], j < n, for each of the E starts ``t0``, or
+        None off the p/q grid (see the class docstring).
+
+        The result yields ``(j, block)`` pairs, ``block[e]`` holding element e's instants from j
+        on, up to 128 rows of q; a block is overwritten by the next one.
+        """
         rate, span, ratio = self.symbol_rate, self.span_symbols, self.symbol_rate / fs
         p, q = Fraction(ratio).limit_denominator(max(n // _PHASE_INSTANTS, 1)).as_integer_ratio()
         if p / q != ratio:
             return None
-        c = np.arange(q) * p / q + t0 * rate
+        c = np.arange(q) * p / q + t0[:, None] * rate
         k0 = np.rint(c).astype(np.int64)
-        x = (c - k0)[:, None] - np.arange(-span, span + 1)
+        x = (c - k0)[..., None] - np.arange(-span, span + 1)
         pulses = rrc_pulse(x / rate, rate, self.rolloff, span)
-        # Instant q*m + phi reads symbols m*p + k0[phi] +- span; buf[i] is symbol first + i,
-        # or 0 off the stream, where the clipped index reads an end of pad.
-        rows, first = -(-n // q), k0[0] - span
-        pad = np.concatenate(([0j], self.symbols, [0j]))
-        buf = np.take(pad, np.arange(first, (rows - 1) * p + k0[-1] + span + 1) + 1, mode="clip")
-        # g phases keep taps within 2*w rows and 128-row blocks keep BLAS's copies under 128 KB.
-        shift, w = k0 - k0[0], 2 * span + 1
-        windows = sliding_window_view(np.stack((buf.real, buf.imag)), w + shift[-1], 1)[:, ::p]
-        acc, g = np.empty((rows, q, 2)), -(-w * q // p)
-        for a in range(0, q, g):
-            s = shift[a : a + g] - shift[a]
-            taps = np.zeros((w + s[-1], s.size))
-            taps[s[:, None] + np.arange(w), np.arange(s.size)[:, None]] = pulses[a : a + g]
-            for r in range(0, rows, 128):
-                block = windows[:, r : r + 128, shift[a] : shift[a] + w + s[-1]]
-                np.matmul(block, taps, out=acc[r : r + 128, a : a + g].transpose(2, 0, 1))
-        acc = acc.view(complex)[..., 0]
+        # Element e's instant q*m + phi reads symbols m*p + k0[e, phi] +- span; buf[:, i] holds
+        # symbol lo + i, or 0 off the stream, as far as the tallest taps (2*w rows) reach.
+        rows, w, elements = -(-n // q), 2 * span + 1, len(t0)
+        lo = k0[:, 0].min() - span
+        buf = np.zeros((2, (rows - 1) * p + k0.max() - lo + 2 * w))
+        on, off = np.clip([lo, lo + buf.shape[1]], 0, self.symbols.size)
+        buf[:, on - lo : off - lo] = self.symbols[on:off].view(float).reshape(-1, 2).T
+        # Groups of phases keep taps within 2*w rows.  A group's last phase starts at most
+        # (b - a - 1) * p // q + 1 symbols past its first (a lone phase, 0), so that height serves
+        # every element and its sums do not depend on the others: BLAS rounds zero rows after
+        # the pulses away, not zero rows before them.  One product per run of elements whose
+        # windows start at one symbol, into 128-row blocks that keep BLAS's copies small and
+        # take the row and phase factors while in cache.
+        out, products = np.empty((elements, 128, q, 2)), []
+        starts = range(0, q, -(-w * q // p))
+        for a, b in zip(starts, [*starts[1:], q]):
+            taps = np.zeros((elements, w + (b - a - 1) * p // q + (b - a > 1), b - a))
+            at = (k0[:, a:b] - k0[:, a : a + 1])[..., None] + np.arange(w)
+            taps[np.arange(elements)[:, None, None], at, np.arange(b - a)[:, None]] = pulses[:, a:b]
+            first = k0[:, a] - span - lo
+            cuts = [0, *(np.flatnonzero(np.diff(first)) + 1), elements]
+            for e, f in zip(cuts, cuts[1:]):
+                windows = sliding_window_view(buf[:, first[e] :], taps.shape[1], 1)[:, ::p]
+                products.append((windows, taps[e:f], out[e:f, :, a:b].transpose(3, 0, 1, 2)))
         if self.center_freq != 0.0:
             cycles = self.center_freq * q / fs * np.arange(rows)
-            acc *= np.exp(2j * np.pi * (cycles - np.rint(cycles)))[:, None]
-            acc *= np.exp(2j * np.pi * self.center_freq * (t0 + np.arange(q) / fs))
-        return acc.ravel()[:n]
+            per_row = np.exp(2j * np.pi * (cycles - np.rint(cycles)))[:, None]
+            per_phase = np.exp(2j * np.pi * self.center_freq * (t0[:, None] + np.arange(q) / fs))
+
+        def blocks():
+            for r in range(0, rows, 128):
+                m = min(128, rows - r)
+                for windows, taps, dest in products:
+                    np.matmul(windows[:, None, r : r + m], taps, out=dest[:, :, :m])
+                acc = out[:, :m].view(complex)[..., 0]
+                if self.center_freq != 0.0:
+                    acc *= per_row[r : r + m]
+                    acc *= per_phase[:, None]
+                yield r * q, acc.reshape(elements, -1)[:, : n - r * q]
+
+        return blocks()
 
     def _pulse_sum(self, t_arr: np.ndarray) -> np.ndarray:
         """Baseband sum of shaped symbol pulses at the 1-D instants ``t_arr``."""

@@ -161,6 +161,33 @@ def test_stream_scene_matches_loop_bit_for_bit(
     assert np.array_equal(got, frames_by_loop(sc, clocks, 200e6, 512, lo))
 
 
+# Every element's stream comes from one product per run of elements whose windows start at one
+# symbol.  At 40 MHz (1 symbol per 5 instants, 2*span + 1 = 9) the clocks put the elements'
+# first symbols at 0, 9, -5 and 19; at 250 MHz (5 per 4, above 2*span + 1 = 3) the phases split
+# into groups of 3 and 1, each with the elements at four different offsets.
+@pytest.mark.parametrize(
+    ("rate", "span", "clocks", "delta"),
+    [
+        (40e6, 4, [0.0, 2.3e-7, -1.1e-7, 4.7e-7], 1.3e-9),
+        (250e6, 1, [0.0, 5.3e-9, -9.1e-9, 13.7e-9], -2.1e-9),
+    ],
+)
+@pytest.mark.parametrize("mode", list(SceneMode))
+def test_spread_stream_scene_matches_loop_bit_for_bit(rate, span, clocks, delta, mode):
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2, (2, 400))
+    streams = [StreamTerm(map_qpsk(b), rate, 0.25, span, f) for b, f in zip(bits, (3e7, -2e7))]
+    wave = Waveform(terms=streams[:1], scale=0.5 - 1.5j, delay=-4.3e-9)
+    ud = SourceSpec(Waveform(terms=streams[1:], scale=2.0), delta)
+    gains = (1.0, 0.9 + 0.1j, 1.0, 1.2)
+    sc = Scene(N, FC, SourceSpec(wave, 1.3e-10), (ud,), element_mismatch=gains, mode=mode)
+    lo = None
+    if mode is SceneMode.RF_DERIVED:
+        lo = np.exp(-2j * np.pi * FC * np.arange(N) * delta).conj()
+    got = element_signal(sc, clocks, 200e6, 512)
+    assert np.array_equal(got, frames_by_loop(sc, clocks, 200e6, 512, lo))
+
+
 def scene_frames(sc, fs=1e9, n=16):
     """The runners' element frames of ``sc`` at undelayed clocks: LO-aligned in RF_DERIVED."""
     [frames] = experiments._scene_frames(sc, [([0.0] * N, [()])], fs, n)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import frames_by_loop, ref_spectrum
 from output_contract import check_column
-from spica import experiments, metrics
+from spica import experiments, metrics, waveform
 from spica import (
     ConfigError,
     Experiment,
@@ -758,6 +759,47 @@ def test_runners_measure_through_the_public_names(tmp_path, monkeypatch):
         run_experiment(ExperimentConfig.from_dict({"experiment": kind, **small}), tmp_path)
     # one call per chunk and branch: the sweep's ideal and quantized clocks, the gain's one
     assert calls == {"cancellation_depth": 2, "conversion_gain_measured": 1}
+
+
+@pytest.mark.parametrize(("name", "streams"), [("fig18", 1), ("fig19", 2)])
+def test_stream_scene_evaluates_each_source_pulse_once(name, streams, tmp_path, monkeypatch):
+    # fig18's desired source is silent and fig19's a second stream: one rrc_pulse call gives a
+    # stream source's pulses at every element's phases
+    calls = []
+    rrc_pulse, element_signal = waveform.rrc_pulse, experiments.element_signal
+
+    def counting(*args, **kwargs):
+        calls[-1] += 1
+        return rrc_pulse(*args, **kwargs)
+
+    def sampling(*args):
+        calls.append(0)
+        return element_signal(*args)
+
+    monkeypatch.setattr(waveform, "rrc_pulse", counting)
+    monkeypatch.setattr(experiments, "element_signal", sampling)
+    run_experiment(preset(name), output_dir=tmp_path)
+    assert calls == [streams]
+
+
+def test_stream_scene_holds_little_beside_its_frame(tmp_path, monkeypatch):
+    # fig18's four 65,536-sample rows are written block by block into the frame returned: the
+    # traced peak stays within 1.25 times its bytes (about 2 with per-element rows stacked)
+    peaks = []
+    element_signal = experiments.element_signal
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            out = element_signal(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] / out.nbytes)
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(experiments, "element_signal", measured)
+    run_experiment(preset("fig18"), output_dir=tmp_path)
+    assert len(peaks) == 1 and peaks[0] <= 1.25
 
 
 def two_pass_recover(rows, fs, stream, genie, delta, n, offset_hz):

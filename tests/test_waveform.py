@@ -471,6 +471,14 @@ class TestStreamTerm:
         assert drop_db(16) >= 40.0
 
 
+def grid_frames(stream, n, fs, t0):
+    """``stream._grid_sum``'s blocks for the starts ``t0`` as one ``(len(t0), n)`` array."""
+    frames = np.empty((len(t0), n), dtype=complex)
+    for j, block in stream._grid_sum(n, fs, t0):
+        frames[:, j : j + block.shape[1]] = block
+    return frames
+
+
 def grid_sum_by_phase(stream, n, fs, t0):
     """``stream._grid_sum`` as one einsum per pulse phase over a p-strided window of symbols."""
     rate, span = stream.symbol_rate, stream.span_symbols
@@ -535,33 +543,38 @@ class TestGridSampling:
         np.testing.assert_allclose(got, [complex(v) for v in exact], rtol=0, atol=tol)
 
     # 296e6 / 200e6 = 37 / 25 splits the phases at 23 (p > 2*span + 1 = 33); 12 / 7 takes one
-    # matrix.  Both read more symbols per row than they write instants.
+    # matrix.  Both read more symbols per row than they write instants.  Three elements start
+    # 2.4 and 6.3 symbols apart, so their windows start at different symbols.
     @pytest.mark.parametrize("p, q", [(37, 25), (12, 7)])
     def test_symbol_rate_above_fs_matches_float_instants(self, p, q):
         fs, n = q * 8e6, 2048
         bits = np.random.default_rng(5).integers(0, 2, 2 * (n * p // q + 40))
         stream = StreamTerm(map_qpsk(bits), p * 8e6, 0.25, 16, 0.3 * fs)
-        clock, delay = 7.041e-9, 2.347e-9
+        t0 = np.array([7.041e-9, 7.041e-9 + 2.4 / stream.symbol_rate, -6.3 / stream.symbol_rate])
         with mock.patch.object(StreamTerm, "_pulse_sum", side_effect=AssertionError):
-            frame = sample_element(Waveform(terms=(stream,), delay=delay), clock, fs, n)
-        expected = stream.eval(np.arange(n) / fs + clock - delay)
+            frames = grid_frames(stream, n, fs, t0)
         tol = 5e-11 * np.sqrt(stream.symbol_rate)
-        np.testing.assert_allclose(frame, expected, rtol=0, atol=tol)
+        for frame, start in zip(frames, t0):
+            expected = stream.eval(np.arange(n) / fs + start)
+            np.testing.assert_allclose(frame, expected, rtol=0, atol=tol)
 
     # fig18's interferer at 65,536 instants: 2,622 rows of 25, so the last 128-row block holds
-    # 62 rows and the last row 11 instants.  At 37 / 25 the phases also split at 23.
+    # 62 rows and the last row 11 instants.  At 37 / 25 the phases also split at 23.  Three
+    # elements start 0.3 and 11.6 symbols apart.
     @pytest.mark.parametrize("rate", [64e6, 296e6])
     def test_row_blocks_match_per_phase_einsum(self, rate):
         cfg = replace(preset("fig18"), symbol_rate_hz=rate)
         n, fs = cfg.frame_len, cfg.sample_rate_hz
         stream = experiments._interferer_stream(cfg)
-        expected = grid_sum_by_phase(stream, n, fs, 7.041e-9)
-        got = stream._grid_sum(n, fs, 7.041e-9)
-        rms = np.sqrt(np.mean(np.abs(expected) ** 2))
-        # Both sum 2*span + 1 products per instant, in different orders.
-        tol = (2 * stream.span_symbols + 1) * np.finfo(float).eps * rms
-        assert got.shape == (n,)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+        t0 = 7.041e-9 + np.array([0.0, 0.3, -11.6]) / rate
+        frames = grid_frames(stream, n, fs, t0)
+        assert frames.shape == (3, n)
+        for got, start in zip(frames, t0):
+            expected = grid_sum_by_phase(stream, n, fs, start)
+            rms = np.sqrt(np.mean(np.abs(expected) ** 2))
+            # Both sum 2*span + 1 products per instant, in different orders.
+            tol = (2 * stream.span_symbols + 1) * np.finfo(float).eps * rms
+            np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
 
     # 64,000,001 / 200e6 has no p / q with q <= 4096 / 64; 64e6 / 200e6 = 8 / 25 needs n >= 1,600.
     @pytest.mark.parametrize("rate, n", [(64_000_001.0, 4096), (64e6, 64 * 25 - 1)])
