@@ -49,6 +49,14 @@ def _welch_freqs(nfft: int, fs: float) -> np.ndarray:
     return freqs
 
 
+def _check_welch_len(n: int, nfft: int):
+    """Raise ValueError unless 2 <= ``nfft`` <= ``n``, the frame length."""
+    if nfft < 2:
+        raise ValueError(f"Welch length {nfft} < 2: its Hann window is all zero")
+    if n < nfft:
+        raise ValueError(f"frame length {n} < nfft {nfft}")
+
+
 def welch_power(samples, fs: float, nfft: int):
     """Hann-windowed, 50%-overlap-averaged two-sided power spectrum over the last axis.
 
@@ -64,10 +72,7 @@ def welch_power(samples, fs: float, nfft: int):
     """
     x = np.asarray(samples)
     n = x.shape[-1]
-    if nfft < 2:
-        raise ValueError(f"Welch length {nfft} < 2: its Hann window is all zero")
-    if n < nfft:
-        raise ValueError(f"frame length {n} < nfft {nfft}")
+    _check_welch_len(n, nfft)
     win = _hann(nfft)
     starts = range(0, n - nfft + 1, nfft - int(round(nfft * 0.5)))
     segments = (np.abs(np.fft.fft(x[..., s : s + nfft] * win)) ** 2 for s in starts)
@@ -120,9 +125,15 @@ def cancellation_depth(ref, canc: np.ndarray, fs: float, band: tuple):
     frame), +inf where the cancelled band power is exactly zero.  ``ref``'s
     leading shape must end ``canc``'s and the band edges broadcast against it,
     as k tones ``(k, n)`` with ``(k,)`` edges pair with ``mac_apply``'s ``(rows, k, n)``.
+    An all-zero ``canc``, as ideal clocks give, is +inf in every frame without a Welch
+    transform, once the pairing, Welch length and band checks have passed.
     """
     freqs, pxx_ref, enbw = ref
     nfft = _nfft(pxx_ref, canc)
+    if not np.any(canc):
+        _check_welch_len(canc.shape[-1], nfft)
+        p_ref = band_power(freqs, enbw, *band, pxx_ref)[0]
+        return np.full(np.broadcast_shapes(p_ref.shape, canc.shape[:-1]), np.inf)
     pxx_canc = welch_power(canc, fs, nfft)[1]
     p_ref, p_canc = band_power(freqs, enbw, *band, pxx_ref, pxx_canc)
     # The all-zero frame hits the PSD floor rather than true zero; treat

@@ -173,12 +173,24 @@ def mac_apply(frames, rows: np.ndarray) -> np.ndarray:
     against every row: ``(rows, n)`` from ``(n,)`` frames, ``(rows, k, n)`` from ``(k, n)``
     ones.  The hardware's charge-share-then-transfer gain bookkeeping is modeled as net unity
     weight.
+
+    A real weight scales I and Q alike, so a complex stack is one real product over its
+    interleaved I/Q values (copied first if not contiguous), viewed back as complex: a
+    ``dgemm`` in place of a ``zgemm``.  On OpenBLAS's Haswell and SkylakeX kernels it sums
+    as the ``zgemm`` does for up to 4 elements; other kernels and sizes may round it
+    differently in the last bits (see README's Outputs).
     """
     n = rows.shape[1]
     if len(frames) != n:
         raise ValueError(f"expected {n} frames, got {len(frames)}")
     stack = frames if isinstance(frames, np.ndarray) else np.stack(frames)
-    return (rows @ stack.reshape(n, -1)).reshape(-1, *stack.shape[1:])
+    flat = stack.reshape(n, -1)
+    if np.iscomplexobj(flat):
+        out = rows @ np.ascontiguousarray(flat).view(flat.real.dtype)
+        out = out.view(np.result_type(out, 1j))
+    else:
+        out = rows @ flat
+    return out.reshape(-1, *stack.shape[1:])
 
 
 def _signed_power_sum(signs, z):
@@ -226,10 +238,12 @@ def equalize(frame_len: int, fs: float, delta: float, n: int = 4, offset_hz: flo
     z = np.exp(2j * np.pi * delta * (np.fft.fftfreq(frame_len, d=1.0 / fs) + offset_hz))
     for row, signs in enumerate(truncated_hadamard(n)):
         g = _signed_power_sum(signs, z)
-        eps = 0.05 * float(np.max(np.abs(g)))
+        mag = np.abs(g)
+        eps = 0.05 * float(np.max(mag))
         if eps <= 0.0:
             raise ValueError(f"row {row}'s gain is zero at every bin; nothing to equalize")
-        keep = np.abs(g) >= eps
+        keep = mag >= eps
+        del mag  # not held while the response is used
         np.divide(1.0, g, out=g, where=keep)  # in place, so a row holds one response buffer
         g[~keep] = 0.0
         yield g

@@ -204,7 +204,8 @@ class StreamTerm:
     def eval(self, t, fs=None) -> np.ndarray:
         """Sum of shaped symbol pulses at time ``t``, shaped like ``t`` (0-d for a scalar)."""
         t_flat = np.asarray(t, dtype=float).ravel()
-        blocks = None if fs is None else self._grid_sum(t_flat.size, fs, t_flat[:1])
+        grid = fs is not None and t_flat.size > 0  # an empty grid has no start
+        blocks = self._grid_sum(t_flat.size, fs, t_flat[:1]) if grid else None
         if blocks is not None:
             acc = np.empty(t_flat.shape, dtype=complex)
             for j, block in blocks:

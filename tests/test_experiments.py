@@ -744,6 +744,27 @@ def test_spectra_span_the_frame_up_to_4096_samples(name, frame_len, tmp_path, mo
     assert lengths == {(frame_len, min(4096, frame_len))}
 
 
+def test_cancelled_row_stacks_take_no_welch_transform(tmp_path, monkeypatch):
+    # fig16's ideal clocks align the interferer exactly, so those row stacks are all zero: they
+    # read +inf with no spectrum, and each other stack takes one
+    stacks, spectra = [], []
+    cancellation_depth, welch_power = experiments.cancellation_depth, metrics.welch_power
+
+    def measuring(ref, canc, *args):
+        stacks.append(bool(np.any(canc)))
+        return cancellation_depth(ref, canc, *args)
+
+    def recording(samples, fs, nfft):
+        spectra.append(bool(np.any(samples)))
+        return welch_power(samples, fs, nfft)
+
+    monkeypatch.setattr(experiments, "cancellation_depth", measuring)
+    monkeypatch.setattr(metrics, "welch_power", recording)
+    run_experiment(dataclasses.replace(preset("fig16"), tone_count=8), output_dir=tmp_path)
+    assert stacks.count(False) == stacks.count(True) == 6  # 2 chunks, 3 delays, 2 clocks
+    assert spectra == [True] * 6
+
+
 def test_runners_measure_through_the_public_names(tmp_path, monkeypatch):
     # bench/tracer.py times the measurements by wrapping these two names in experiments
     calls = dict.fromkeys(("cancellation_depth", "conversion_gain_measured"), 0)

@@ -251,6 +251,34 @@ class TestCancellationDepth:
         assert stacked[2] == singles[2] == np.inf
         np.testing.assert_allclose(stacked[:2], singles[:2], rtol=0.0, atol=1e-12)
 
+    def test_zero_stack_is_checked_as_a_nonzero_one(self):
+        # an all-zero stack skips the Welch transform, not one of the full path's checks
+        ref = ref_spectrum(self.frame(), FS)
+        pair = ref_spectrum(np.stack([self.frame(), self.frame()]), FS)
+        one_bin = (np.zeros(1), np.ones(1), 1.0)
+        between = (205 + np.array([0.2, 0.4])) * FS / 4096  # inside self.BAND, between bins
+        cases = [
+            (pair, (3, 8192), self.BAND, "do not pair"),
+            (ref, (3, 1024), self.BAND, "frame length 1024 < nfft 4096"),
+            (ref, (3, 8192), tuple(between), "contains no PSD bins"),
+            (ref, (3, 8192), self.BAND[::-1], "upper edge below lower edge"),
+            (one_bin, (3, 8), self.BAND, "Welch length 1 < 2"),
+        ]
+        for spec, shape, band, match in cases:
+            messages = []
+            for canc in (np.zeros(shape, complex), np.full(shape, 1e-3 + 0j)):
+                with pytest.raises(ValueError, match=match) as err:
+                    cancellation_depth(spec, canc, FS, band)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1], match
+
+    @pytest.mark.parametrize("lead", [(), (3,), (3, 2)])
+    def test_zero_stack_reads_inf_in_the_full_paths_shape(self, lead):
+        ref = ref_spectrum(np.ones((*lead[1:], 8192)) * self.frame(), FS)
+        depth = cancellation_depth(ref, np.zeros((*lead, 8192), complex), FS, self.BAND)
+        assert isinstance(depth, np.ndarray) and depth.shape == lead and depth.dtype == float
+        assert np.all(depth == np.inf)
+
 @given(
     n=st.sampled_from([1, 2]) | st.integers(1, 70) | st.sampled_from([2047, 2048]),
     lead=st.sampled_from([(), (4,), (3, 4)]),

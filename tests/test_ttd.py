@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
@@ -294,6 +294,33 @@ class TestTruncatedHadamard:
             assert np.all(truncated_hadamard(n)[:, 0] == 1), n
 
 
+# How mac_input hands over the frames: a list, a C-contiguous array, a view whose rows are
+# strided and one whose samples are (every other sample of a wider array).
+LAYOUTS = ["list", "array", "rows", "samples"]
+
+
+def mac_input(n, tones, samples, layout, seed):
+    """``n`` random unit-variance complex frames of ``samples`` samples, ``(tones, samples)``
+    each unless ``tones`` is None, as ``mac_apply``'s argument and as the stack it stands for."""
+    shape = (n, samples) if tones is None else (n, tones, samples)
+    wide = np.random.default_rng(seed).standard_normal((*shape[:-1], 2 * samples, 2))
+    wide = wide.view(complex)[..., 0]
+    if layout == "rows":
+        stack = wide[..., :samples]
+    elif layout == "samples":
+        stack = wide[..., ::2]
+    else:
+        stack = np.ascontiguousarray(wide[..., :samples])
+    return (list(stack) if layout == "list" else stack), stack
+
+
+def mac_products(frames, stack):
+    """``mac_apply``'s output and the complex product it stands for, ``(rows, ...)`` each."""
+    n = len(stack)
+    want = truncated_hadamard(n).astype(complex) @ stack.reshape(n, -1)
+    return mac_apply(frames, truncated_hadamard(n)), want.reshape(-1, *stack.shape[1:])
+
+
 class TestMacApply:
     def test_identical_inputs_cancel(self):
         fr = sample_element(tone(13e6, phase=0.4), 0.0, 1e8, 64)
@@ -349,6 +376,53 @@ class TestMacApply:
             for k, got in enumerate(row.tolist()):
                 expected = sum(signs[i] * x[i][k] for i in range(n))
                 assert abs(got - expected) <= 1e-12 * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_n=st.integers(1, 2),
+        tones=st.sampled_from([None, 1, 2, 3, 4, 5]),
+        samples=st.integers(16, 4096),
+        layout=st.sampled_from(LAYOUTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_product_is_the_complex_product_bit_for_bit(
+        self, log_n, tones, samples, layout, seed
+    ):
+        """Up to 4 elements, as every runner has, the real product over I/Q sums as the complex
+        one does, bit for bit, on OpenBLAS 0.3.31's Haswell and SkylakeX kernels."""
+        frames, stack = mac_input(2**log_n, tones, samples, layout, seed)
+        got, want = mac_products(frames, stack)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        log_n=st.integers(3, 7),
+        tones=st.sampled_from([None, 1, 2, 3, 4, 5]),
+        samples=st.integers(16, 512),
+        layout=st.sampled_from(LAYOUTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(log_n=8, tones=None, samples=512, layout="array", seed=0)
+    def test_real_product_is_within_rounding_of_the_complex_product(
+        self, log_n, tones, samples, layout, seed
+    ):
+        """From 8 elements on, some BLAS kernels sum the real product in another order than the
+        complex one.  Either sum of n terms +-x_i is within (n - 1) * eps / 2 * sum |x_i| of the
+        exact one in each of I and Q, so they differ by at most (n - 1) * eps * sum |x_i|."""
+        n = 2**log_n
+        frames, stack = mac_input(n, tones, samples, layout, seed)
+        got, want = mac_products(frames, stack)
+        parts = np.ascontiguousarray(stack).reshape(n, -1).view(float)
+        magnitude = np.abs(truncated_hadamard(n)) @ np.abs(parts)
+        bound = (n - 1) * np.finfo(float).eps * magnitude.reshape(got.view(float).shape)
+        assert np.all(np.abs(got.view(float) - want.view(float)) <= bound)
+
+    def test_real_stacks_keep_the_real_product(self):
+        m = truncated_hadamard(4)
+        x = np.random.default_rng(3).standard_normal((4, 2, 64))
+        out = mac_apply(x, m)
+        assert out.dtype == float
+        np.testing.assert_array_equal(out, (m @ x.reshape(4, -1)).reshape(3, 2, 64))
 
     def test_frame_count_checked(self):
         fr = sample_element(tone(1e6), 0.0, 1e8, 8)

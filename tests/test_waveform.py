@@ -373,6 +373,15 @@ class TestStreamTerm:
         assert st_.eval(-5.0e-6) == 0
         assert st_.eval(1.0e-6) != 0
 
+    @pytest.mark.parametrize("rate", [1e6, 0.25e6, 1.3e6])
+    @pytest.mark.parametrize("fs", [None, 1e6])
+    def test_no_instants_give_an_empty_array(self, rate, fs):
+        # rate = fs is on the sample grid for any n; the other cases evaluate per instant
+        st_ = StreamTerm([1.0, 1j, -1.0], rate, span_symbols=4, center_freq=1e5)
+        for t in (np.array([]), np.zeros((2, 0))):
+            out = st_.eval(t, fs)
+            assert out.shape == t.shape and out.dtype == complex
+
     def test_single_symbol_is_scaled_pulse(self):
         st_ = StreamTerm([1.0 + 0j], 2e6, rolloff=0.25, span_symbols=8)
         t = np.linspace(-3e-6, 3e-6, 101)
